@@ -60,11 +60,11 @@ func benchInstance(b *testing.B, k, intervals int) *ses.Instance {
 }
 
 // benchSolvers are the paper's three methods.
-func benchSolvers(seed uint64) map[string]ses.Solver {
+func benchSolvers(b *testing.B, seed uint64) map[string]ses.Solver {
 	return map[string]ses.Solver{
-		"grd":  ses.Greedy(),
-		"top":  ses.Top(),
-		"rand": ses.Random(seed),
+		"grd":  mustSolver(b, "grd"),
+		"top":  mustSolver(b, "top"),
+		"rand": mustSolver(b, "rand", ses.WithSeed(seed)),
 	}
 }
 
@@ -92,7 +92,7 @@ func runSolver(b *testing.B, inst *ses.Instance, s ses.Solver, k int) {
 func BenchmarkFig1a_UtilityVsK(b *testing.B) {
 	for _, k := range []int{50, 100, 200} {
 		inst := benchInstance(b, k, 3*k/2)
-		for name, s := range benchSolvers(uint64(k)) {
+		for name, s := range benchSolvers(b, uint64(k)) {
 			b.Run(fmt.Sprintf("k=%d/%s", k, name), func(b *testing.B) {
 				runSolver(b, inst, s, k)
 			})
@@ -107,7 +107,7 @@ func BenchmarkFig1c_UtilityVsT(b *testing.B) {
 	const k = 100
 	for _, t := range []int{20, 50, 100, 150, 300} {
 		inst := benchInstance(b, k, t)
-		for name, s := range benchSolvers(uint64(t)) {
+		for name, s := range benchSolvers(b, uint64(t)) {
 			b.Run(fmt.Sprintf("T=%d/%s", t, name), func(b *testing.B) {
 				runSolver(b, inst, s, k)
 			})
@@ -120,8 +120,8 @@ func BenchmarkFig1c_UtilityVsT(b *testing.B) {
 func BenchmarkAblationLazyGreedy(b *testing.B) {
 	const k = 100
 	inst := benchInstance(b, k, 3*k/2)
-	b.Run("grd-eager-list", func(b *testing.B) { runSolver(b, inst, ses.Greedy(), k) })
-	b.Run("grd-lazy-heap", func(b *testing.B) { runSolver(b, inst, ses.LazyGreedy(), k) })
+	b.Run("grd-eager-list", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "grd"), k) })
+	b.Run("grd-lazy-heap", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "grdlazy"), k) })
 }
 
 // BenchmarkAblationEngine compares the sparse production engine with
@@ -167,8 +167,8 @@ func runSolverInternal(b *testing.B, inst *ses.Instance, s solver.Solver, k int)
 func BenchmarkAblationTOPVariants(b *testing.B) {
 	const k = 100
 	inst := benchInstance(b, k, 3*k/2)
-	b.Run("top-paper", func(b *testing.B) { runSolver(b, inst, ses.Top(), k) })
-	b.Run("top-fill", func(b *testing.B) { runSolver(b, inst, ses.TopFill(), k) })
+	b.Run("top-paper", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "top"), k) })
+	b.Run("top-fill", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "topfill"), k) })
 }
 
 // BenchmarkAblationRefinement measures what hill climbing and
@@ -182,9 +182,9 @@ func BenchmarkAblationRefinement(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("grd", func(b *testing.B) { runSolver(b, inst, ses.Greedy(), k) })
-	b.Run("grd+localsearch", func(b *testing.B) { runSolver(b, inst, ses.LocalSearch(), k) })
-	b.Run("anneal", func(b *testing.B) { runSolver(b, inst, ses.Anneal(3, 4000), k) })
+	b.Run("grd", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "grd"), k) })
+	b.Run("grd+localsearch", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "localsearch"), k) })
+	b.Run("anneal", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "anneal", ses.WithSeed(3)), k) })
 }
 
 // BenchmarkScoreComputation isolates one Eq. 4 evaluation — the unit

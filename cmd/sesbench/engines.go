@@ -14,13 +14,12 @@ import (
 )
 
 // This file implements `sesbench -fig engines`: microbenchmarks of the
-// three choice engines on the operations the solvers actually pay for
-// — Score (Eq. 4), Apply+Unapply (incremental schedule maintenance)
-// and IntervalUtility (Eq. 3 per interval) — comparing the current
-// sorted-accumulator Sparse engine against the previous map-based
-// SparseMap engine and the paper-faithful Dense engine. Results go to
-// stdout and to a JSON file so regressions are diffable across
-// commits.
+// choice engines on the operations the solvers actually pay for —
+// Score (Eq. 4), Apply+Unapply (incremental schedule maintenance) and
+// IntervalUtility (Eq. 3 per interval) — comparing the
+// sorted-accumulator Sparse engine against the paper-faithful Dense
+// engine. Results go to stdout and to a JSON file so regressions are
+// diffable across commits.
 
 // engineBench is one benchmark row of BENCH_engine.json.
 type engineBench struct {
@@ -41,8 +40,7 @@ type engineReport struct {
 }
 
 // engineFactories lists the engines under comparison: the production
-// sorted-accumulator engine, its map-based predecessor, and the dense
-// paper-faithful baseline.
+// sorted-accumulator engine and the dense paper-faithful baseline.
 func engineFactories() []struct {
 	name  string
 	build func(*core.Instance) choice.Engine
@@ -52,7 +50,6 @@ func engineFactories() []struct {
 		build func(*core.Instance) choice.Engine
 	}{
 		{"sparse", func(in *core.Instance) choice.Engine { return choice.NewSparse(in) }},
-		{"sparsemap", func(in *core.Instance) choice.Engine { return choice.NewSparseMap(in) }},
 		{"dense", func(in *core.Instance) choice.Engine { return choice.NewDense(in) }},
 	}
 }

@@ -12,9 +12,9 @@
 // count and competing intensity — the parameters Section IV-A fixes.
 //
 // -fig engines microbenchmarks the choice engines (Score, Apply,
-// IntervalUtility on the current sorted-accumulator Sparse engine, the
-// previous map-based SparseMap engine, and the paper-faithful Dense
-// engine) and writes the results as JSON to the -json file.
+// IntervalUtility on the sorted-accumulator Sparse engine and the
+// paper-faithful Dense engine) and writes the results as JSON to the
+// -json file.
 //
 // -fig objectives microbenchmarks the same hot paths on the Sparse
 // engine under each registered objective (omega, attendance,

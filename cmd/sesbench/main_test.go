@@ -69,7 +69,7 @@ func TestRunEnginesFig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Score/sparse", "Score/sparsemap", "Score/dense", "IntervalUtility/sparse", "ns_per_op", "allocs_per_op"} {
+	for _, want := range []string{"Score/sparse", "Score/dense", "IntervalUtility/sparse", "ns_per_op", "allocs_per_op"} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("BENCH_engine.json missing %q", want)
 		}

@@ -117,6 +117,40 @@ func newDaemonCluster(t *testing.T, n int, tweaks ...func(*cluster.NodeOptions))
 	return dc
 }
 
+// awaitReplica polls base's session metadata until n1's replica of
+// name reports wantResolves resolves, failing on a wrong replica
+// header, a name mismatch, a count past wantResolves, or after 15s.
+func awaitReplica(t *testing.T, base, name string, wantResolves uint64) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		req, _ := http.NewRequest("GET", base+"/v1/sessions/"+name, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m ses.SessionMeta
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK && err == nil {
+			if got := resp.Header.Get("X-Ses-Replica-Of"); got != "n1" {
+				t.Fatalf("%s: replica read served with X-Ses-Replica-Of=%q, want n1", base, got)
+			}
+			if m.Name != name || m.Resolves > wantResolves {
+				t.Fatalf("%s: replica meta = %+v, want name %s with %d resolves", base, m, name, wantResolves)
+			}
+			if m.Resolves == wantResolves {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never served %s from its replica with %d resolves (last status %d, meta %+v)",
+				base, name, wantResolves, resp.StatusCode, m)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestDaemonClusterReplicaReads drives the full daemon surface of the
 // cluster: a session created on n1 becomes readable on n2 via n2's
 // warm replica (X-Ses-Replica-Of header), readiness and health report
@@ -129,32 +163,12 @@ func TestDaemonClusterReplicaReads(t *testing.T) {
 	do(t, "POST", dc.urls["n1"]+"/v1/sessions", createReq{Name: "repl-1", K: 3, Instance: doc}, http.StatusCreated, &meta)
 	do(t, "POST", dc.urls["n1"]+"/v1/sessions/repl-1/batch", batchReq{}, http.StatusOK, nil)
 
-	// The session lives only on n1; n2 must serve the read from its
-	// replica once replication catches up.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		req, _ := http.NewRequest("GET", dc.urls["n2"]+"/v1/sessions/repl-1", nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m ses.SessionMeta
-		err = json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK && err == nil {
-			if got := resp.Header.Get("X-Ses-Replica-Of"); got != "n1" {
-				t.Fatalf("replica read served with X-Ses-Replica-Of=%q, want n1", got)
-			}
-			if m.Name != "repl-1" || m.Resolves != meta.Resolves+1 {
-				t.Fatalf("replica meta = %+v, want name repl-1 with %d resolves", m, meta.Resolves+1)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("n2 never served repl-1 from its replica (last status %d)", resp.StatusCode)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The session lives only on n1; n2 and n3 must serve reads from
+	// their replicas once replication catches up. Replication is
+	// async, so a replica may answer 200 before the batch record has
+	// arrived: poll until it reports the batch's resolve.
+	awaitReplica(t, dc.urls["n2"], "repl-1", meta.Resolves+1)
+	awaitReplica(t, dc.urls["n3"], "repl-1", meta.Resolves+1)
 
 	// Schedule reads fall back to the replica too.
 	req, _ := http.NewRequest("GET", dc.urls["n3"]+"/v1/sessions/repl-1/schedule", nil)

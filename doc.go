@@ -67,13 +67,12 @@
 // marginal gain of one assignment), ScoreBatch (Score over a list of
 // events at one interval — the unit of work the solver layer
 // parallelizes), Apply/Unapply (incremental schedule maintenance),
-// and the utility accessors. Four implementations exist: Sparse, the
+// and the utility accessors. Three implementations exist: Sparse, the
 // production engine, keeps per-interval scheduled mass in sorted
 // accumulators maintained by incremental merge, making the hot paths
-// allocation-free merge-joins; SparseMap is its map-based predecessor
-// retained for the old-vs-new ablation benchmark; Dense is the
-// paper-faithful O(|U|)-per-score baseline; Ref wraps the definitional
-// Reference* oracle functions. Property tests force all of them to
+// allocation-free merge-joins; Dense is the paper-faithful
+// O(|U|)-per-score baseline; Ref wraps the definitional Reference*
+// oracle functions. Property tests force all of them to
 // agree to floating-point accuracy.
 //
 // What a schedule is worth is a separate, pluggable axis: every
@@ -105,9 +104,13 @@
 // and writes to fixed offsets of a preallocated matrix, so schedules,
 // utilities and work counters are byte-identical to the serial run
 // for any Workers value. GRD, GRDLazy, TOP, TOPFill and Spread start
-// from that worklist; Beam expands its live states concurrently; the
-// experiment harness (ses/internal/experiment) additionally runs
-// independent trials and sensitivity points concurrently.
+// from that worklist. Algorithm 1's selection phase (popTopAssgn, the
+// validity drop, the same-interval rescore) exists once, as
+// solver.SelectGreedy: GRD runs it on the full worklist and the
+// session layer below on its cached scores. Beam expands its live
+// states concurrently; the experiment harness
+// (ses/internal/experiment) additionally runs independent trials and
+// sensitivity points concurrently.
 //
 // The session layer (ses/internal/session, exposed as Scheduler)
 // sits on top of both: it keeps the instance, a warm engine (engines
@@ -115,29 +118,30 @@
 // the last solve. Mutations invalidate a precise slice of that matrix
 // — one event row for AddEvent/UpdateInterest, one interval column
 // for AddCompeting, nothing for CancelEvent/Pin/Forbid — and Resolve
-// patches the slice and reruns only the cheap greedy selection, which
-// is why it matches from-scratch GRD bit for bit (equivalence-tested)
-// at a fraction of the InitialScores.
+// patches the slice and reruns only the greedy selection — the same
+// SelectGreedy loop GRD runs, with pins applied first and cancelled
+// events, pinned events and forbidden pairs left out of the worklist —
+// which is why it matches from-scratch GRD bit for bit
+// (equivalence-tested) at a fraction of the InitialScores.
 //
-// For million-user instances a fifth engine breaks the
+// For million-user instances a fourth engine breaks the
 // O(interested users)-per-score coupling: Pruned (exposed as
 // PrunedEngine / PrunedEngineK) wraps Sparse with per-event top-k
 // candidate lists and a cached frozen-tail term, scoring empty
 // intervals exactly in O(k) and loaded intervals with an O(k) upper
 // bound. Engines that can bound advertise it through the choice
-// layer's Bounder interface, and GRD's argmax (shared with the
-// session layer's greedy selection) becomes a threshold algorithm:
-// bound-valued worklist entries are resolved to exact scores only
-// when they reach the top of the heap, counted in
-// Counters.BoundUpdates. Results stay byte-identical to Sparse —
-// enforced by the differential fuzz harness and a metamorphic k=|U|
-// degeneracy test — only the work changes. Pairing the pruned engine
-// with a columnar instance file (WriteColumnarInstance /
-// OpenColumnarInstance, ses/internal/colstore: struct-of-arrays CSR
-// sections, memory-mapped zero-copy rows) keeps both open time and
-// resident memory sublinear in |U|; sesgen -colstore streams
-// power-law instances at any scale and sesbench -fig scale commits
-// the measured latency curve to BENCH_scale.json.
+// layer's Bounder interface, and SelectGreedy's argmax becomes a
+// threshold algorithm: same-interval rescores take the bound (counted
+// in Counters.BoundUpdates), and a bound-valued entry is resolved to
+// its exact score only when it reaches the top of the list. Results
+// stay byte-identical to Sparse — enforced by the differential fuzz
+// harness and a metamorphic k=|U| degeneracy test — only the work
+// changes. Pairing the pruned engine with a columnar instance file
+// (WriteColumnarInstance / OpenColumnarInstance, ses/internal/colstore:
+// struct-of-arrays CSR sections, memory-mapped zero-copy rows) keeps
+// both open time and resident memory sublinear in |U|; sesgen
+// -colstore streams power-law instances at any scale and sesbench
+// -fig scale commits the measured latency curve to BENCH_scale.json.
 //
 // From this facade, pass WithWorkers(n) or WithObjective(obj) to New
 // or NewScheduler; sessolve and sesbench expose the same knobs as

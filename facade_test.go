@@ -15,20 +15,8 @@ func TestAllFacadeSolversOnOneInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvers := map[string]ses.Solver{
-		"greedy":      ses.Greedy(),
-		"lazy":        ses.LazyGreedy(),
-		"top":         ses.Top(),
-		"topfill":     ses.TopFill(),
-		"random":      ses.Random(4),
-		"localsearch": ses.LocalSearch(),
-		"anneal":      ses.Anneal(4, 500),
-		"beam":        ses.Beam(3, 3),
-		"online":      ses.Online(4),
-		"spread":      ses.Spread(),
-	}
-	for name, s := range solvers {
-		res, err := s.Solve(context.Background(), inst, 8)
+	for _, name := range []string{"grd", "grdlazy", "top", "topfill", "rand", "localsearch", "anneal", "beam", "online", "spread"} {
+		res, err := mustSolver(t, name, ses.WithSeed(4)).Solve(context.Background(), inst, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -47,7 +35,7 @@ func TestFacadeSimulateMatchesUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ses.Greedy().Solve(context.Background(), inst, 6)
+	res, err := mustSolver(t, "grd").Solve(context.Background(), inst, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +106,18 @@ func TestFacadeSolverConfigWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ses.GreedyWith(ses.SolverConfig{Workers: 1}).Solve(context.Background(), inst, 8)
+	serial, err := mustSolver(t, "grd", ses.WithWorkers(1)).Solve(context.Background(), inst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ses.GreedyWith(ses.SolverConfig{Workers: 8}).Solve(context.Background(), inst, 8)
+	parallel, err := mustSolver(t, "grd", ses.WithWorkers(8)).Solve(context.Background(), inst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Utility != parallel.Utility {
 		t.Errorf("utility differs: %v vs %v", serial.Utility, parallel.Utility)
 	}
-	byName, err := ses.NewSolverWith("grdlazy", 1, ses.SolverConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := byName.Solve(context.Background(), inst, 8)
+	res, err := mustSolver(t, "grdlazy", ses.WithWorkers(4)).Solve(context.Background(), inst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +127,9 @@ func TestFacadeSolverConfigWorkers(t *testing.T) {
 }
 
 func TestEveryRegisteredSolverThroughTheFacade(t *testing.T) {
-	// Drive every name in SolverNames() through both construction
-	// paths — the options-based New and the legacy NewSolverWith — on
-	// one small instance, and require matching results from the two.
+	// Drive every name in SolverNames() through New on one small
+	// instance, serial and with two workers, and require feasible,
+	// correctly valued and worker-neutral results.
 	ds := smallDataset(t)
 	inst, err := ses.BuildInstance(ds, ses.PaperParams{K: 6, Intervals: 8, CandidateEvents: 12, Seed: 41})
 	if err != nil {
@@ -173,16 +157,12 @@ func TestEveryRegisteredSolverThroughTheFacade(t *testing.T) {
 		if want := ses.Utility(inst, res.Schedule); math.Abs(res.Utility-want) > 1e-9 {
 			t.Errorf("%s: reported %v, reference %v", name, res.Utility, want)
 		}
-		legacy, err := ses.NewSolverWith(name, 7, ses.SolverConfig{Workers: 2})
+		serial, err := mustSolver(t, name, ses.WithSeed(7), ses.WithWorkers(1)).Solve(context.Background(), inst, 6)
 		if err != nil {
-			t.Fatalf("NewSolverWith(%q): %v", name, err)
+			t.Fatalf("%s (serial): %v", name, err)
 		}
-		lres, err := legacy.Solve(context.Background(), inst, 6)
-		if err != nil {
-			t.Fatalf("%s (legacy): %v", name, err)
-		}
-		if lres.Utility != res.Utility {
-			t.Errorf("%s: New %v, NewSolverWith %v", name, res.Utility, lres.Utility)
+		if serial.Utility != res.Utility {
+			t.Errorf("%s: workers=2 %v, workers=1 %v", name, res.Utility, serial.Utility)
 		}
 	}
 	if _, err := ses.New("bogus"); err == nil {
@@ -288,11 +268,11 @@ func rebuildSchedule(t *testing.T, sched *ses.Scheduler) *ses.Schedule {
 
 func TestFacadeExactOnToyInstance(t *testing.T) {
 	inst := festivalInstance()
-	opt, err := ses.ExactSolver().Solve(context.Background(), inst, 2)
+	opt, err := mustSolver(t, "exact").Solve(context.Background(), inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grd, err := ses.Greedy().Solve(context.Background(), inst, 2)
+	grd, err := mustSolver(t, "grd").Solve(context.Background(), inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

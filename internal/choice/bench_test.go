@@ -8,8 +8,7 @@ import (
 )
 
 // Benchmarks comparing the sorted-accumulator Sparse engine against
-// its map-based predecessor SparseMap (and the dense baseline) on the
-// three operations solvers pay for. Run with -benchmem: the headline
+// the dense baseline on the three operations solvers pay for. Run with -benchmem: the headline
 // of the accumulator rewrite is that Score and IntervalUtility are
 // allocation-free and Apply/Unapply stop allocating once the scratch
 // buffers have grown.
@@ -33,9 +32,8 @@ func loadBench(b *testing.B, eng Engine, k int) {
 
 func benchEngines(inst *core.Instance) map[string]Engine {
 	return map[string]Engine{
-		"sparse":    NewSparse(inst),
-		"sparsemap": NewSparseMap(inst),
-		"dense":     NewDense(inst),
+		"sparse": NewSparse(inst),
+		"dense":  NewDense(inst),
 	}
 }
 

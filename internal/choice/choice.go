@@ -29,9 +29,6 @@
 //     pre-aggregated per interval into sorted vectors; scheduled mass
 //     is maintained incrementally in sorted accumulators so the hot
 //     paths (Score, IntervalUtility) are allocation-free merge-joins.
-//   - SparseMap is the previous generation of Sparse (per-interval
-//     hash maps, per-call sort in IntervalUtility), kept as the
-//     old-vs-new baseline for the engine ablation benchmark.
 //
 // All implementations agree to floating-point accuracy; property tests
 // enforce it.

@@ -13,10 +13,9 @@ const eps = 1e-9
 // engines under test, by name.
 func newEngines(inst *core.Instance) map[string]Engine {
 	return map[string]Engine{
-		"sparse":    NewSparse(inst),
-		"sparsemap": NewSparseMap(inst),
-		"dense":     NewDense(inst),
-		"ref":       NewRef(inst),
+		"sparse": NewSparse(inst),
+		"dense":  NewDense(inst),
+		"ref":    NewRef(inst),
 		// Small k forces real candidate/tail splits on test instances.
 		"pruned": NewPruned(inst, 3),
 	}

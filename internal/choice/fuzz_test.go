@@ -9,8 +9,8 @@ import (
 
 // FuzzEngineOps is the generative differential test: a random
 // Apply/Unapply/Score/ScoreBatch/IntervalUtility/Utility/Fork/Reset
-// sequence decoded from the fuzz bytes drives Sparse, Dense,
-// SparseMap and Pruned in lockstep with the Ref oracle, for every
+// sequence decoded from the fuzz bytes drives Sparse, Dense and
+// Pruned in lockstep with the Ref oracle, for every
 // registered objective. Every observable quantity must stay within 1e-9 of the
 // oracle and every mutation must succeed or fail identically — the
 // generative extension of the fixed-case epsilon tests.
@@ -40,9 +40,8 @@ func FuzzEngineOps(f *testing.F) {
 			oracle := Engine(NewRef(inst))
 			oracle.SetObjective(obj)
 			engines := map[string]Engine{
-				"sparse":    NewSparse(inst),
-				"dense":     NewDense(inst),
-				"sparsemap": NewSparseMap(inst),
+				"sparse": NewSparse(inst),
+				"dense":  NewDense(inst),
 				// k = 4 forces real head/tail splits on the 15-user
 				// instance, so the O(k) fast path and the frozen-tail
 				// cache are both exercised differentially.

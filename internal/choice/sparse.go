@@ -105,7 +105,7 @@ func (v massVector) atFrom(lo *int, id int32) float64 {
 }
 
 // aggregateCompeting folds the competing events' interest rows into
-// one sorted mass vector per interval. Shared by Sparse and SparseMap.
+// one sorted mass vector per interval.
 func aggregateCompeting(inst *core.Instance) []massVector {
 	comp := make([]massVector, inst.NumIntervals)
 	acc := make([]map[int32]float64, inst.NumIntervals)

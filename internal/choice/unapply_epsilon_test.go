@@ -300,11 +300,10 @@ func TestHWMDecaysWhenAccumulatorEmpties(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ref has no noise cutoff (and no hwm), so it is exempt: run the
-	// three incremental engines only.
+	// incremental engines only.
 	engines := map[string]Engine{
-		"sparse":    NewSparse(inst),
-		"sparsemap": NewSparseMap(inst),
-		"dense":     NewDense(inst),
+		"sparse": NewSparse(inst),
+		"dense":  NewDense(inst),
 	}
 	for name, eng := range engines {
 		// Heavy phase: stack four unit masses plus the tiny holdout,

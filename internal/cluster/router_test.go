@@ -97,6 +97,15 @@ func (s *stubNode) record(r *http.Request) {
 	s.mu.Unlock()
 }
 
+// setFollow sets the follow cursor the status endpoint reports for
+// peer. The router's health poller reads it concurrently, so it takes
+// the stub's lock.
+func (s *stubNode) setFollow(peer string, fs FollowStatus) {
+	s.mu.Lock()
+	s.follows[peer] = fs
+	s.mu.Unlock()
+}
+
 func (s *stubNode) promoted() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -268,8 +277,8 @@ func TestRouterFailoverPromotesHighestCursor(t *testing.T) {
 	rig := newRouterRig(t)
 	// n2 trails n1's log; n3 is nearly caught up. When n1 dies, n3
 	// must be promoted and inherit n1's sessions.
-	rig.stubs["n2"].follows["n1"] = FollowStatus{Peer: "n1", Connected: true, CursorWeight: 5 << 32}
-	rig.stubs["n3"].follows["n1"] = FollowStatus{Peer: "n1", Connected: true, CursorWeight: 9 << 32}
+	rig.stubs["n2"].setFollow("n1", FollowStatus{Peer: "n1", Connected: true, CursorWeight: 5 << 32})
+	rig.stubs["n3"].setFollow("n1", FollowStatus{Peer: "n1", Connected: true, CursorWeight: 9 << 32})
 	name := sessionOwnedBy(t, rig.router.ring, "n1")
 
 	rig.servers["n1"].CloseClientConnections()
@@ -333,7 +342,7 @@ func TestRouterProposesNextEpochAndStampsForwards(t *testing.T) {
 	}
 
 	// A failover now proposes epoch 8.
-	rig.stubs["n3"].follows["n1"] = FollowStatus{Peer: "n1", Connected: true, CursorWeight: 1 << 32}
+	rig.stubs["n3"].setFollow("n1", FollowStatus{Peer: "n1", Connected: true, CursorWeight: 1 << 32})
 	rig.servers["n1"].CloseClientConnections()
 	rig.servers["n1"].Close()
 	deadline = time.Now().Add(10 * time.Second)
@@ -365,7 +374,7 @@ func TestRouterFencedPromoteNotRecorded(t *testing.T) {
 	rig.stubs["n2"].mu.Lock()
 	rig.stubs["n2"].rejectPromote = true
 	rig.stubs["n2"].mu.Unlock()
-	rig.stubs["n2"].follows["n1"] = FollowStatus{Peer: "n1", Connected: true, CursorWeight: 9 << 32}
+	rig.stubs["n2"].setFollow("n1", FollowStatus{Peer: "n1", Connected: true, CursorWeight: 9 << 32})
 	rig.servers["n1"].CloseClientConnections()
 	rig.servers["n1"].Close()
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ses/internal/sestest"
 	"ses/internal/solver"
 )
 
@@ -71,4 +72,42 @@ func TestSessionPrunedWarmResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIncrementalEquivalence(t, s, -1)
+}
+
+// TestProgressKeepsPrunedBounds: a progress callback is an observer
+// and must not change the work done. GRD and the session, each with
+// and without Progress, must report identical counters on the pruned
+// engine — with the threshold-bound rescores actually taken.
+func TestProgressKeepsPrunedBounds(t *testing.T) {
+	inst := sestest.Random(sestest.Config{Users: 80, Events: 12, Intervals: 5, Seed: 1})
+	const k = 8
+	eng := solver.PrunedEngineK(6)
+	var want solver.Counters
+	for i, progress := range []func(solver.Progress){nil, func(solver.Progress) {}} {
+		grd, err := solver.NewGRD(solver.Config{Workers: 1, Engine: eng, Progress: progress}).
+			Solve(context.Background(), inst, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(inst, k, Options{Workers: 1, Engine: eng, Progress: progress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = grd.Counters
+			if want.BoundUpdates == 0 {
+				t.Fatalf("no bound rescores taken (counters %+v)", want)
+			}
+		}
+		if grd.Counters != want {
+			t.Errorf("GRD with progress=%v: counters %+v, want %+v", progress != nil, grd.Counters, want)
+		}
+		if d.Counters != want {
+			t.Errorf("session with progress=%v: counters %+v, want %+v", progress != nil, d.Counters, want)
+		}
+	}
 }

@@ -16,18 +16,22 @@
 //   - CancelEvent / Pin / Forbid: nothing at all
 //
 // Resolve patches exactly the invalidated slice, then reruns the
-// greedy *selection* phase (cheap: O(k) pops and same-interval
-// updates) over the patched matrix under the session's constraints.
-// Because the patched matrix is bit-identical to a from-scratch
-// rescore, the resulting schedule and utility are exactly those of
-// from-scratch GRD on the mutated instance — with InitialScores
-// reduced from |E|·|T| to the invalidated slice. The equivalence is
-// enforced by tests, not just argued.
+// greedy *selection* phase (O(k) pops and same-interval updates) over
+// the patched matrix under the session's constraints. That phase is
+// solver.SelectGreedy, the same loop GRD runs: the session hands it
+// the pins and a worklist without cancelled events, pinned events or
+// forbidden pairs. Because the patched matrix is bit-identical to a
+// from-scratch rescore, the resulting schedule and utility are
+// exactly those of from-scratch GRD on the mutated instance — with
+// InitialScores reduced from |E|·|T| to the invalidated slice. The
+// equivalence is enforced by tests, not just argued.
 package session
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -53,9 +57,6 @@ type Options struct {
 	// the snapshot's objective wins over the restoring process's
 	// Options.
 	Objective choice.Objective
-	// Seed is reserved for randomized repair strategies; the greedy
-	// repair is deterministic and ignores it.
-	Seed uint64
 	// Progress, when non-nil, receives one notification per
 	// assignment applied during Resolve (pins included), from the
 	// goroutine running Resolve while the session lock is held — the
@@ -117,12 +118,12 @@ type Scheduler struct {
 	cacheValid     bool
 	dirtyEvents    map[int]bool
 	dirtyIntervals map[int]bool
-	// matBuf and listBuf recycle the score-matrix and worklist
-	// storage across resolves (matBuf double-buffers against cache),
-	// keeping the steady-state repair path allocation-light like the
-	// warm engine underneath it.
-	matBuf  []float64
-	listBuf []entry
+	// matBuf and list recycle the score-matrix and worklist storage
+	// across resolves (matBuf double-buffers against cache), keeping
+	// the steady-state repair path allocation-light like the warm
+	// engine underneath it.
+	matBuf []float64
+	list   solver.Worklist
 
 	cur      []core.Assignment
 	curUtil  float64
@@ -502,7 +503,8 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	}
 
 	gctx, gsp := obs.StartSpan(ctx, obs.SpanSelect)
-	stop, err := s.selectGreedy(gctx, mat, &cnt)
+	s.fillWorklist(mat)
+	stop, err := solver.SelectGreedy(gctx, s.eng, &s.list, s.k, s.sortedPins(), &cnt, "session", s.opts.Progress)
 	gsp.SetAttr("pops", cnt.Pops)
 	gsp.SetAttr("bound_updates", cnt.BoundUpdates)
 	gsp.SetAttr("score_updates", cnt.ScoreUpdates)
@@ -646,59 +648,22 @@ func (s *Scheduler) patchScores(ctx context.Context, mat []float64, cnt *solver.
 	return nil
 }
 
-// entry is one scored worklist element of the selection phase.
-// approx marks an upper-bound score from a choice.Bounder rescore;
-// the pop loop resolves it exactly before accepting (mirroring
-// solver.GRD's threshold-algorithm pruning).
-type entry struct {
-	event    int
-	interval int
-	score    float64
-	approx   bool
+// sortedPins lists the pins in event order, the order they apply in.
+func (s *Scheduler) sortedPins() []core.Assignment {
+	pins := make([]core.Assignment, 0, len(s.pins))
+	for e, t := range s.pins {
+		pins = append(pins, core.Assignment{Event: e, Interval: t})
+	}
+	slices.SortFunc(pins, func(a, b core.Assignment) int { return cmp.Compare(a.Event, b.Event) })
+	return pins
 }
 
-// selectGreedy applies the pins and then replays GRD's selection loop
-// (Algorithm 1 lines 5–13: linear-scan popTopAssgn, same-interval
-// rescore after each selection, identical tie-breaking) over the
-// constrained worklist. It must stay behaviorally identical to
-// solver.GRD — the session's equivalence tests compare the two run
-// for run.
-func (s *Scheduler) selectGreedy(ctx context.Context, mat []float64, cnt *solver.Counters) (string, error) {
+// fillWorklist refills the recycled worklist from mat in GRD's
+// canonical (event, interval) order, minus cancelled events, pinned
+// events and forbidden pairs.
+func (s *Scheduler) fillWorklist(mat []float64) {
 	nE, nT := s.inst.NumEvents(), s.inst.NumIntervals
-	sched := s.eng.Schedule()
-	bounder, _ := s.eng.(choice.Bounder)
-	useBounds := bounder != nil && bounder.BoundsValid()
-
-	// Pins first, in event order.
-	pinned := make([]int, 0, len(s.pins))
-	for e := range s.pins {
-		pinned = append(pinned, e)
-	}
-	sort.Ints(pinned)
-	pinnedIntervals := make(map[int]bool, len(pinned))
-	for _, e := range pinned {
-		t := s.pins[e]
-		if err := sched.Validity(e, t); err != nil {
-			return "", fmt.Errorf("session: pinned assignment (%d,%d) is infeasible: %w", e, t, err)
-		}
-		if err := s.eng.Apply(e, t); err != nil {
-			return "", err
-		}
-		s.notify(e, t, sched.Size())
-		pinnedIntervals[t] = true
-	}
-
-	// Worklist in GRD's canonical (event, interval) order, minus
-	// cancelled events, pinned events and forbidden pairs. The
-	// backing array is recycled across resolves.
-	list := s.listBuf[:0]
-	if cap(list) < nE*nT {
-		// Same 25% growth headroom as the score matrix above.
-		list = make([]entry, 0, nE*nT+nE*nT/4)
-	}
-	// Pops and compaction keep the same backing array, so whatever
-	// `list` ends up as hands the storage back for the next resolve.
-	defer func() { s.listBuf = list[:0] }()
+	s.list.Reset(nE * nT)
 	for e := 0; e < nE; e++ {
 		if s.cancelled[e] {
 			continue
@@ -708,109 +673,10 @@ func (s *Scheduler) selectGreedy(ctx context.Context, mat []float64, cnt *solver
 		}
 		forb := s.forbidden[e]
 		for t := 0; t < nT; t++ {
-			if forb[t] {
-				continue
-			}
-			list = append(list, entry{event: e, interval: t, score: mat[t*nE+e]})
-		}
-	}
-	// Initial scores at pinned intervals are stale (they assume the
-	// interval is empty); refresh them before selection starts.
-	if len(pinnedIntervals) > 0 {
-		for i := range list {
-			if pinnedIntervals[list[i].interval] && sched.Validity(list[i].event, list[i].interval) == nil {
-				if useBounds {
-					list[i].score = bounder.ScoreUpper(list[i].event, list[i].interval)
-					list[i].approx = true
-					cnt.BoundUpdates++
-				} else {
-					list[i].score = s.eng.Score(list[i].event, list[i].interval)
-					cnt.ScoreUpdates++
-				}
+			if !forb[t] {
+				s.list.Add(e, t, mat[t*nE+e])
 			}
 		}
-	}
-
-	for sched.Size() < s.k && len(list) > 0 {
-		if stop, err := solver.CheckContext(ctx, true); err != nil {
-			return "", err
-		} else if stop != "" {
-			return stop, nil
-		}
-		// popTopAssgn: linear scan, ties toward the earliest
-		// (event, interval) — exactly GRD's rule.
-		cnt.Pops++
-		best := 0
-		for i := 1; i < len(list); i++ {
-			cnt.ListScans++
-			if betterEntry(list[i], list[best]) {
-				best = i
-			}
-		}
-		top := list[best]
-		list[best] = list[len(list)-1]
-		list = list[:len(list)-1]
-
-		if sched.Validity(top.event, top.interval) != nil {
-			continue
-		}
-		// Resolve an upper-bound entry exactly and let it recontend —
-		// identical to solver.GRD's threshold-algorithm step.
-		if top.approx {
-			top.score = s.eng.Score(top.event, top.interval)
-			top.approx = false
-			cnt.ScoreUpdates++
-			list = append(list, top)
-			continue
-		}
-		if err := s.eng.Apply(top.event, top.interval); err != nil {
-			return "", err
-		}
-		s.notify(top.event, top.interval, sched.Size())
-
-		if sched.Size() < s.k {
-			dst := list[:0]
-			for _, a := range list {
-				cnt.ListScans++
-				valid := sched.Validity(a.event, a.interval) == nil
-				switch {
-				case a.interval == top.interval && valid:
-					if useBounds {
-						a.score = bounder.ScoreUpper(a.event, a.interval)
-						a.approx = true
-						cnt.BoundUpdates++
-					} else {
-						a.score = s.eng.Score(a.event, a.interval)
-						cnt.ScoreUpdates++
-					}
-					dst = append(dst, a)
-				case !valid:
-					// dropped
-				default:
-					dst = append(dst, a)
-				}
-			}
-			list = dst
-		}
-	}
-	return "", nil
-}
-
-// betterEntry orders worklist entries identically to GRD's better().
-func betterEntry(a, b entry) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	if a.event != b.event {
-		return a.event < b.event
-	}
-	return a.interval < b.interval
-}
-
-// notify streams a progress notification if configured.
-func (s *Scheduler) notify(e, t, size int) {
-	if s.opts.Progress != nil {
-		s.opts.Progress(solver.Progress{Solver: "session", Event: e, Interval: t, Scheduled: size})
 	}
 }
 

@@ -30,10 +30,9 @@ func solversWith(t *testing.T, cfg Config) []Solver {
 // engineFactories are the four engines the differential harness
 // crosses with every solver and objective.
 var engineFactories = map[string]EngineFactory{
-	"sparse":    func(in *core.Instance) choice.Engine { return choice.NewSparse(in) },
-	"dense":     func(in *core.Instance) choice.Engine { return choice.NewDense(in) },
-	"sparsemap": func(in *core.Instance) choice.Engine { return choice.NewSparseMap(in) },
-	"ref":       func(in *core.Instance) choice.Engine { return choice.NewRef(in) },
+	"sparse": func(in *core.Instance) choice.Engine { return choice.NewSparse(in) },
+	"dense":  func(in *core.Instance) choice.Engine { return choice.NewDense(in) },
+	"ref":    func(in *core.Instance) choice.Engine { return choice.NewRef(in) },
 }
 
 // TestOmegaObjectiveIsByteIdenticalToDefault is the refactor anchor:

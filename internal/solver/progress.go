@@ -29,7 +29,10 @@ type Progress struct {
 // solver's main engine emits a Progress notification. Forks are
 // returned unwrapped: forked engines belong to scoring workers or
 // speculative beam states, and reporting from them would interleave
-// callbacks across goroutines.
+// callbacks across goroutines. The decorator embeds only
+// choice.Engine, so it hides optional interfaces such as
+// choice.Bounder; SelectGreedy, which needs the Bounder, reports
+// progress itself instead.
 type progressEngine struct {
 	choice.Engine
 	solver string

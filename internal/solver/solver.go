@@ -4,6 +4,9 @@
 //   - GRD — the paper's greedy Algorithm 1 (Section III), faithful to
 //     the pseudocode: a flat assignment list, linear-scan popTopAssgn,
 //     and eager same-interval score updates after every selection.
+//     Its selection phase, SelectGreedy, is shared with the session
+//     layer's incremental Resolve, which adds pins and a constrained
+//     worklist.
 //   - TOP — baseline: initial scores only, take the top-k valid
 //     assignments without ever updating a score (Section IV-A).
 //   - RAND — baseline: valid assignments chosen uniformly at random
@@ -151,18 +154,12 @@ func validate(inst *core.Instance, k int) error {
 	return inst.Validate()
 }
 
-// CheckContext inspects ctx at a solver boundary. While ctx is live
-// it returns ("", nil). Once ctx is done: a deadline on an anytime
-// caller yields (StoppedDeadline, nil) — the caller finalizes its
+// ctxCheck inspects ctx at a solver boundary. While ctx is live it
+// returns ("", nil). Once ctx is done: a deadline on an anytime caller
+// yields (StoppedDeadline, nil) — the caller finalizes its
 // best-so-far schedule — and every other case (cancellation, or a
 // deadline on a one-shot caller) yields ("", ctx.Err()) for prompt
-// propagation. Exported so the session layer classifies deadlines
-// identically to the solvers.
-func CheckContext(ctx context.Context, anytime bool) (stop string, err error) {
-	return ctxCheck(ctx, anytime)
-}
-
-// ctxCheck is CheckContext's implementation.
+// propagation.
 func ctxCheck(ctx context.Context, anytime bool) (stop string, err error) {
 	if ctx == nil {
 		return "", nil

@@ -127,37 +127,56 @@ func scoreMatrix(ctx context.Context, eng choice.Engine, workers int, counters *
 	return mat, nil
 }
 
-// worklist is the scored assignment list shared by the constructive
-// solvers (GRD, TOP, TOPFill; GRDLazy heapifies the same entries).
-type worklist struct {
+// Worklist is the scored assignment list shared by the constructive
+// solvers (GRD, TOP, TOPFill; GRDLazy heapifies the same entries) and
+// consumed by SelectGreedy. The session layer fills one itself, with
+// Reset and Add, to select from its cached scores.
+type Worklist struct {
 	list []assignment
+}
+
+// Reset empties w for refilling with up to n entries. The storage is
+// kept across calls and grows with 25% headroom, so a caller whose
+// instance widens one event at a time does not reallocate on every
+// rebuild.
+func (w *Worklist) Reset(n int) {
+	if cap(w.list) < n {
+		w.list = make([]assignment, 0, n+n/4)
+	}
+	w.list = w.list[:0]
+}
+
+// Add appends assignment (event, t) with its initial score. Callers
+// add in (event, interval) order, which fixes tie-breaking.
+func (w *Worklist) Add(event, t int, score float64) {
+	w.list = append(w.list, assignment{event: event, interval: t, score: score})
 }
 
 // newWorklist scores the full cross product (in parallel when workers
 // > 1) and generates the list in (event, interval) order, which fixes
 // tie-breaking deterministically.
-func newWorklist(ctx context.Context, eng choice.Engine, workers int, counters *Counters) (*worklist, error) {
+func newWorklist(ctx context.Context, eng choice.Engine, workers int, counters *Counters) (*Worklist, error) {
 	inst := eng.Instance()
 	nE, nT := inst.NumEvents(), inst.NumIntervals
 	mat, err := scoreMatrix(ctx, eng, workers, counters)
 	if err != nil {
 		return nil, err
 	}
-	list := make([]assignment, 0, nE*nT)
+	wl := &Worklist{list: make([]assignment, 0, nE*nT)}
 	for e := 0; e < nE; e++ {
 		for t := 0; t < nT; t++ {
-			list = append(list, assignment{event: e, interval: t, score: mat[t*nE+e]})
+			wl.Add(e, t, mat[t*nE+e])
 		}
 	}
-	return &worklist{list: list}, nil
+	return wl, nil
 }
 
 // sortByScore orders by score descending with (event, interval) as
 // deterministic tie-breakers.
-func (w *worklist) sortByScore() { sortAssignments(w.list) }
+func (w *Worklist) sortByScore() { sortAssignments(w.list) }
 
 // truncate keeps the first n entries.
-func (w *worklist) truncate(n int) {
+func (w *Worklist) truncate(n int) {
 	if len(w.list) > n {
 		w.list = w.list[:n]
 	}
@@ -166,7 +185,7 @@ func (w *worklist) truncate(n int) {
 // popTop removes and returns the maximum-score assignment with a
 // linear scan — exactly the paper's list-based popTopAssgn — breaking
 // ties toward the earliest (event, interval) so runs are reproducible.
-func (w *worklist) popTop(counters *Counters) assignment {
+func (w *Worklist) popTop(counters *Counters) assignment {
 	l := w.list
 	counters.Pops++
 	best := 0

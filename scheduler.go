@@ -34,14 +34,13 @@ type Move = session.Move
 
 // NewScheduler starts a scheduling session over a private copy of
 // inst, targeting schedules of up to k events. The same functional
-// options as New apply (workers, engine, seed, progress).
+// options as New apply (workers, engine, objective, progress).
 func NewScheduler(inst *Instance, k int, opts ...Option) (*Scheduler, error) {
 	c := resolve(opts)
 	return session.New(inst, k, session.Options{
 		Workers:   c.workers,
 		Engine:    c.engine,
 		Objective: c.objective,
-		Seed:      c.seed,
 		Progress:  c.progress,
 	})
 }

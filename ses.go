@@ -92,93 +92,6 @@ const Unassigned = core.Unassigned
 // NewSchedule returns an empty schedule for the instance.
 func NewSchedule(inst *Instance) *Schedule { return core.NewSchedule(inst) }
 
-// Greedy returns the paper's GRD algorithm (Algorithm 1): pop the
-// globally best assignment, apply it, update same-interval scores.
-//
-// Deprecated: use New("grd", opts...).
-func Greedy() Solver { return solver.NewGRD(solver.Config{}) }
-
-// LazyGreedy returns the CELF-style lazy variant of GRD. It produces
-// identical schedules with far fewer score evaluations.
-//
-// Deprecated: use New("grdlazy", opts...).
-func LazyGreedy() Solver { return solver.NewGRDLazy(solver.Config{}) }
-
-// Top returns the paper's TOP baseline: the k best-scoring assignments
-// by initial score, invalid picks discarded.
-//
-// Deprecated: use New("top", opts...).
-func Top() Solver { return solver.NewTOP(solver.Config{}) }
-
-// TopFill returns the stronger TOP variant that keeps walking the
-// sorted assignment list until k valid assignments are found.
-//
-// Deprecated: use New("topfill", opts...).
-func TopFill() Solver { return solver.NewTOPFill(solver.Config{}) }
-
-// Random returns the paper's RAND baseline with the given seed.
-//
-// Deprecated: use New("rand", WithSeed(seed)).
-func Random(seed uint64) Solver { return solver.NewRAND(seed, solver.Config{}) }
-
-// ExactSolver returns the exhaustive branch-and-bound solver. It is
-// exponential; use it only on small instances to measure optimality
-// gaps.
-//
-// Deprecated: use New("exact", opts...).
-func ExactSolver() Solver { return solver.NewExact(solver.Config{}) }
-
-// LocalSearch returns a hill climber (relocate + swap moves) starting
-// from GRD's schedule.
-//
-// Deprecated: use New("localsearch", opts...).
-func LocalSearch() Solver { return solver.NewLocalSearch(nil, 0, solver.Config{}) }
-
-// Anneal returns a simulated-annealing solver with the given seed and
-// step budget (steps <= 0 chooses a budget from the instance size).
-//
-// Deprecated: use New("anneal", WithSeed(seed)); the step budget then
-// always derives from the instance size.
-func Anneal(seed uint64, steps int) Solver { return solver.NewAnneal(seed, steps, solver.Config{}) }
-
-// Beam returns a beam-search solver (width/branch <= 0 pick defaults).
-//
-// Deprecated: use New("beam", opts...) for the default width and
-// branch factors.
-func Beam(width, branch int) Solver { return solver.NewBeam(width, branch, solver.Config{}) }
-
-// Online returns the streaming solver: events arrive in a
-// seed-determined order and are accepted or rejected irrevocably.
-//
-// Deprecated: use New("online", WithSeed(seed)).
-func Online(seed uint64) Solver { return solver.NewOnline(seed, solver.Config{}) }
-
-// Spread returns the spreading baseline: TOP's one-shot ranking with
-// least-loaded interval placement.
-//
-// Deprecated: use New("spread", opts...).
-func Spread() Solver { return solver.NewSpread(solver.Config{}) }
-
-// GreedyWith returns GRD carrying an explicit configuration.
-//
-// Deprecated: use New("grd", WithWorkers(n), WithEngine(f), ...).
-func GreedyWith(cfg SolverConfig) Solver { return solver.NewGRD(cfg) }
-
-// NewSolver returns a solver by name; SolverNames lists every
-// registered name. Randomized solvers (rand, anneal, online) use the
-// seed, the others ignore it.
-//
-// Deprecated: use New(name, WithSeed(seed)).
-func NewSolver(name string, seed uint64) (Solver, error) { return solver.New(name, seed) }
-
-// NewSolverWith returns a solver by name carrying an explicit
-// configuration; SolverNames lists every registered name.
-//
-// Deprecated: use New(name, opts...).
-func NewSolverWith(name string, seed uint64, cfg SolverConfig) (Solver, error) {
-	return solver.NewWith(name, seed, cfg)
-}
-
 // SolverNames lists the registered solver names.
 func SolverNames() []string { return solver.Names() }
 

@@ -24,13 +24,23 @@ func smallDataset(t testing.TB) *ses.Dataset {
 	return ds
 }
 
+// mustSolver builds a registered solver through ses.New.
+func mustSolver(t testing.TB, name string, opts ...ses.Option) ses.Solver {
+	t.Helper()
+	s, err := ses.New(name, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	ds := smallDataset(t)
 	inst, err := ses.BuildInstance(ds, ses.PaperParams{K: 10, Intervals: 8, CandidateEvents: 20, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ses.Greedy().Solve(context.Background(), inst, 10)
+	res, err := mustSolver(t, "grd").Solve(context.Background(), inst, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +79,19 @@ func TestSolverOrderingOnPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grd, err := ses.Greedy().Solve(context.Background(), inst, 20)
+	grd, err := mustSolver(t, "grd").Solve(context.Background(), inst, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := ses.LazyGreedy().Solve(context.Background(), inst, 20)
+	lazy, err := mustSolver(t, "grdlazy").Solve(context.Background(), inst, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := ses.Top().Solve(context.Background(), inst, 20)
+	top, err := mustSolver(t, "top").Solve(context.Background(), inst, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := ses.Random(1).Solve(context.Background(), inst, 20)
+	rnd, err := mustSolver(t, "rand", ses.WithSeed(1)).Solve(context.Background(), inst, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +105,15 @@ func TestSolverOrderingOnPublicAPI(t *testing.T) {
 
 func TestNewSolverNames(t *testing.T) {
 	for _, name := range ses.SolverNames() {
-		s, err := ses.NewSolver(name, 3)
+		s, err := ses.New(name, ses.WithSeed(3))
 		if err != nil {
-			t.Fatalf("NewSolver(%q): %v", name, err)
+			t.Fatalf("New(%q): %v", name, err)
 		}
 		if s.Name() != name {
-			t.Errorf("NewSolver(%q).Name() = %q", name, s.Name())
+			t.Errorf("New(%q).Name() = %q", name, s.Name())
 		}
 	}
-	if _, err := ses.NewSolver("bogus", 0); err == nil {
+	if _, err := ses.New("bogus"); err == nil {
 		t.Error("bogus solver name accepted")
 	}
 }
@@ -115,7 +125,7 @@ func TestManualInstanceConstruction(t *testing.T) {
 	if err := inst.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ses.Greedy().Solve(context.Background(), inst, 2)
+	res, err := mustSolver(t, "grd").Solve(context.Background(), inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

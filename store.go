@@ -63,7 +63,7 @@ var (
 )
 
 // NewStore returns an empty session store. The options (workers,
-// engine, seed, progress) configure every session the store creates
+// engine, objective, progress) configure every session the store creates
 // or restores.
 func NewStore(opts ...Option) *Store {
 	c := resolve(opts)
@@ -71,7 +71,6 @@ func NewStore(opts ...Option) *Store {
 		Workers:   c.workers,
 		Engine:    c.engine,
 		Objective: c.objective,
-		Seed:      c.seed,
 		Progress:  c.progress,
 	})
 	if sink := c.sinkFor(); sink != nil {
@@ -102,7 +101,7 @@ var ErrStoreClosed = store.ErrStoreClosed
 // OpenStore opens (creating or recovering) a durable session store.
 // WithDurability is required; WithSyncPolicy, WithSyncInterval and
 // WithCheckpointEvery tune the log, and the session options (workers,
-// engine, objective, seed, progress) apply to every session exactly
+// engine, objective, progress) apply to every session exactly
 // like NewStore's.
 func OpenStore(opts ...Option) (*DurableStore, error) {
 	c := resolve(opts)
@@ -114,7 +113,6 @@ func OpenStore(opts ...Option) (*DurableStore, error) {
 			Workers:   c.workers,
 			Engine:    c.engine,
 			Objective: c.objective,
-			Seed:      c.seed,
 			Progress:  c.progress,
 		},
 		Sync:            c.syncPolicy,
@@ -225,7 +223,6 @@ func RestoreScheduler(st *SessionState, opts ...Option) (*Scheduler, error) {
 		Workers:   c.workers,
 		Engine:    c.engine,
 		Objective: c.objective,
-		Seed:      c.seed,
 		Progress:  c.progress,
 	})
 }
