@@ -12,15 +12,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +24,6 @@ import (
 	"ses/internal/cluster"
 	"ses/internal/session"
 	"ses/internal/sestest"
-	"ses/internal/stats"
 	"ses/internal/tablefmt"
 )
 
@@ -72,9 +67,7 @@ type clusterSyncAck struct {
 
 // clusterReport is the BENCH_cluster.json document.
 type clusterReport struct {
-	HostCPUs   int                      `json:"host_cpus"`
-	Quick      bool                     `json:"quick"`
-	Seed       uint64                   `json:"seed"`
+	host
 	Throughput []clusterThroughputPoint `json:"throughput"`
 	SyncAck    clusterSyncAck           `json:"sync_ack"`
 	Failover   clusterFailover          `json:"failover"`
@@ -91,30 +84,17 @@ const (
 
 var clusterNodeCounts = []int{1, 2, 3}
 
-// benchCluster measures (or, with verify, re-checks) the cluster
-// throughput curve and the failover timeline.
-func benchCluster(ctx context.Context, out io.Writer, seed uint64, jsonPath string, quick, verify bool) error {
-	if verify {
-		raw, err := os.ReadFile(jsonPath)
-		if err != nil {
-			return fmt.Errorf("cluster verify: %w", err)
-		}
-		var rep clusterReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return fmt.Errorf("cluster verify: %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "verifying %s (host_cpus %d)\n", jsonPath, rep.HostCPUs)
-		return checkCluster(out, &rep)
-	}
-
-	rep := clusterReport{HostCPUs: runtime.NumCPU(), Quick: quick, Seed: seed}
+// benchCluster measures the cluster throughput curve, the sync-ack
+// price and the failover timeline.
+func benchCluster(ctx context.Context, out io.Writer, e env) (*clusterReport, error) {
+	rep := &clusterReport{host: e.host()}
 	for _, nodes := range clusterNodeCounts {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		pt, err := clusterThroughput(ctx, nodes, seed, quick)
+		pt, err := clusterThroughput(ctx, nodes, e.seed, e.quick)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rep.Throughput = append(rep.Throughput, pt)
 		fmt.Fprintf(out, "nodes=%d: %d sessions × %d batches, %.0f ops/s\n",
@@ -125,29 +105,20 @@ func benchCluster(ctx context.Context, out io.Writer, seed uint64, jsonPath stri
 		rep.Throughput[i].SpeedupX = rep.Throughput[i].OpsPerSec / base
 	}
 
-	sa, err := clusterSyncAckBench(ctx, seed, quick)
+	sa, err := clusterSyncAckBench(ctx, e.seed, e.quick)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.SyncAck = *sa
 	fmt.Fprintf(out, "sync-ack: async %.0f ops/s, replicate-ack=1 %.0f ops/s (%.2fx cost), ack wait p50 %.2fms p99 %.2fms\n",
 		sa.AsyncOpsPerSec, sa.SyncOpsPerSec, sa.CostX, sa.AckWaitP50MS, sa.AckWaitP99MS)
 
-	fo, err := clusterKillFailover(ctx, seed, quick, out)
+	fo, err := clusterKillFailover(ctx, e.seed, e.quick, out)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.Failover = *fo
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
-	return checkCluster(out, &rep)
+	return rep, nil
 }
 
 // checkCluster validates a cluster artifact: schema always, the
@@ -155,8 +126,8 @@ func benchCluster(ctx context.Context, out io.Writer, seed uint64, jsonPath stri
 // preserved) always — they do not depend on core count — and the
 // multi-node throughput floor when measured on a big-enough host.
 func checkCluster(out io.Writer, rep *clusterReport) error {
-	if rep.HostCPUs <= 0 {
-		return fmt.Errorf("cluster artifact: host_cpus %d, want > 0", rep.HostCPUs)
+	if err := rep.valid(); err != nil {
+		return fmt.Errorf("cluster artifact: %w", err)
 	}
 	if len(rep.Throughput) != len(clusterNodeCounts) {
 		return fmt.Errorf("cluster artifact: %d throughput points, want %d",
@@ -205,9 +176,7 @@ func checkCluster(out io.Writer, rep *clusterReport) error {
 	}
 
 	last := rep.Throughput[len(rep.Throughput)-1]
-	if rep.HostCPUs < clusterFloorCores {
-		fmt.Fprintf(out, "cluster floor (%d-node >= %.1fx 1-node) not enforced: measured on a %d-CPU host\n",
-			last.Nodes, clusterFloorX, rep.HostCPUs)
+	if !rep.floorApplies(out, fmt.Sprintf("cluster floor (%d-node >= %.1fx 1-node)", last.Nodes, clusterFloorX), clusterFloorCores, true) {
 		return nil
 	}
 	if last.SpeedupX < clusterFloorX {
@@ -335,53 +304,38 @@ func clusterThroughput(ctx context.Context, n int, seed uint64, quick bool) (clu
 		return clusterThroughputPoint{}, err
 	}
 	defer closeAll()
-	byID := make(map[string]*benchNode, n)
+	names, primaries, err := placeSessions(ctx, nodes, "tp", sessions, seed)
+	if err != nil {
+		return clusterThroughputPoint{}, err
+	}
+	rate, err := commitLoad(sessions, ops, clusterShape.Users, clusterShape.Events, func(i int, batch []ses.Mutation) error {
+		_, err := primaries[i].pipe.ApplyBatch(ctx, names[i], batch)
+		return err
+	})
+	if err != nil {
+		return clusterThroughputPoint{}, err
+	}
+	return clusterThroughputPoint{Nodes: n, Sessions: sessions, Ops: ops, OpsPerSec: rate}, nil
+}
+
+// clusterShape is the instance shape of every session the throughput
+// and sync-ack phases drive.
+var clusterShape = sestest.Config{Users: 120, Events: 12, Intervals: 4, Competing: 2}
+
+// placeSessions creates warm sessions prefix-0..n-1, each on its ring
+// primary, and returns their names and primaries.
+func placeSessions(ctx context.Context, nodes []*benchNode, prefix string, n int, seed uint64) ([]string, []*benchNode, error) {
+	byID := make(map[string]*benchNode, len(nodes))
 	for _, bn := range nodes {
 		byID[bn.id] = bn
 	}
 	ring := nodes[0].node.Ring()
-
-	names := make([]string, sessions)
-	primaries := make([]*benchNode, sessions)
-	for i := range names {
-		names[i] = fmt.Sprintf("tp-%d", i)
-		primaries[i] = byID[ring.Primary(names[i])]
-		inst := sestest.Random(sestest.Config{Users: 120, Events: 12, Intervals: 4, Competing: 2, Seed: seed + uint64(i)})
-		if err := primaries[i].store.Create(names[i], inst, 4); err != nil {
-			return clusterThroughputPoint{}, err
-		}
-		// Warm-up solve so drivers measure incremental commits.
-		if _, err := primaries[i].store.Resolve(ctx, names[i]); err != nil {
-			return clusterThroughputPoint{}, err
-		}
-	}
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < ops; j++ {
-				mut := ses.UpdateInterestOp(j%120, j%12, 0.1+0.8*float64(j%9)/9)
-				if _, err := primaries[i].pipe.ApplyBatch(ctx, names[i], []ses.Mutation{mut}); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(t0).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return clusterThroughputPoint{}, err
-		}
-	}
-	return clusterThroughputPoint{
-		Nodes: n, Sessions: sessions, Ops: ops,
-		OpsPerSec: float64(sessions*ops) / wall,
-	}, nil
+	primaries := make([]*benchNode, n)
+	names, err := warmSessions(ctx, n, prefix, clusterShape, 4, seed, func(i int, name string) sessionStore {
+		primaries[i] = byID[ring.Primary(name)]
+		return primaries[i].store
+	})
+	return names, primaries, err
 }
 
 // clusterSyncAckBench prices synchronous replication acks: the same
@@ -402,64 +356,32 @@ func clusterSyncAckBench(ctx context.Context, seed uint64, quick bool) (*cluster
 		return nil, err
 	}
 	defer closeAll()
-	byID := make(map[string]*benchNode, len(nodes))
-	for _, bn := range nodes {
-		byID[bn.id] = bn
-	}
-	ring := nodes[0].node.Ring()
-	names := make([]string, sessions)
-	primaries := make([]*benchNode, sessions)
-	for i := range names {
-		names[i] = fmt.Sprintf("ack-%d", i)
-		primaries[i] = byID[ring.Primary(names[i])]
-		inst := sestest.Random(sestest.Config{Users: 120, Events: 12, Intervals: 4, Competing: 2, Seed: seed + uint64(i)})
-		if err := primaries[i].store.Create(names[i], inst, 4); err != nil {
-			return nil, err
-		}
-		if _, err := primaries[i].store.Resolve(ctx, names[i]); err != nil {
-			return nil, err
-		}
+	names, primaries, err := placeSessions(ctx, nodes, "ack", sessions, seed)
+	if err != nil {
+		return nil, err
 	}
 
 	drive := func(await bool) (float64, []float64, error) {
-		errs := make([]error, sessions)
 		waits := make([][]float64, sessions)
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for i := 0; i < sessions; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for j := 0; j < ops; j++ {
-					mut := ses.UpdateInterestOp(j%120, j%12, 0.1+0.8*float64(j%9)/9)
-					if _, err := primaries[i].pipe.ApplyBatch(ctx, names[i], []ses.Mutation{mut}); err != nil {
-						errs[i] = err
-						return
-					}
-					if !await {
-						continue
-					}
-					w0 := time.Now()
-					if err := primaries[i].node.AwaitAck(ctx, names[i]); err != nil {
-						errs[i] = err
-						return
-					}
-					waits[i] = append(waits[i], msSince(w0))
-				}
-			}(i)
-		}
-		wg.Wait()
-		wall := time.Since(t0).Seconds()
-		for _, err := range errs {
-			if err != nil {
-				return 0, nil, err
+		rate, err := commitLoad(sessions, ops, clusterShape.Users, clusterShape.Events, func(i int, batch []ses.Mutation) error {
+			if _, err := primaries[i].pipe.ApplyBatch(ctx, names[i], batch); err != nil {
+				return err
 			}
-		}
+			if !await {
+				return nil
+			}
+			w0 := time.Now()
+			if err := primaries[i].node.AwaitAck(ctx, names[i]); err != nil {
+				return err
+			}
+			waits[i] = append(waits[i], time.Since(w0).Seconds())
+			return nil
+		})
 		var all []float64
 		for _, w := range waits {
 			all = append(all, w...)
 		}
-		return float64(sessions*ops) / wall, all, nil
+		return rate, all, err
 	}
 
 	sa := &clusterSyncAck{Sessions: sessions, Ops: ops}
@@ -472,11 +394,8 @@ func clusterSyncAckBench(ctx context.Context, seed uint64, quick bool) (*cluster
 	}
 	sa.SyncOpsPerSec = syncRate
 	sa.CostX = sa.AsyncOpsPerSec / sa.SyncOpsPerSec
-	sort.Float64s(waits)
-	if len(waits) > 0 {
-		sa.AckWaitP50MS = stats.PercentileSorted(waits, 50)
-		sa.AckWaitP99MS = stats.PercentileSorted(waits, 99)
-	}
+	wait := summarizeLat(waits)
+	sa.AckWaitP50MS, sa.AckWaitP99MS = wait.P50us/1e3, wait.P99us/1e3
 	for _, bn := range nodes {
 		sa.AckTimeouts += bn.node.Metrics().AckTimeouts
 	}

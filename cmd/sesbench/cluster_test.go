@@ -75,6 +75,8 @@ func TestRunClusterFig(t *testing.T) {
 		"ack timed out": `{"host_cpus":1,` + flatTP + `,"sync_ack":{"async_ops_per_sec":100,"sync_ops_per_sec":80,"ack_timeouts":2},` + goodFO + `}`,
 		"floor breach":  `{"host_cpus":8,` + flatTP + `,` + goodSA + `,` + goodFO + `}`,
 		"floor ignored": `{"host_cpus":1,` + flatTP + `,` + goodSA + `,` + goodFO + `}`,
+		// The throughput floor binds quick runs too.
+		"quick floor breach": `{"host_cpus":8,"quick":true,` + flatTP + `,` + goodSA + `,` + goodFO + `}`,
 	} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
@@ -96,7 +98,7 @@ func TestClusterQuickVerifyFlagGuards(t *testing.T) {
 	if err := run(context.Background(), []string{"-fig", "wal", "-quick"}, &out); err == nil {
 		t.Error("-quick with -fig wal accepted")
 	}
-	if err := run(context.Background(), []string{"-fig", "engines", "-verify"}, &out); err == nil {
-		t.Error("-verify with -fig engines accepted")
+	if err := run(context.Background(), []string{"-fig", "engines", "-verify", "-json", "../../BENCH_engine.json"}, &out); err != nil {
+		t.Errorf("-verify with -fig engines: %v", err)
 	}
 }

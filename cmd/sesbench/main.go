@@ -1,9 +1,10 @@
 // Command sesbench regenerates the paper's evaluation (Fig. 1a–1d) as
-// terminal tables and ASCII charts.
+// terminal tables and ASCII charts, and measures the JSON figures
+// committed as BENCH_*.json.
 //
 // Usage:
 //
-//	sesbench [-fig all|1a|1b|1c|1d|sens|engines|objectives|resolve|wal|scaling|cluster]
+//	sesbench [-fig all|1a|1b|1c|1d|sens|engines|objectives|resolve|wal|scaling|scale|cluster|obs]
 //	         [-scale full|medium|small]
 //	         [-reps N] [-seed S] [-algos paper|extended] [-csv dir] [-v]
 //	         [-workers W] [-par P] [-json file] [-quick] [-verify]
@@ -11,69 +12,41 @@
 // -fig sens runs the sensitivity sweeps over θ (resources), location
 // count and competing intensity — the parameters Section IV-A fixes.
 //
-// -fig engines microbenchmarks the choice engines (Score, Apply,
-// IntervalUtility on the sorted-accumulator Sparse engine and the
-// paper-faithful Dense engine) and writes the results as JSON to the
-// -json file.
+// The JSON figures, each with its default -json artifact:
 //
-// -fig objectives microbenchmarks the same hot paths on the Sparse
-// engine under each registered objective (omega, attendance,
-// fairness), pricing the objective layer's indirection and the
-// nonlinear fairness fold; results go to the -json file (default
-// BENCH_objective.json).
+//   - engines (BENCH_engine.json): Score, Unapply+Apply and
+//     IntervalUtility on the sorted-accumulator Sparse engine and the
+//     paper-faithful Dense engine.
+//   - objectives (BENCH_objective.json): the same hot paths on the
+//     Sparse engine under each registered objective.
+//   - resolve (BENCH_resolve.json): after single mutations, an
+//     incremental ses.Scheduler.Resolve against a from-scratch
+//     re-solve; utilities must match and the incremental run must
+//     compute fewer initial scores.
+//   - wal (BENCH_wal.json): WAL append and durable ApplyBatch latency
+//     per sync policy, and group commit under sync=always.
+//   - scaling (BENCH_scaling.json): engine solves, pipelined store
+//     resolves and group-commit appends at GOMAXPROCS 1/2/4/8. Floor:
+//     store throughput at 4 cores ≥ 2× 1 core.
+//   - scale (BENCH_scale.json): cold and warm resolve latency of the
+//     sparse and pruned engines at 10k/100k/1M users (memory-mapped
+//     colstore instances). Floors: pruned warm latency grows at most
+//     span/4 over the user span and beats sparse by 1.5× at 1M users.
+//   - cluster (BENCH_cluster.json): replicated in-process nodes —
+//     throughput over 1/2/3 nodes, -replicate-ack 1 against async
+//     replication, and a kill -9 failover timeline with acknowledged
+//     counters verified preserved. Floor: 3 nodes ≥ 1.5× 1 node.
+//   - obs (BENCH_obs.json): pipelined commit throughput with
+//     observability off and on, span recording into the trace ring,
+//     and SSE fan-out through the watch hub. Floor: ≤ 5% overhead.
 //
-// -fig resolve measures the session layer: after single mutations
-// (interest update, late event, new competitor, cancellation, pin),
-// an incremental ses.Scheduler.Resolve is compared with a from-scratch
-// re-solve — identical utility required, InitialScores contrasted —
-// and the results are written as JSON to the -json file (default
-// BENCH_resolve.json).
-//
-// -fig wal prices the durable store's write-ahead log fsync policies
-// (always / interval / none): raw append latency percentiles, durable
-// ApplyBatch round trips per policy, and the group-commit section
-// (lone-appender latency, concurrent appenders with/without group
-// commit, realized records per fsync), written to the -json file
-// (default BENCH_wal.json). It needs no dataset and runs in seconds.
-//
-// -fig scaling measures engine solves, pipelined store resolves and
-// group-commit WAL appends at GOMAXPROCS 1/2/4/8 and writes the
-// curve with the host's CPU count to the -json file (default
-// BENCH_scaling.json). The store curve carries a CI-enforced floor —
-// 4-core throughput at least 2× 1-core — checked whenever the
-// measuring host has ≥ 4 CPUs. -quick shrinks the workload for CI
-// smokes; -verify skips measuring and re-validates an existing
-// artifact's schema (and, if it was measured on a multi-core host,
-// its floor).
-//
-// -fig scale measures resolve latency against user count (10k / 100k
-// / 1M users, streamed into memory-mapped colstore instances by
-// scalegen) for the sparse production engine and the candidate-list
-// pruned engine, cold (from-scratch GRD) and warm (a live session
-// re-resolving across Pin/Unpin mutations), and writes the curve to
-// the -json file (default BENCH_scale.json). On full artifacts from
-// hosts with ≥ 4 CPUs, verification enforces that the pruned engine's
-// warm latency is sublinear in users and beats the sparse engine at
-// 1M users; -quick shrinks the sizes for CI smokes, -verify
-// re-validates the committed artifact.
-//
-// -fig cluster boots replicated durable clusters in-process (full-mesh
-// WAL shipping over loopback HTTP, fsync-always group-commit logs) and
-// writes BENCH_cluster.json: a throughput curve over 1/2/3 nodes and a
-// kill -9 failover timeline (router detection, promotion, first
-// post-failover write) with acknowledged counters verified preserved.
-// The multi-node ≥ 1.5× single-node floor is enforced on hosts with
-// ≥ 4 CPUs; -quick shrinks the workload, -verify re-validates the
-// committed artifact.
-//
-// -fig obs prices the observability layer (ses/internal/obs) and
-// writes BENCH_obs.json: pipelined batch-commit throughput with
-// observability off versus on (every request traced end-to-end, hub
-// sink installed), a trace-ring microbenchmark (spans/s into the
-// bounded ring), and an SSE fan-out microbenchmark (events/s through
-// the hub with live subscribers). The ≤ 5% tracing-overhead floor is
-// enforced on hosts with ≥ 4 CPUs; -quick shrinks the workload,
-// -verify re-validates the committed artifact.
+// Every JSON figure runs through one harness: measure, write the
+// artifact, then check it. -verify skips measuring and checks the
+// existing artifact instead. A check validates the schema and the
+// figure's invariants, and enforces its floor only where the
+// artifact's header says it is physical: measured on ≥ 4 CPUs, and
+// for scale and obs on a full-size run. -quick shrinks the workload
+// of scaling, scale, cluster and obs for CI smokes.
 //
 // -scale full uses the Meetup-California dimensions of the paper
 // (42,444 users); medium (default) and small reduce the user count so
@@ -113,8 +86,10 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
+	all := func(figure) bool { return true }
+	quickOnes := func(f figure) bool { return f.quick }
 	fs := flag.NewFlagSet("sesbench", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: all, 1a, 1b, 1c, 1d, sens, engines, objectives, resolve, wal, scaling, scale, cluster, obs")
+	fig := fs.String("fig", "all", "figure to regenerate: all, 1a, 1b, 1c, 1d, sens, "+figureNames(", ", all))
 	scale := fs.String("scale", "medium", "dataset scale: full (paper, 42444 users), medium (8000), small (2000)")
 	reps := fs.Int("reps", 3, "repetitions (instances) per sweep point")
 	seed := fs.Uint64("seed", 42, "master seed")
@@ -123,100 +98,47 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	verbose := fs.Bool("v", false, "stream per-run progress")
 	workers := fs.Int("workers", 0, "solver scoring goroutines (0 = all cores, 1 = serial; identical output)")
 	par := fs.Int("par", 1, "independent trials run concurrently (identical statistics, noisier timings)")
-	jsonPath := fs.String("json", "", "output file for -fig engines/objectives/resolve/wal/scaling/cluster (defaults BENCH_<fig>.json)")
-	quick := fs.Bool("quick", false, "with -fig scaling/cluster: shrink the workload for CI smokes")
-	verify := fs.Bool("verify", false, "with -fig scaling/cluster: validate the existing -json artifact instead of measuring")
+	jsonPath := fs.String("json", "", "artifact for -fig "+figureNames("/", all)+" (default: the figure's BENCH_*.json)")
+	quick := fs.Bool("quick", false, "with -fig "+figureNames("/", quickOnes)+": shrink the workload for CI smokes")
+	verify := fs.Bool("verify", false, "with -fig "+figureNames("/", all)+": check the existing -json artifact instead of measuring")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	wantK := *fig == "all" || *fig == "1a" || *fig == "1b"
-	wantT := *fig == "all" || *fig == "1c" || *fig == "1d"
-	wantSens := *fig == "sens"
-	wantEngines := *fig == "engines"
-	wantObjectives := *fig == "objectives"
-	wantResolve := *fig == "resolve"
-	wantWAL := *fig == "wal"
-	wantScaling := *fig == "scaling"
-	wantScale := *fig == "scale"
-	wantCluster := *fig == "cluster"
-	wantObs := *fig == "obs"
-	if !wantK && !wantT && !wantSens && !wantEngines && !wantObjectives && !wantResolve && !wantWAL && !wantScaling && !wantScale && !wantCluster && !wantObs {
+	if f, ok := lookupFigure(*fig); ok {
+		if *quick && !f.quick {
+			return fmt.Errorf("-quick only applies to -fig %s", figureNames("/", quickOnes))
+		}
+		path := *jsonPath
+		if path == "" {
+			path = f.artifact
+		}
+		e := env{seed: *seed, workers: *workers, quick: *quick}
+		if !*verify {
+			if err := probeArtifact(path); err != nil {
+				return err
+			}
+			if f.dataset {
+				ds, err := generateDataset(out, *scale, *seed)
+				if err != nil {
+					return err
+				}
+				e.ds = ds
+			}
+		}
+		return f.run(ctx, out, e, path, *verify)
+	}
+	switch *fig {
+	case "all", "1a", "1b", "1c", "1d", "sens":
+	default:
 		return fmt.Errorf("unknown -fig %q", *fig)
 	}
 	// Catch a silently-ignored flag before a potentially hours-long
 	// sweep rather than after it.
-	if *jsonPath != "" && !wantEngines && !wantObjectives && !wantResolve && !wantWAL && !wantScaling && !wantScale && !wantCluster && !wantObs {
-		return fmt.Errorf("-json only applies to -fig engines/objectives/resolve/wal/scaling/scale/cluster/obs")
+	if *jsonPath != "" || *quick || *verify {
+		return fmt.Errorf("-json, -quick and -verify only apply to -fig %s", figureNames("/", all))
 	}
-	if (*quick || *verify) && !wantScaling && !wantScale && !wantCluster && !wantObs {
-		return fmt.Errorf("-quick/-verify only apply to -fig scaling/scale/cluster/obs")
-	}
-	if *jsonPath == "" {
-		switch {
-		case wantResolve:
-			*jsonPath = "BENCH_resolve.json"
-		case wantObjectives:
-			*jsonPath = "BENCH_objective.json"
-		case wantWAL:
-			*jsonPath = "BENCH_wal.json"
-		case wantScaling:
-			*jsonPath = "BENCH_scaling.json"
-		case wantScale:
-			*jsonPath = "BENCH_scale.json"
-		case wantCluster:
-			*jsonPath = "BENCH_cluster.json"
-		case wantObs:
-			*jsonPath = "BENCH_obs.json"
-		default:
-			*jsonPath = "BENCH_engine.json"
-		}
-	}
-	if wantWAL {
-		// The WAL figure prices fsync, not solving: it needs no EBSN
-		// dataset, so it dispatches before the generation step.
-		return benchWAL(ctx, out, *seed, *jsonPath)
-	}
-	if wantScaling {
-		// Likewise dataset-free: instances come from sestest.
-		return benchScaling(ctx, out, *seed, *jsonPath, *quick, *verify)
-	}
-	if wantScale {
-		// Dataset-free: instances are streamed by scalegen into
-		// memory-mapped colstore files.
-		return benchScale(ctx, out, *seed, *jsonPath, *quick, *verify)
-	}
-	if wantCluster {
-		// Dataset-free too: replicated in-process nodes over loopback.
-		return benchCluster(ctx, out, *seed, *jsonPath, *quick, *verify)
-	}
-	if wantObs {
-		// Dataset-free: prices the observability layer against itself.
-		return benchObs(ctx, out, *seed, *jsonPath, *quick, *verify)
-	}
-
-	var ecfg ebsn.Config
-	switch *scale {
-	case "full":
-		ecfg = ebsn.DefaultConfig(*seed)
-	case "medium":
-		ecfg = ebsn.DefaultConfig(*seed)
-		ecfg.NumUsers = 8000
-		ecfg.NumEvents = 8192
-		ecfg.NumTags = 3000
-		ecfg.NumGroups = 400
-	case "small":
-		ecfg = ebsn.DefaultConfig(*seed)
-		ecfg.NumUsers = 2000
-		ecfg.NumEvents = 4096
-		ecfg.NumTags = 2000
-		ecfg.NumGroups = 150
-	default:
-		return fmt.Errorf("unknown -scale %q", *scale)
-	}
-	fmt.Fprintf(out, "generating EBSN dataset (%d users, %d events, seed %d)...\n",
-		ecfg.NumUsers, ecfg.NumEvents, *seed)
-	ds, err := ebsn.Generate(ecfg)
+	ds, err := generateDataset(out, *scale, *seed)
 	if err != nil {
 		return err
 	}
@@ -235,17 +157,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.Progress = out
 	}
 
-	if wantEngines {
-		return benchEngines(out, ds, *seed, *jsonPath)
-	}
-	if wantObjectives {
-		return benchObjectives(out, ds, *seed, *jsonPath)
-	}
-	if wantResolve {
-		return benchResolve(ctx, out, ds, *seed, *workers, *jsonPath)
-	}
-
-	if wantK {
+	if *fig == "all" || *fig == "1a" || *fig == "1b" {
 		ks := experiment.DefaultKs()
 		if *scale == "small" {
 			ks = []int{25, 50, 100, 150, 200}
@@ -259,7 +171,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if wantT {
+	if *fig == "all" || *fig == "1c" || *fig == "1d" {
 		const k = 100
 		fmt.Fprintf(out, "\n== sweep over |T| (k=%d, |E|=2k), %d reps ==\n\n", k, cfg.Reps)
 		sw, err := experiment.VaryT(ctx, cfg, k, experiment.DefaultTFactors())
@@ -270,7 +182,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if wantSens {
+	if *fig == "sens" {
 		const k = 100
 		fmt.Fprintf(out, "\n== sensitivity: resources θ (k=%d) ==\n\n", k)
 		sw, err := experiment.VaryResources(ctx, cfg, k, experiment.DefaultThetas())
@@ -298,6 +210,30 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// generateDataset builds the synthetic EBSN dataset at the -scale
+// dimensions.
+func generateDataset(out io.Writer, scale string, seed uint64) (*ebsn.Dataset, error) {
+	cfg := ebsn.DefaultConfig(seed)
+	switch scale {
+	case "full":
+	case "medium":
+		cfg.NumUsers = 8000
+		cfg.NumEvents = 8192
+		cfg.NumTags = 3000
+		cfg.NumGroups = 400
+	case "small":
+		cfg.NumUsers = 2000
+		cfg.NumEvents = 4096
+		cfg.NumTags = 2000
+		cfg.NumGroups = 150
+	default:
+		return nil, fmt.Errorf("unknown -scale %q", scale)
+	}
+	fmt.Fprintf(out, "generating EBSN dataset (%d users, %d events, seed %d)...\n",
+		cfg.NumUsers, cfg.NumEvents, seed)
+	return ebsn.Generate(cfg)
 }
 
 // emit prints the utility and time tables + charts for one sweep and

@@ -192,6 +192,8 @@ func TestRunScalingFig(t *testing.T) {
 		"invalid json":  `{`,
 		"floor breach":  `{"host_cpus": 8, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1}]}`,
 		"floor ignored": `{"host_cpus": 1, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1}]}`,
+		// The store floor binds quick runs too.
+		"quick floor breach": `{"host_cpus": 8, "quick": true, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1}]}`,
 	} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
@@ -265,13 +267,18 @@ func TestRunScaleFig(t *testing.T) {
 		"floor ignored": `{"host_cpus": 1, "points": [` + goodPt + `,
 			{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":100,"pruned_warm_ms":100,"utility":1},
 			{"users":1000000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":1500,"pruned_warm_ms":1000,"utility":1}]}`,
+		// Same shape from an 8-CPU host, but a quick run: floors do not
+		// bind quick scale artifacts.
+		"quick superlinear": `{"host_cpus": 8, "quick": true, "points": [` + goodPt + `,
+			{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":100,"pruned_warm_ms":100,"utility":1},
+			{"users":1000000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":1500,"pruned_warm_ms":1000,"utility":1}]}`,
 	} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		err := run(context.Background(), []string{"-fig", "scale", "-verify", "-json", bad}, &bytes.Buffer{})
-		if name == "floor ignored" {
+		if name == "floor ignored" || name == "quick superlinear" {
 			if err != nil {
 				t.Errorf("%s: %v, want accepted", name, err)
 			}
@@ -318,6 +325,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-scale", "galactic"},
 		{"-algos", "none"},
 		{"-wat"},
+		{"-fig", "1a", "-json", "x.json"},
+		{"-fig", "sens", "-verify"},
+		{"-fig", "resolve", "-quick"},
+		{"-fig", "engines", "-json", filepath.Join("no-such-dir", "x.json")},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {

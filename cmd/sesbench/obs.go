@@ -13,11 +13,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -55,19 +52,17 @@ type obsFanout struct {
 	Subscribers  int     `json:"subscribers"`
 	Events       int     `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Delivered counts subscriber-deliveries (events × subscribers
-	// when nobody fell behind).
+	// Delivered counts subscriber-deliveries: events × subscribers,
+	// since every subscriber stays live through the measured phase.
 	Delivered uint64 `json:"delivered"`
-	// Evicted counts slow subscribers the hub dropped in the eviction
-	// phase of the bench (exactly one by construction).
+	// Evicted counts subscribers the hub dropped: exactly the one
+	// deliberately stuck subscriber of the eviction phase.
 	Evicted uint64 `json:"evicted"`
 }
 
 // obsReport is the BENCH_obs.json document.
 type obsReport struct {
-	HostCPUs   int           `json:"host_cpus"`
-	Quick      bool          `json:"quick"`
-	Seed       uint64        `json:"seed"`
+	host
 	Throughput obsThroughput `json:"throughput"`
 	TraceRing  obsTraceRing  `json:"trace_ring"`
 	Fanout     obsFanout     `json:"fanout"`
@@ -83,55 +78,32 @@ const (
 	obsOverheadPct = 5.0
 )
 
-// benchObs measures (or, with verify, re-checks) the observability
-// figure.
-func benchObs(ctx context.Context, out io.Writer, seed uint64, jsonPath string, quick, verify bool) error {
-	if verify {
-		raw, err := os.ReadFile(jsonPath)
-		if err != nil {
-			return fmt.Errorf("obs verify: %w", err)
-		}
-		var rep obsReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return fmt.Errorf("obs verify: %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "verifying %s (host_cpus %d)\n", jsonPath, rep.HostCPUs)
-		return checkObs(out, &rep)
-	}
-
-	rep := obsReport{HostCPUs: runtime.NumCPU(), Quick: quick, Seed: seed}
-	tp, err := obsThroughputBench(ctx, seed, quick)
+// benchObs measures the observability figure.
+func benchObs(ctx context.Context, out io.Writer, e env) (*obsReport, error) {
+	rep := &obsReport{host: e.host()}
+	tp, err := obsThroughputBench(ctx, e.seed, e.quick, rep.HostCPUs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.Throughput = *tp
 	fmt.Fprintf(out, "throughput: off %.0f ops/s, on %.0f ops/s (%.2f%% overhead)\n",
 		tp.OffOpsPerSec, tp.OnOpsPerSec, tp.OverheadPct)
 
-	rep.TraceRing = obsTraceRingBench(quick)
+	rep.TraceRing = obsTraceRingBench(e.quick)
 	fmt.Fprintf(out, "trace ring: %d spans, %.0f ns/span (%.0f spans/s)\n",
 		rep.TraceRing.Spans, rep.TraceRing.NsPerSpan, rep.TraceRing.SpansPerSec)
 
-	rep.Fanout = obsFanoutBench(quick)
-	fmt.Fprintf(out, "fan-out: %d subscribers × %d events, %.0f events/s, %d evicted\n",
-		rep.Fanout.Subscribers, rep.Fanout.Events, rep.Fanout.EventsPerSec, rep.Fanout.Evicted)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
-	return checkObs(out, &rep)
+	rep.Fanout = obsFanoutBench(e.quick)
+	fmt.Fprintf(out, "fan-out: %d subscribers × %d events, %.0f events/s, %d delivered, %d evicted\n",
+		rep.Fanout.Subscribers, rep.Fanout.Events, rep.Fanout.EventsPerSec, rep.Fanout.Delivered, rep.Fanout.Evicted)
+	return rep, nil
 }
 
 // checkObs validates an obs artifact: schema always, the overhead
 // floor when measured on a big-enough host.
 func checkObs(out io.Writer, rep *obsReport) error {
-	if rep.HostCPUs <= 0 {
-		return fmt.Errorf("obs artifact: host_cpus %d, want > 0", rep.HostCPUs)
+	if err := rep.valid(); err != nil {
+		return fmt.Errorf("obs artifact: %w", err)
 	}
 	tp := rep.Throughput
 	if tp.OffOpsPerSec <= 0 || tp.OnOpsPerSec <= 0 {
@@ -140,22 +112,20 @@ func checkObs(out io.Writer, rep *obsReport) error {
 	if rep.TraceRing.SpansPerSec <= 0 || rep.TraceRing.RingLen <= 0 {
 		return fmt.Errorf("obs artifact: trace-ring section never measured (%+v)", rep.TraceRing)
 	}
-	if rep.Fanout.EventsPerSec <= 0 || rep.Fanout.Delivered == 0 {
-		return fmt.Errorf("obs artifact: fan-out section never measured (%+v)", rep.Fanout)
+	fo := rep.Fanout
+	if fo.EventsPerSec <= 0 || fo.Delivered == 0 {
+		return fmt.Errorf("obs artifact: fan-out section never measured (%+v)", fo)
 	}
-	if rep.Fanout.Evicted == 0 {
-		return fmt.Errorf("obs artifact: the slow-subscriber eviction phase never evicted")
+	if want := uint64(fo.Subscribers) * uint64(fo.Events); fo.Delivered != want {
+		return fmt.Errorf("obs artifact: fan-out delivered %d, want subscribers × events = %d: subscribers were evicted mid-measure", fo.Delivered, want)
+	}
+	if fo.Evicted != 1 {
+		return fmt.Errorf("obs artifact: %d subscribers evicted, want exactly the one stuck subscriber", fo.Evicted)
 	}
 	fmt.Fprintf(out, "obs: off %.0f ops/s, on %.0f ops/s (%.2f%% overhead); ring %.0f spans/s; hub %.0f events/s\n",
 		tp.OffOpsPerSec, tp.OnOpsPerSec, tp.OverheadPct,
 		rep.TraceRing.SpansPerSec, rep.Fanout.EventsPerSec)
-	if rep.HostCPUs < obsFloorCores {
-		fmt.Fprintf(out, "obs floor (<= %.1f%% overhead) not enforced: measured on a %d-CPU host\n",
-			obsOverheadPct, rep.HostCPUs)
-		return nil
-	}
-	if rep.Quick {
-		fmt.Fprintf(out, "obs floor (<= %.1f%% overhead) not enforced: quick run\n", obsOverheadPct)
+	if !rep.floorApplies(out, fmt.Sprintf("obs floor (<= %.1f%% overhead)", obsOverheadPct), obsFloorCores, false) {
 		return nil
 	}
 	if tp.OverheadPct > obsOverheadPct {
@@ -170,62 +140,34 @@ func checkObs(out io.Writer, rep *obsReport) error {
 // request, sink installed) — and prices the difference. Phases
 // alternate off/on over several rounds and the best round of each
 // wins, so one scheduling hiccup cannot charge either side.
-func obsThroughputBench(ctx context.Context, seed uint64, quick bool) (*obsThroughput, error) {
+func obsThroughputBench(ctx context.Context, seed uint64, quick bool, cpus int) (*obsThroughput, error) {
 	sessions, ops, rounds := 8, 120, 3
 	if quick {
 		sessions, ops, rounds = 4, 30, 2
 	}
 
 	run := func(o *ses.Observability) (float64, error) {
-		opts := []ses.Option{ses.WithWorkers(1), ses.WithObservability(o)}
-		st := ses.NewStore(opts...)
-		pipe := ses.NewPipeline(st, ses.WithResolveWorkers(runtime.NumCPU()))
+		st := ses.NewStore(ses.WithWorkers(1), ses.WithObservability(o))
+		pipe := ses.NewPipeline(st, ses.WithResolveWorkers(cpus))
 		defer pipe.Close()
 		var tracer *obs.Tracer
 		if o != nil {
 			tracer = o.Tracer
 		}
-		names := make([]string, sessions)
-		for i := range names {
-			names[i] = fmt.Sprintf("obs-%d", i)
-			inst := sestest.Random(sestest.Config{Users: 120, Events: 12, Intervals: 4, Competing: 2, Seed: seed + uint64(i)})
-			if err := st.Create(names[i], inst, 4); err != nil {
-				return 0, err
-			}
-			if _, err := st.Resolve(ctx, names[i]); err != nil {
-				return 0, err
-			}
+		shape := sestest.Config{Users: 120, Events: 12, Intervals: 4, Competing: 2}
+		names, err := warmSessions(ctx, sessions, "obs", shape, 4, seed, func(int, string) sessionStore { return st })
+		if err != nil {
+			return 0, err
 		}
-		errs := make([]error, sessions)
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for i := 0; i < sessions; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for j := 0; j < ops; j++ {
-					// With observability on, every op runs exactly like a
-					// traced sesd request: root span, child spans through the
-					// pipeline and the resolve stages, ring commit at End.
-					opCtx, sp := tracer.StartRoot(ctx, obs.SpanHandler, "")
-					mut := ses.UpdateInterestOp(j%120, j%12, 0.1+0.8*float64(j%9)/9)
-					_, err := pipe.ApplyBatch(opCtx, names[i], []ses.Mutation{mut})
-					sp.End()
-					if err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		wall := time.Since(t0).Seconds()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return float64(sessions*ops) / wall, nil
+		return commitLoad(sessions, ops, shape.Users, shape.Events, func(i int, batch []ses.Mutation) error {
+			// With observability on, every op runs exactly like a
+			// traced sesd request: root span, child spans through the
+			// pipeline and the resolve stages, ring commit at End.
+			opCtx, sp := tracer.StartRoot(ctx, obs.SpanHandler, "")
+			_, err := pipe.ApplyBatch(opCtx, names[i], batch)
+			sp.End()
+			return err
+		})
 	}
 
 	tp := &obsThroughput{Sessions: sessions, Ops: ops}
@@ -277,8 +219,8 @@ func obsTraceRingBench(quick bool) obsTraceRing {
 	}
 }
 
-// obsFanoutBench prices hub publishing under live subscribers (all
-// draining), then verifies the eviction path with one deliberately
+// obsFanoutBench prices hub publishing under live, draining
+// subscribers, then checks the eviction path with one deliberately
 // stuck subscriber.
 func obsFanoutBench(quick bool) obsFanout {
 	subs, events := 16, 20_000
@@ -288,7 +230,10 @@ func obsFanoutBench(quick bool) obsFanout {
 	hub := obs.NewHub()
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
-		sub := hub.Subscribe("bench", 1024)
+		// Publishing outruns the draining goroutines, so a subscriber
+		// buffering fewer than every event would fill up and be
+		// evicted mid-measure, leaving the hub publishing to nobody.
+		sub := hub.Subscribe("bench", events)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -311,22 +256,15 @@ func obsFanoutBench(quick bool) obsFanout {
 	wg.Wait()
 
 	// Eviction phase: a 1-slot subscriber that never reads must be
-	// dropped (channel closed) without ever blocking the publisher.
-	stuck := hub.Subscribe("stuck", 1)
+	// dropped by the second publish without blocking the publisher.
+	hub.Subscribe("stuck", 1)
 	hub.Publish("stuck", "progress", payload{})
 	hub.Publish("stuck", "progress", payload{})
-	<-stuck.Events() // buffered first event
-	if _, ok := <-stuck.Events(); ok {
-		// Channel must be closed after eviction; drain defensively.
-		for range stuck.Events() {
-		}
-	}
-	st := hub.Stats()
 	return obsFanout{
 		Subscribers:  subs,
 		Events:       events,
 		EventsPerSec: float64(events) / wall.Seconds(),
 		Delivered:    delivered,
-		Evicted:      st.Evicted,
+		Evicted:      hub.Stats().Evicted,
 	}
 }

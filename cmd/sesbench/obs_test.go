@@ -67,9 +67,15 @@ func TestRunObsFig(t *testing.T) {
 		"no trace ring": `{"host_cpus":1,` + goodTP + `,` + goodFO + `}`,
 		"no fan-out":    `{"host_cpus":1,` + goodTP + `,` + goodTR + `}`,
 		"never evicted": `{"host_cpus":1,` + goodTP + `,` + goodTR + `,"fanout":{"events_per_sec":1000,"delivered":800,"evicted":0}}`,
-		"floor breach":  `{"host_cpus":8,` + goodTP + `,` + goodTR + `,` + goodFO + `}`,
-		"floor ignored": `{"host_cpus":1,` + goodTP + `,` + goodTR + `,` + goodFO + `}`,
-		"quick skips":   `{"host_cpus":8,"quick":true,` + goodTP + `,` + goodTR + `,` + goodFO + `}`,
+		// The fan-out numbers committed before every subscriber was
+		// kept live: 16 subscribers all evicted after their 1024-event
+		// buffers filled, so most of the 20000 events reached nobody.
+		"fan-out short":  `{"host_cpus":1,` + goodTP + `,` + goodTR + `,"fanout":{"subscribers":8,"events":100,"events_per_sec":1000,"delivered":700,"evicted":1}}`,
+		"extra eviction": `{"host_cpus":1,` + goodTP + `,` + goodTR + `,"fanout":{"subscribers":8,"events":100,"events_per_sec":1000,"delivered":800,"evicted":2}}`,
+		"all evicted":    `{"host_cpus":1,` + goodTP + `,` + goodTR + `,"fanout":{"subscribers":16,"events":20000,"events_per_sec":11658993.106037376,"delivered":16384,"evicted":17}}`,
+		"floor breach":   `{"host_cpus":8,` + goodTP + `,` + goodTR + `,` + goodFO + `}`,
+		"floor ignored":  `{"host_cpus":1,` + goodTP + `,` + goodTR + `,` + goodFO + `}`,
+		"quick skips":    `{"host_cpus":8,"quick":true,` + goodTP + `,` + goodTR + `,` + goodFO + `}`,
 	} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {

@@ -2,70 +2,74 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"ses"
-	"ses/internal/ebsn"
 	"ses/internal/tablefmt"
 )
+
+// resolveRun is one Resolve's cost and outcome.
+type resolveRun struct {
+	InitialScores int     `json:"initial_scores"`
+	ScoreUpdates  int     `json:"score_updates"`
+	Utility       float64 `json:"utility"`
+	Millis        float64 `json:"ms"`
+}
+
+// resolveScenario is one mutation's incremental and from-scratch
+// resolve.
+type resolveScenario struct {
+	Name         string     `json:"name"`
+	Incremental  resolveRun `json:"incremental"`
+	Scratch      resolveRun `json:"scratch"`
+	UtilityMatch bool       `json:"utility_match"`
+	// ScoreRatio is scratch/incremental InitialScores; 0 means the
+	// mutation invalidated no initial scores at all.
+	ScoreRatio float64 `json:"initial_score_ratio"`
+}
+
+// resolveReport is the BENCH_resolve.json document.
+type resolveReport struct {
+	Events    int               `json:"events"`
+	Intervals int               `json:"intervals"`
+	K         int               `json:"k"`
+	Users     int               `json:"users"`
+	Scenarios []resolveScenario `json:"scenarios"`
+}
 
 // benchResolve measures the session layer's incremental Resolve
 // against a from-scratch re-solve after single mutations. For every
 // scenario it applies one mutation to a warm ses.Scheduler, resolves
 // incrementally, then replays the same state into a fresh Scheduler
-// and resolves from scratch; utilities must match exactly and the
-// incremental InitialScores count is the headline saving. Results go
-// to the terminal and, as JSON, to jsonPath.
-func benchResolve(ctx context.Context, out io.Writer, ds *ebsn.Dataset, seed uint64, workers int, jsonPath string) error {
+// and resolves from scratch; checkResolve requires the utilities to
+// match, and the incremental InitialScores count is the headline
+// saving.
+func benchResolve(ctx context.Context, out io.Writer, e env) (*resolveReport, error) {
 	const k = 50
-	inst, err := ses.BuildInstance(ds, ses.PaperParams{
-		K: k, Intervals: 3 * k / 2, CandidateEvents: 2 * k, Seed: seed,
+	inst, err := ses.BuildInstance(e.ds, ses.PaperParams{
+		K: k, Intervals: 3 * k / 2, CandidateEvents: 2 * k, Seed: e.seed,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nE, nT := inst.NumEvents(), inst.NumIntervals
 	fmt.Fprintf(out, "\n== incremental Resolve vs from-scratch (|E|=%d |T|=%d k=%d) ==\n\n", nE, nT, k)
 
-	sched, err := ses.NewScheduler(inst, k, ses.WithWorkers(workers))
+	sched, err := ses.NewScheduler(inst, k, ses.WithWorkers(e.workers))
 	if err != nil {
-		return err
+		return nil, err
 	}
+	rep := &resolveReport{Events: nE, Intervals: nT, K: k, Users: inst.NumUsers}
 
-	type run struct {
-		InitialScores int     `json:"initial_scores"`
-		ScoreUpdates  int     `json:"score_updates"`
-		Utility       float64 `json:"utility"`
-		Millis        float64 `json:"ms"`
-	}
-	type scenario struct {
-		Name         string `json:"name"`
-		Incremental  run    `json:"incremental"`
-		Scratch      run    `json:"scratch"`
-		UtilityMatch bool   `json:"utility_match"`
-		// ScoreRatio is scratch/incremental InitialScores; 0 means the
-		// mutation invalidated no initial scores at all.
-		ScoreRatio float64 `json:"initial_score_ratio"`
-	}
-	report := struct {
-		Events    int        `json:"events"`
-		Intervals int        `json:"intervals"`
-		K         int        `json:"k"`
-		Users     int        `json:"users"`
-		Scenarios []scenario `json:"scenarios"`
-	}{Events: nE, Intervals: nT, K: k, Users: inst.NumUsers}
-
-	resolve := func(s *ses.Scheduler) (run, error) {
+	resolve := func(s *ses.Scheduler) (resolveRun, error) {
 		start := time.Now()
 		d, err := s.Resolve(ctx)
 		if err != nil {
-			return run{}, err
+			return resolveRun{}, err
 		}
-		return run{
+		return resolveRun{
 			InitialScores: d.Counters.InitialScores,
 			ScoreUpdates:  d.Counters.ScoreUpdates,
 			Utility:       d.Utility,
@@ -76,7 +80,7 @@ func benchResolve(ctx context.Context, out io.Writer, ds *ebsn.Dataset, seed uin
 	// Warm up the session with the opening solve.
 	opening, err := resolve(sched)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(out, "opening solve: Ω = %.1f, %d initial scores\n\n", opening.Utility, opening.InitialScores)
 
@@ -106,9 +110,9 @@ func benchResolve(ctx context.Context, out io.Writer, ds *ebsn.Dataset, seed uin
 			return err
 		}},
 		{"cancel_event", func() error {
-			e := sched.Schedule()[0].Event
-			cancels = append(cancels, e)
-			return sched.CancelEvent(e)
+			ev := sched.Schedule()[0].Event
+			cancels = append(cancels, ev)
+			return sched.CancelEvent(ev)
 		}},
 		{"pin_event", func() error {
 			a := sched.Schedule()[1]
@@ -124,40 +128,31 @@ func benchResolve(ctx context.Context, out io.Writer, ds *ebsn.Dataset, seed uin
 	}
 	for _, sc := range scenarios {
 		if err := sc.mutate(); err != nil {
-			return fmt.Errorf("%s: %w", sc.name, err)
+			return nil, fmt.Errorf("%s: %w", sc.name, err)
 		}
 		inc, err := resolve(sched)
 		if err != nil {
-			return fmt.Errorf("%s: incremental: %w", sc.name, err)
+			return nil, fmt.Errorf("%s: incremental: %w", sc.name, err)
 		}
 		// From-scratch comparator: a fresh session over the mutated
 		// instance with the same constraint log.
-		fresh, err := ses.NewScheduler(sched.Instance(), k, ses.WithWorkers(workers))
+		fresh, err := ses.NewScheduler(sched.Instance(), k, ses.WithWorkers(e.workers))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, e := range cancels {
-			if err := fresh.CancelEvent(e); err != nil {
-				return err
+		for _, ev := range cancels {
+			if err := fresh.CancelEvent(ev); err != nil {
+				return nil, err
 			}
 		}
 		for _, p := range pins {
 			if err := fresh.Pin(p[0], p[1]); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		scr, err := resolve(fresh)
 		if err != nil {
-			return fmt.Errorf("%s: from-scratch: %w", sc.name, err)
-		}
-		match := inc.Utility == scr.Utility
-		if !match {
-			return fmt.Errorf("%s: utilities diverged: incremental %v vs from-scratch %v",
-				sc.name, inc.Utility, scr.Utility)
-		}
-		if inc.InitialScores >= scr.InitialScores {
-			return fmt.Errorf("%s: incremental InitialScores %d not below from-scratch %d",
-				sc.name, inc.InitialScores, scr.InitialScores)
+			return nil, fmt.Errorf("%s: from-scratch: %w", sc.name, err)
 		}
 		ratio := 0.0
 		ratioStr := "∞"
@@ -165,7 +160,8 @@ func benchResolve(ctx context.Context, out io.Writer, ds *ebsn.Dataset, seed uin
 			ratio = float64(scr.InitialScores) / float64(inc.InitialScores)
 			ratioStr = fmt.Sprintf("%.0f×", ratio)
 		}
-		report.Scenarios = append(report.Scenarios, scenario{
+		match := inc.Utility == scr.Utility
+		rep.Scenarios = append(rep.Scenarios, resolveScenario{
 			Name: sc.name, Incremental: inc, Scratch: scr, UtilityMatch: match, ScoreRatio: ratio,
 		})
 		tab.AddRow(sc.name,
@@ -176,17 +172,24 @@ func benchResolve(ctx context.Context, out io.Writer, ds *ebsn.Dataset, seed uin
 			fmt.Sprintf("%.2f", scr.Millis),
 			fmt.Sprintf("%v", match))
 	}
-	if err := tab.Render(out); err != nil {
-		return err
-	}
+	return rep, tab.Render(out)
+}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+// checkResolve requires every scenario's incremental utility to match
+// the from-scratch one with fewer initial scores computed.
+func checkResolve(_ io.Writer, rep *resolveReport) error {
+	if len(rep.Scenarios) == 0 {
+		return fmt.Errorf("resolve artifact: no scenarios")
 	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
+	for _, sc := range rep.Scenarios {
+		if !sc.UtilityMatch || sc.Incremental.Utility != sc.Scratch.Utility {
+			return fmt.Errorf("resolve artifact: %s: utilities diverged: incremental %v vs from-scratch %v",
+				sc.Name, sc.Incremental.Utility, sc.Scratch.Utility)
+		}
+		if sc.Incremental.InitialScores >= sc.Scratch.InitialScores {
+			return fmt.Errorf("resolve artifact: %s: incremental InitialScores %d not below from-scratch %d",
+				sc.Name, sc.Incremental.InitialScores, sc.Scratch.InitialScores)
+		}
 	}
-	fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
 	return nil
 }

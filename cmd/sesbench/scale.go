@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"ses/internal/colstore"
@@ -33,16 +31,11 @@ type scalePoint struct {
 	Utility      float64 `json:"utility"`
 }
 
-// scaleReport is the BENCH_scale.json document. As with the scaling
-// curve, HostCPUs records where it was measured: latency ratios are
-// only enforced when the artifact came from a multicore host, where
-// timer noise and scheduler interference are bounded.
+// scaleReport is the BENCH_scale.json document.
 type scaleReport struct {
-	HostCPUs int          `json:"host_cpus"`
-	Quick    bool         `json:"quick"`
-	Seed     uint64       `json:"seed"`
-	K        int          `json:"k"`
-	Points   []scalePoint `json:"points"`
+	host
+	K      int          `json:"k"`
+	Points []scalePoint `json:"points"`
 }
 
 // The CI-enforced contract on a full multicore artifact: across a
@@ -62,55 +55,32 @@ const (
 // magnitude above it).
 var scaleSizes = []int{10_000, 100_000, 1_000_000}
 
-// benchScale measures (or, with verify, re-checks a committed) resolve
-// latency curve over the user counts and writes it to jsonPath. quick
-// shrinks both the sizes and the schedule for CI smokes.
-func benchScale(ctx context.Context, out io.Writer, seed uint64, jsonPath string, quick, verify bool) error {
-	if verify {
-		raw, err := os.ReadFile(jsonPath)
-		if err != nil {
-			return fmt.Errorf("scale verify: %w", err)
-		}
-		var rep scaleReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return fmt.Errorf("scale verify: %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "verifying %s (host_cpus %d)\n", jsonPath, rep.HostCPUs)
-		return checkScale(out, &rep)
-	}
-
+// benchScale measures the resolve latency curve over the user counts.
+// quick shrinks both the sizes and the schedule for CI smokes.
+func benchScale(ctx context.Context, out io.Writer, e env) (*scaleReport, error) {
 	sizes, k, pairs := scaleSizes, 100, 4
-	if quick {
+	if e.quick {
 		sizes, k, pairs = []int{2_000, 20_000}, 10, 2
 	}
-	rep := scaleReport{HostCPUs: runtime.NumCPU(), Quick: quick, Seed: seed, K: k}
+	rep := &scaleReport{host: e.host(), K: k}
 	dir, err := os.MkdirTemp("", "sesbench-scale-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	for _, users := range sizes {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		pt, err := measureScalePoint(ctx, dir, users, k, pairs, seed)
+		pt, err := measureScalePoint(ctx, dir, users, k, pairs, e.seed)
 		if err != nil {
-			return fmt.Errorf("scale: %d users: %w", users, err)
+			return nil, fmt.Errorf("scale: %d users: %w", users, err)
 		}
 		rep.Points = append(rep.Points, pt)
 		fmt.Fprintf(out, "users=%d (nnz %d): cold sparse %.1fms pruned %.1fms, warm sparse %.2fms pruned %.2fms\n",
 			users, pt.CandNNZ, pt.SparseColdMs, pt.PrunedColdMs, pt.SparseWarmMs, pt.PrunedWarmMs)
 	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
-	return checkScale(out, &rep)
+	return rep, nil
 }
 
 // measureScalePoint generates the columnar instance for one user
@@ -184,8 +154,8 @@ func measureScalePoint(ctx context.Context, dir string, users, k, pairs int, see
 // latency-ratio floors only for full (non-quick) artifacts measured on
 // a multicore host.
 func checkScale(out io.Writer, rep *scaleReport) error {
-	if rep.HostCPUs <= 0 {
-		return fmt.Errorf("scale artifact: host_cpus %d, want > 0", rep.HostCPUs)
+	if err := rep.valid(); err != nil {
+		return fmt.Errorf("scale artifact: %w", err)
 	}
 	if len(rep.Points) < 2 {
 		return fmt.Errorf("scale artifact: %d points, want at least 2", len(rep.Points))
@@ -223,12 +193,7 @@ func checkScale(out io.Writer, rep *scaleReport) error {
 	span := float64(last.Users) / float64(first.Users)
 	growth := last.PrunedWarmMs / first.PrunedWarmMs
 	fmt.Fprintf(out, "\npruned warm latency grew %.1f× across a %.0f× user span\n", growth, span)
-	if rep.HostCPUs < scaleFloorCores {
-		fmt.Fprintf(out, "latency floors not enforced: measured on a %d-CPU host\n", rep.HostCPUs)
-		return nil
-	}
-	if rep.Quick {
-		fmt.Fprintf(out, "latency floors not enforced on a -quick artifact\n")
+	if !rep.floorApplies(out, "latency floors", scaleFloorCores, false) {
 		return nil
 	}
 	if span < scaleSpanFloor {

@@ -2,12 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"ses"
@@ -27,15 +24,10 @@ type scalingPoint struct {
 	WALAppendsPerSec    float64 `json:"wal_appends_per_sec"`
 }
 
-// scalingReport is the BENCH_scaling.json document. HostCPUs records
-// where the curve was measured: on a single-core host the points
-// cannot show real speedup, so the scaling floor is only enforced
-// when the artifact was produced with at least storeFloorCores cores.
+// scalingReport is the BENCH_scaling.json document.
 type scalingReport struct {
-	HostCPUs int            `json:"host_cpus"`
-	Quick    bool           `json:"quick"`
-	Seed     uint64         `json:"seed"`
-	Points   []scalingPoint `json:"points"`
+	host
+	Points []scalingPoint `json:"points"`
 }
 
 // The CI-enforced curve contract: store resolve throughput at
@@ -48,57 +40,33 @@ const (
 
 var scalingProcs = []int{1, 2, 4, 8}
 
-// benchScaling measures (or, with verify, re-checks a committed)
-// engine/store/wal scaling curve over GOMAXPROCS 1/2/4/8 and writes
-// it to jsonPath. quick shrinks the workload for CI smokes.
-func benchScaling(ctx context.Context, out io.Writer, seed uint64, jsonPath string, quick, verify bool) error {
-	if verify {
-		raw, err := os.ReadFile(jsonPath)
-		if err != nil {
-			return fmt.Errorf("scaling verify: %w", err)
-		}
-		var rep scalingReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return fmt.Errorf("scaling verify: %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "verifying %s (host_cpus %d)\n", jsonPath, rep.HostCPUs)
-		return checkScaling(out, &rep)
-	}
-
-	rep := scalingReport{HostCPUs: runtime.NumCPU(), Quick: quick, Seed: seed}
+// benchScaling measures the engine/store/wal scaling curve over
+// GOMAXPROCS 1/2/4/8. quick shrinks the workload for CI smokes.
+func benchScaling(ctx context.Context, out io.Writer, e env) (*scalingReport, error) {
+	rep := &scalingReport{host: e.host()}
 	restore := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(restore)
 	for _, procs := range scalingProcs {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		runtime.GOMAXPROCS(procs)
 		pt := scalingPoint{GoMaxProcs: procs}
 		var err error
-		if pt.EngineSolvesPerSec, err = scaleEngine(ctx, seed, quick); err != nil {
-			return err
+		if pt.EngineSolvesPerSec, err = scaleEngine(ctx, e.seed, e.quick); err != nil {
+			return nil, err
 		}
-		if pt.StoreResolvesPerSec, err = scaleStore(ctx, seed, quick); err != nil {
-			return err
+		if pt.StoreResolvesPerSec, err = scaleStore(ctx, e.seed, e.quick); err != nil {
+			return nil, err
 		}
-		if pt.WALAppendsPerSec, err = scaleWAL(quick); err != nil {
-			return err
+		if pt.WALAppendsPerSec, err = scaleWAL(e.quick); err != nil {
+			return nil, err
 		}
 		rep.Points = append(rep.Points, pt)
 		fmt.Fprintf(out, "GOMAXPROCS=%d: engine %.1f solves/s, store %.0f resolves/s, wal %.0f appends/s\n",
 			procs, pt.EngineSolvesPerSec, pt.StoreResolvesPerSec, pt.WALAppendsPerSec)
 	}
-	runtime.GOMAXPROCS(restore)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
-	return checkScaling(out, &rep)
+	return rep, nil
 }
 
 // checkScaling validates a curve artifact: the schema (one point per
@@ -106,8 +74,8 @@ func benchScaling(ctx context.Context, out io.Writer, seed uint64, jsonPath stri
 // store-scaling floor when the artifact was measured on a host with
 // enough cores for the floor to be physical.
 func checkScaling(out io.Writer, rep *scalingReport) error {
-	if rep.HostCPUs <= 0 {
-		return fmt.Errorf("scaling artifact: host_cpus %d, want > 0", rep.HostCPUs)
+	if err := rep.valid(); err != nil {
+		return fmt.Errorf("scaling artifact: %w", err)
 	}
 	if len(rep.Points) != len(scalingProcs) {
 		return fmt.Errorf("scaling artifact: %d points, want %d (GOMAXPROCS %v)", len(rep.Points), len(scalingProcs), scalingProcs)
@@ -139,9 +107,8 @@ func checkScaling(out io.Writer, rep *scalingReport) error {
 		return err
 	}
 
-	if rep.HostCPUs < storeFloorCores {
-		fmt.Fprintf(out, "\nstore floor (%d-core ≥ %.1f× 1-core) not enforced: measured on a %d-CPU host\n",
-			storeFloorCores, storeFloorX, rep.HostCPUs)
+	fmt.Fprintln(out)
+	if !rep.floorApplies(out, fmt.Sprintf("store floor (%d-core ≥ %.1f× 1-core)", storeFloorCores, storeFloorX), storeFloorCores, true) {
 		return nil
 	}
 	speedup := byProcs[storeFloorCores].StoreResolvesPerSec / base.StoreResolvesPerSec
@@ -149,7 +116,7 @@ func checkScaling(out io.Writer, rep *scalingReport) error {
 		return fmt.Errorf("store resolve throughput at GOMAXPROCS=%d is %.2f× the 1-core figure, below the %.1f× floor",
 			storeFloorCores, speedup, storeFloorX)
 	}
-	fmt.Fprintf(out, "\nstore floor ok: %d-core is %.2f× 1-core (floor %.1f×)\n", storeFloorCores, speedup, storeFloorX)
+	fmt.Fprintf(out, "store floor ok: %d-core is %.2f× 1-core (floor %.1f×)\n", storeFloorCores, speedup, storeFloorX)
 	return nil
 }
 
@@ -190,41 +157,15 @@ func scaleStore(ctx context.Context, seed uint64, quick bool) (float64, error) {
 	st := ses.NewStore(ses.WithWorkers(1))
 	pipe := ses.NewPipeline(st, ses.WithResolveWorkers(0))
 	defer pipe.Close()
-	for i := 0; i < sessions; i++ {
-		inst := sestest.Random(sestest.Config{Users: 200, Events: 16, Intervals: 5, Competing: 3, Seed: seed + uint64(i)})
-		name := fmt.Sprintf("scale-%d", i)
-		if err := st.Create(name, inst, 6); err != nil {
-			return 0, err
-		}
-		if _, err := st.Resolve(ctx, name); err != nil { // warm-up solve
-			return 0, err
-		}
+	shape := sestest.Config{Users: 200, Events: 16, Intervals: 5, Competing: 3}
+	names, err := warmSessions(ctx, sessions, "scale", shape, 6, seed, func(int, string) sessionStore { return st })
+	if err != nil {
+		return 0, err
 	}
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := fmt.Sprintf("scale-%d", i)
-			for j := 0; j < ops; j++ {
-				mut := ses.UpdateInterestOp(j%200, j%16, 0.1+0.8*float64(j%9)/9)
-				if _, err := pipe.ApplyBatch(ctx, name, []ses.Mutation{mut}); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(t0).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(sessions*ops) / wall, nil
+	return commitLoad(sessions, ops, shape.Users, shape.Events, func(i int, batch []ses.Mutation) error {
+		_, err := pipe.ApplyBatch(ctx, names[i], batch)
+		return err
+	})
 }
 
 // scaleWAL times concurrent group-commit appenders under SyncAlways.
@@ -233,38 +174,10 @@ func scaleWAL(quick bool) (float64, error) {
 	if quick {
 		per = 48
 	}
-	dir, err := os.MkdirTemp("", "sesbench-scalewal-*")
+	opts := wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: true}}
+	lat, wall, _, err := appendLoad(opts, appenders, per, make([]byte, 256))
 	if err != nil {
 		return 0, err
 	}
-	defer os.RemoveAll(dir)
-	l, err := wal.Open(dir, wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: true}})
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	payload := make([]byte, 256)
-	errs := make([]error, appenders)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for g := 0; g < appenders; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := l.Append(payload); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	wall := time.Since(t0).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(appenders*per) / wall, nil
+	return float64(len(lat)) / wall, nil
 }

@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"ses"
@@ -49,6 +47,36 @@ func summarizeLat(lat []float64) latencies {
 	}
 }
 
+// walPolicy is one sync policy's raw append and durable batch cost.
+type walPolicy struct {
+	Sync   string    `json:"sync"`
+	Append latencies `json:"append"`
+	Store  latencies `json:"store_batch"`
+}
+
+// walGroupCommit is the group-commit section under SyncAlways.
+type walGroupCommit struct {
+	Appenders        int       `json:"appenders"`
+	AppendsPer       int       `json:"appends_per_appender"`
+	Lone             latencies `json:"lone_append"`
+	ConcurrentSingle latencies `json:"concurrent_single_append"`
+	ConcurrentGroup  latencies `json:"concurrent_group_append"`
+	RecordsPerFsync  float64   `json:"records_per_fsync"`
+	SpeedupX         float64   `json:"speedup_x"`
+}
+
+// walReport is the BENCH_wal.json document.
+type walReport struct {
+	Appends      int            `json:"appends"`
+	PayloadBytes int            `json:"payload_bytes"`
+	Batches      int            `json:"batches"`
+	Policies     []walPolicy    `json:"policies"`
+	GroupCommit  walGroupCommit `json:"group_commit"`
+}
+
+// walPolicies are the sync policies the figure prices.
+var walPolicies = []ses.SyncPolicy{ses.SyncAlways, ses.SyncInterval, ses.SyncNone}
+
 // benchWAL prices the write-ahead log's fsync policies. Three levels:
 //
 //   - raw wal.Log appends (fixed-size payloads) — what one record
@@ -59,9 +87,7 @@ func summarizeLat(lat []float64) latencies {
 //     single-append latency) and concurrent appenders with and
 //     without group commit (amortized fsyncs must multiply
 //     throughput).
-//
-// Results print as a table and land in jsonPath (BENCH_wal.json).
-func benchWAL(ctx context.Context, out io.Writer, seed uint64, jsonPath string) error {
+func benchWAL(ctx context.Context, out io.Writer, e env) (*walReport, error) {
 	const (
 		appends      = 256
 		payloadBytes = 256
@@ -69,30 +95,7 @@ func benchWAL(ctx context.Context, out io.Writer, seed uint64, jsonPath string) 
 		gcAppenders  = 8
 		gcPerAppend  = 128
 	)
-
-	type policyResult struct {
-		Sync   string    `json:"sync"`
-		Append latencies `json:"append"`
-		Store  latencies `json:"store_batch"`
-	}
-	type groupCommitResult struct {
-		Appenders        int       `json:"appenders"`
-		AppendsPer       int       `json:"appends_per_appender"`
-		Lone             latencies `json:"lone_append"`
-		ConcurrentSingle latencies `json:"concurrent_single_append"`
-		ConcurrentGroup  latencies `json:"concurrent_group_append"`
-		RecordsPerFsync  float64   `json:"records_per_fsync"`
-		SpeedupX         float64   `json:"speedup_x"`
-	}
-	report := struct {
-		Appends      int               `json:"appends"`
-		PayloadBytes int               `json:"payload_bytes"`
-		Batches      int               `json:"batches"`
-		Policies     []policyResult    `json:"policies"`
-		GroupCommit  groupCommitResult `json:"group_commit"`
-	}{Appends: appends, PayloadBytes: payloadBytes, Batches: batches}
-
-	summarize := summarizeLat
+	rep := &walReport{Appends: appends, PayloadBytes: payloadBytes, Batches: batches}
 
 	fmt.Fprintf(out, "\n== WAL fsync policies (%d raw appends of %dB, %d durable batches) ==\n\n",
 		appends, payloadBytes, batches)
@@ -106,64 +109,50 @@ func benchWAL(ctx context.Context, out io.Writer, seed uint64, jsonPath string) 
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	inst := sestest.Random(sestest.Config{Users: 200, Events: 24, Intervals: 6, Competing: 3, Seed: seed})
+	inst := sestest.Random(sestest.Config{Users: 200, Events: 24, Intervals: 6, Competing: 3, Seed: e.seed})
 
-	for _, pol := range []ses.SyncPolicy{ses.SyncAlways, ses.SyncInterval, ses.SyncNone} {
+	for _, pol := range walPolicies {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		res := policyResult{Sync: pol.String()}
+		res := walPolicy{Sync: pol.String()}
 
 		// Raw append cost.
-		rawDir, err := os.MkdirTemp("", "sesbench-wal-*")
+		lat, _, _, err := appendLoad(wal.Options{Sync: pol}, 1, appends, payload)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		l, err := wal.Open(rawDir, wal.Options{Sync: pol})
-		if err != nil {
-			return err
-		}
-		lat := make([]float64, 0, appends)
-		for i := 0; i < appends; i++ {
-			t0 := time.Now()
-			if err := l.Append(payload); err != nil {
-				return err
-			}
-			lat = append(lat, time.Since(t0).Seconds())
-		}
-		l.Close()
-		os.RemoveAll(rawDir)
-		res.Append = summarize(lat)
+		res.Append = summarizeLat(lat)
 
 		// Durable-store round trips.
 		storeDir, err := os.MkdirTemp("", "sesbench-walstore-*")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		st, err := ses.OpenStore(ses.WithDurability(storeDir), ses.WithSyncPolicy(pol), ses.WithWorkers(1))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := st.Create("bench", inst, 8); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := st.Resolve(ctx, "bench"); err != nil {
-			return err
+			return nil, err
 		}
 		lat = make([]float64, 0, batches)
 		for i := 0; i < batches; i++ {
 			mut := ses.UpdateInterestOp(i%inst.NumUsers, i%inst.NumEvents(), 0.1+0.8*float64(i%7)/7)
 			t0 := time.Now()
 			if _, err := st.ApplyBatch(ctx, "bench", []ses.Mutation{mut}); err != nil {
-				return err
+				return nil, err
 			}
 			lat = append(lat, time.Since(t0).Seconds())
 		}
 		st.Close()
 		os.RemoveAll(storeDir)
-		res.Store = summarize(lat)
+		res.Store = summarizeLat(lat)
 
-		report.Policies = append(report.Policies, res)
+		rep.Policies = append(rep.Policies, res)
 		tab.AddRow(res.Sync,
 			fmt.Sprintf("%.1fµs", res.Append.P50us),
 			fmt.Sprintf("%.1fµs", res.Append.P99us),
@@ -173,108 +162,70 @@ func benchWAL(ctx context.Context, out io.Writer, seed uint64, jsonPath string) 
 			fmt.Sprintf("%.0f", res.Store.OpsPerSec))
 	}
 	if err := tab.Render(out); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Group commit under SyncAlways: a lone appender must keep
 	// single-append latency, and concurrent appenders must amortize
 	// fsyncs. Concurrent throughput is wall-clock based (per-op
 	// latencies overlap across appenders).
-	gc := &report.GroupCommit
+	gc := &rep.GroupCommit
 	gc.Appenders, gc.AppendsPer = gcAppenders, gcPerAppend
-
-	loneDir, err := os.MkdirTemp("", "sesbench-walgc-*")
+	grouped := wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: true}}
+	lat, _, _, err := appendLoad(grouped, 1, appends, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	l, err := wal.Open(loneDir, wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: true}})
-	if err != nil {
-		return err
-	}
-	lat := make([]float64, 0, appends)
-	for i := 0; i < appends; i++ {
-		t0 := time.Now()
-		if err := l.Append(payload); err != nil {
-			return err
-		}
-		lat = append(lat, time.Since(t0).Seconds())
-	}
-	l.Close()
-	os.RemoveAll(loneDir)
-	gc.Lone = summarize(lat)
+	gc.Lone = summarizeLat(lat)
 
-	concurrent := func(enabled bool) (latencies, wal.Stats, error) {
-		dir, err := os.MkdirTemp("", "sesbench-walgcc-*")
+	concurrent := func(opts wal.Options) (latencies, wal.Stats, error) {
+		lat, wall, st, err := appendLoad(opts, gcAppenders, gcPerAppend, payload)
 		if err != nil {
-			return latencies{}, wal.Stats{}, err
+			return latencies{}, st, err
 		}
-		defer os.RemoveAll(dir)
-		l, err := wal.Open(dir, wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: enabled}})
-		if err != nil {
-			return latencies{}, wal.Stats{}, err
-		}
-		defer l.Close()
-		perG := make([][]float64, gcAppenders)
-		errs := make([]error, gcAppenders)
-		var wg sync.WaitGroup
-		wall0 := time.Now()
-		for g := 0; g < gcAppenders; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < gcPerAppend; i++ {
-					t0 := time.Now()
-					if err := l.Append(payload); err != nil {
-						errs[g] = err
-						return
-					}
-					perG[g] = append(perG[g], time.Since(t0).Seconds())
-				}
-			}(g)
-		}
-		wg.Wait()
-		wall := time.Since(wall0).Seconds()
-		for _, err := range errs {
-			if err != nil {
-				return latencies{}, wal.Stats{}, err
-			}
-		}
-		var all []float64
-		for _, s := range perG {
-			all = append(all, s...)
-		}
-		res := summarize(all)
-		res.OpsPerSec = float64(len(all)) / wall
-		return res, l.Stats(), nil
+		res := summarizeLat(lat)
+		res.OpsPerSec = float64(len(lat)) / wall
+		return res, st, nil
 	}
-	var single, grouped latencies
 	var gcStats wal.Stats
-	if single, _, err = concurrent(false); err != nil {
-		return err
+	if gc.ConcurrentSingle, _, err = concurrent(wal.Options{Sync: ses.SyncAlways}); err != nil {
+		return nil, err
 	}
-	if grouped, gcStats, err = concurrent(true); err != nil {
-		return err
+	if gc.ConcurrentGroup, gcStats, err = concurrent(grouped); err != nil {
+		return nil, err
 	}
-	gc.ConcurrentSingle, gc.ConcurrentGroup = single, grouped
 	gc.RecordsPerFsync = gcStats.RecordsPerFsync()
-	if single.OpsPerSec > 0 {
-		gc.SpeedupX = grouped.OpsPerSec / single.OpsPerSec
+	if gc.ConcurrentSingle.OpsPerSec > 0 {
+		gc.SpeedupX = gc.ConcurrentGroup.OpsPerSec / gc.ConcurrentSingle.OpsPerSec
 	}
 
 	fmt.Fprintf(out, "\n== group commit (sync=always, %d appenders × %d appends) ==\n\n", gcAppenders, gcPerAppend)
 	fmt.Fprintf(out, "  lone appender      p50 %8.1fµs  p99 %8.1fµs (single-append latency preserved)\n",
 		gc.Lone.P50us, gc.Lone.P99us)
-	fmt.Fprintf(out, "  concurrent single  %8.0f appends/s\n", single.OpsPerSec)
+	fmt.Fprintf(out, "  concurrent single  %8.0f appends/s\n", gc.ConcurrentSingle.OpsPerSec)
 	fmt.Fprintf(out, "  concurrent grouped %8.0f appends/s  (%.1f× , %.1f records/fsync)\n",
-		grouped.OpsPerSec, gc.SpeedupX, gc.RecordsPerFsync)
+		gc.ConcurrentGroup.OpsPerSec, gc.SpeedupX, gc.RecordsPerFsync)
+	return rep, nil
+}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+// checkWAL requires a measured row for every sync policy and a
+// measured group-commit section.
+func checkWAL(_ io.Writer, rep *walReport) error {
+	for _, pol := range walPolicies {
+		found := false
+		for _, p := range rep.Policies {
+			if p.Sync == pol.String() {
+				found = p.Append.Count > 0 && p.Store.Count > 0
+			}
+		}
+		if !found {
+			return fmt.Errorf("wal artifact: sync policy %q not measured", pol)
+		}
 	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
+	gc := rep.GroupCommit
+	if gc.Appenders <= 0 || gc.Lone.Count == 0 || gc.ConcurrentSingle.OpsPerSec <= 0 ||
+		gc.ConcurrentGroup.OpsPerSec <= 0 || gc.RecordsPerFsync <= 0 {
+		return fmt.Errorf("wal artifact: group-commit section not measured (%+v)", gc)
 	}
-	fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -364,18 +365,26 @@ func TestDaemonClusterEpochFencing(t *testing.T) {
 	}
 }
 
+// TestParsePeers: the -peers spec the daemon hands its node parses to
+// the expected membership, and run refuses every malformed spec before
+// it opens a listener.
 func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("n1=http://a:1,n2=http://b:2/, n3=http://c:3")
+	peers, err := cluster.ParsePeers("n1=http://a:1,n2=http://b:2/, n3=http://c:3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{"n1": "http://a:1", "n2": "http://b:2", "n3": "http://c:3"}
 	if fmt.Sprint(peers) != fmt.Sprint(want) {
-		t.Errorf("parsePeers = %v, want %v", peers, want)
+		t.Errorf("ParsePeers = %v, want %v", peers, want)
 	}
+	// A cancelled context makes a wrongly accepted spec return at once
+	// instead of serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, bad := range []string{"", "n1", "n1=", "=http://a", "n1=x,n1=y"} {
-		if _, err := parsePeers(bad); err == nil {
-			t.Errorf("parsePeers(%q) accepted", bad)
+		args := []string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), "-node-id", "n1", "-peers", bad}
+		if err := run(ctx, args); err == nil {
+			t.Errorf("run accepted -peers %q", bad)
 		}
 	}
 }

@@ -129,6 +129,30 @@ func TestServeMemoryOnlyShutdown(t *testing.T) {
 	}
 }
 
+// TestServeClosesStalledHeaders: a client that sends only part of a
+// request line is disconnected within readHeaderTimeout instead of
+// holding a connection and a goroutine forever.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	url, shutdown, done := startServe(t, ses.NewStore(ses.WithWorkers(1)), nil)
+	defer func() {
+		shutdown()
+		<-done
+	}()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/sessions HT")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+}
+
 // TestShutdownCancelsInFlightResolve verifies the drain path: a
 // request in flight when shutdown starts is allowed to finish, and
 // the daemon exits cleanly afterwards.

@@ -247,7 +247,7 @@ func run(ctx context.Context, args []string) error {
 		if *nodeID == "" || *peersSpec == "" {
 			return errors.New("-node-id and -peers go together")
 		}
-		peers, err := parsePeers(*peersSpec)
+		peers, err := cluster.ParsePeers(*peersSpec)
 		if err != nil {
 			return err
 		}
@@ -299,28 +299,12 @@ func tracerOf(o *ses.Observability) *obs.Tracer {
 	return o.Tracer
 }
 
-// parsePeers parses the -peers spec: comma-separated ID=URL pairs.
-func parsePeers(spec string) (map[string]string, error) {
-	peers := map[string]string{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want ID=URL)", part)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("duplicate peer id %q", id)
-		}
-		peers[id] = strings.TrimSuffix(url, "/")
-	}
-	if len(peers) == 0 {
-		return nil, errors.New("-peers is empty")
-	}
-	return peers, nil
-}
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so one that never finishes them cannot hold a
+// connection and a goroutine forever. ReadTimeout stays unset: its
+// read deadline would outlive the headers and, when it fired, cancel
+// the long-lived watch and replication streams.
+const readHeaderTimeout = 5 * time.Second
 
 // serve runs the HTTP front until ctx is cancelled, then shuts down
 // gracefully: the listener stops accepting, in-flight requests drain,
@@ -343,8 +327,9 @@ func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
 	httpSrv := &http.Server{
-		Handler:     srv.routes(),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		Handler:           srv.routes(),
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
+		ReadHeaderTimeout: readHeaderTimeout,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

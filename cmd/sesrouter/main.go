@@ -51,7 +51,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -66,6 +65,13 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so one that never finishes them cannot hold a
+// connection and a goroutine forever. ReadTimeout stays unset: its
+// read deadline would outlive the headers and, when it fired, cancel
+// proxied long-lived streams.
+const readHeaderTimeout = 5 * time.Second
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sesrouter", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
@@ -76,7 +82,7 @@ func run(ctx context.Context, args []string) error {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = off)")
 	fs.Parse(args)
 
-	peers, err := parsePeers(*peersSpec)
+	peers, err := cluster.ParsePeers(*peersSpec)
 	if err != nil {
 		return err
 	}
@@ -110,7 +116,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	log.Printf("sesrouter: fronting %d nodes on %s", len(peers), ln.Addr())
-	httpSrv := &http.Server{Handler: observedHandler(rt)}
+	httpSrv := &http.Server{Handler: observedHandler(rt), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	select {
@@ -129,28 +135,4 @@ func run(ctx context.Context, args []string) error {
 	}
 	log.Printf("sesrouter: bye")
 	return nil
-}
-
-// parsePeers parses the -peers spec: comma-separated ID=URL pairs
-// (the same syntax sesd takes).
-func parsePeers(spec string) (map[string]string, error) {
-	peers := map[string]string{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want ID=URL)", part)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("duplicate peer id %q", id)
-		}
-		peers[id] = strings.TrimSuffix(url, "/")
-	}
-	if len(peers) == 0 {
-		return nil, errors.New("-peers is required")
-	}
-	return peers, nil
 }

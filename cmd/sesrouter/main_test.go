@@ -4,24 +4,34 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"ses/internal/cluster"
 )
 
+// TestParsePeers: the -peers spec the router fronts parses to the
+// expected membership, and run refuses every malformed spec before it
+// opens a listener.
 func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("n1=http://a:1, n2=http://b:2/")
+	peers, err := cluster.ParsePeers("n1=http://a:1, n2=http://b:2/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if peers["n1"] != "http://a:1" || peers["n2"] != "http://b:2" {
-		t.Errorf("parsePeers = %v", peers)
+		t.Errorf("ParsePeers = %v", peers)
 	}
+	// A cancelled context makes a wrongly accepted spec return at once
+	// instead of serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, bad := range []string{"", "n1", "n1=", "=u", "a=1,a=2"} {
-		if _, err := parsePeers(bad); err == nil {
-			t.Errorf("parsePeers(%q) accepted", bad)
+		if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-peers", bad}); err == nil {
+			t.Errorf("run accepted -peers %q", bad)
 		}
 	}
 }
@@ -111,6 +121,41 @@ func TestRouterDaemonFrontsCluster(t *testing.T) {
 	}
 	if out["node"] != "n1" && out["node"] != "n2" {
 		t.Errorf("proxied read answered by %v", out["node"])
+	}
+}
+
+// TestRouterClosesStalledHeaders: a client that sends only part of a
+// request line is disconnected within readHeaderTimeout instead of
+// holding a connection and a goroutine forever.
+func TestRouterClosesStalledHeaders(t *testing.T) {
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", addr, "-peers", "n1=http://127.0.0.1:1"}) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run: %v", err)
+		}
+	}()
+	var conn net.Conn
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router never listened: %v", err)
+		}
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/router/status HT")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
 	}
 }
 

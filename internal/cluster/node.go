@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +58,31 @@ type NodeOptions struct {
 	// so a traced write's replication shows up in this node's trace
 	// ring too.
 	Tracer *obs.Tracer
+}
+
+// ParsePeers parses a -peers spec, comma-separated ID=URL pairs, into
+// the Peers map of NodeOptions and RouterOptions, trimming each URL's
+// trailing slash.
+func ParsePeers(spec string) (map[string]string, error) {
+	peers := map[string]string{}
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, url, ok := strings.Cut(part, "=")
+		if !ok || id == "" || url == "" {
+			return nil, fmt.Errorf("bad -peers entry %q (want ID=URL)", part)
+		}
+		if _, dup := peers[id]; dup {
+			return nil, fmt.Errorf("duplicate peer id %q", id)
+		}
+		peers[id] = strings.TrimSuffix(url, "/")
+	}
+	if len(peers) == 0 {
+		return nil, errors.New("-peers names no nodes (want ID=URL,ID=URL,...)")
+	}
+	return peers, nil
 }
 
 func (o NodeOptions) lagBound() int64 {

@@ -14,6 +14,26 @@ func TestRingRejectsBadMembership(t *testing.T) {
 	}
 }
 
+func TestParsePeers(t *testing.T) {
+	for spec, want := range map[string]map[string]string{
+		"n1=http://a:1,n2=http://b:2/, n3=http://c:3": {"n1": "http://a:1", "n2": "http://b:2", "n3": "http://c:3"},
+		"n1=http://a:1, n2=http://b:2/":               {"n1": "http://a:1", "n2": "http://b:2"},
+	} {
+		peers, err := ParsePeers(spec)
+		if err != nil {
+			t.Fatalf("ParsePeers(%q): %v", spec, err)
+		}
+		if fmt.Sprint(peers) != fmt.Sprint(want) {
+			t.Errorf("ParsePeers(%q) = %v, want %v", spec, peers, want)
+		}
+	}
+	for _, bad := range []string{"", "n1", "n1=", "=http://a", "=u", "n1=x,n1=y", "a=1,a=2"} {
+		if _, err := ParsePeers(bad); err == nil {
+			t.Errorf("ParsePeers(%q) accepted", bad)
+		}
+	}
+}
+
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
 	a, err := NewRing([]string{"n3", "n1", "n2"}, 0)
 	if err != nil {
