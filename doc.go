@@ -106,23 +106,31 @@
 // for any Workers value. GRD, GRDLazy, TOP, TOPFill and Spread start
 // from that worklist. Algorithm 1's selection phase (popTopAssgn, the
 // validity drop, the same-interval rescore) exists once, as
-// solver.SelectGreedy: GRD runs it on the full worklist and the
-// session layer below on its cached scores. Beam expands its live
+// solver.SelectGreedy, in two modes over the same list: the paper's
+// linear scan with eager same-interval rescoring, which grd runs so
+// Fig. 1 and its counters reproduce, and a CELF heap mode that
+// rescores an assignment only when it reaches the top after its
+// interval changed, which grdlazy runs. Under a submodular objective
+// (Omega) both select the same schedule. The session layer below runs
+// the kernel on its cached scores. Beam expands its live
 // states concurrently; the experiment harness
 // (ses/internal/experiment) additionally runs independent trials and
 // sensitivity points concurrently.
 //
 // The session layer (ses/internal/session, exposed as Scheduler)
 // sits on top of both: it keeps the instance, a warm engine (engines
-// implement Reset for in-place reuse) and the initial-score matrix of
-// the last solve. Mutations invalidate a precise slice of that matrix
-// — one event row for AddEvent/UpdateInterest, one interval column
-// for AddCompeting, nothing for CancelEvent/Pin/Forbid — and Resolve
-// patches the slice and reruns only the greedy selection — the same
-// SelectGreedy loop GRD runs, with pins applied first and cancelled
-// events, pinned events and forbidden pairs left out of the worklist —
-// which is why it matches from-scratch GRD bit for bit
-// (equivalence-tested) at a fraction of the InitialScores.
+// implement Reset for in-place reuse, and Sparse also Patch, which
+// absorbs added events, new interest rows and new competitors in
+// place) and the initial-score matrix of the last solve. Mutations
+// invalidate a precise slice of that matrix — one event row for
+// AddEvent/UpdateInterest, one interval column for AddCompeting,
+// nothing for CancelEvent/Pin/Forbid — and Resolve patches the slice
+// and reruns only the greedy selection — the SelectGreedy kernel GRD
+// runs, in heap mode under Omega and scan mode otherwise, with pins
+// applied first and cancelled events, pinned events and forbidden
+// pairs left out of the worklist — which is why it matches
+// from-scratch GRD bit for bit (equivalence-tested) at a fraction of
+// the InitialScores and, under Omega, of the score updates.
 //
 // For million-user instances a fourth engine breaks the
 // O(interested users)-per-score coupling: Pruned (exposed as
@@ -131,9 +139,9 @@
 // intervals exactly in O(k) and loaded intervals with an O(k) upper
 // bound. Engines that can bound advertise it through the choice
 // layer's Bounder interface, and SelectGreedy's argmax becomes a
-// threshold algorithm: same-interval rescores take the bound (counted
-// in Counters.BoundUpdates), and a bound-valued entry is resolved to
-// its exact score only when it reaches the top of the list. Results
+// threshold algorithm in either mode: rescores take the bound
+// (counted in Counters.BoundUpdates), and a bound-valued entry is
+// resolved to its exact score only when it reaches the top. Results
 // stay byte-identical to Sparse — enforced by the differential fuzz
 // harness and a metamorphic k=|U| degeneracy test — only the work
 // changes. Pairing the pruned engine with a columnar instance file

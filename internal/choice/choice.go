@@ -123,12 +123,27 @@ type Bounder interface {
 // schedule in place, keeping their allocated storage (schedule
 // backing arrays, mass accumulators, scratch buffers) warm across
 // solves. Reset assumes the instance's events, competing events and
-// interest matrices are the ones the engine was built against;
-// callers that mutated any of those must rebuild the engine instead.
-// The session layer (ses.Scheduler) resets between re-solves and
-// rebuilds only after structural mutations.
+// interest matrices are the ones the engine was built against (or
+// last patched to, see Patcher); callers that mutated any of those
+// must patch or rebuild the engine first. The session layer
+// (ses.Scheduler) resets between re-solves; after structural
+// mutations it patches an engine that is a Patcher and rebuilds any
+// other.
 type Reuser interface {
 	Reset()
+}
+
+// Patcher is implemented by engines that can absorb instance
+// mutations in place instead of being rebuilt. The instance the
+// engine was built over has grown or changed under it: events is the
+// set of events appended or given a new interest row, intervals the
+// set of intervals that gained competing events. Patch brings every
+// structure derived from those parts up to date from the instance
+// itself, so patching twice with the same (or a larger) set is the
+// same as patching once. It leaves the schedule to the caller, who
+// Resets before solving again.
+type Patcher interface {
+	Patch(events, intervals map[int]bool)
 }
 
 // FillRoundRobin applies valid assignments in a fixed deterministic

@@ -30,20 +30,21 @@ const residualEps = 64 * 2.220446049250313e-16 // 64 ulps ≈ 1.4e-14
 // involves only users with µ(u,e) > 0, because everyone else's Luce
 // denominator at t is unchanged by the assignment.
 //
-// Competing interest mass C(t,u) = Σ_{c∈Ct} µ(u,c) is aggregated once
-// at construction into per-interval sorted vectors. Scheduled mass
-// P(t,u) = Σ_{p∈Et(S)} µ(u,p) is maintained incrementally in
-// per-interval *sorted accumulators*: Apply/Unapply merge the event's
-// (sorted) interest row into the interval's accumulator through a pair
-// of reusable scratch buffers, so the id list never has to be rebuilt
-// or re-sorted. Score, EventAttendance and IntervalUtility are then
-// allocation-free merge-joins over sorted vectors with deterministic
-// summation order.
+// Competing interest mass C(t,u) = Σ_{c∈Ct} µ(u,c) is aggregated at
+// construction into per-interval sorted vectors, and re-aggregated
+// per interval when the instance gains competing events (Patch).
+// Scheduled mass P(t,u) = Σ_{p∈Et(S)} µ(u,p) is maintained
+// incrementally in per-interval *sorted accumulators*: Apply/Unapply
+// merge the event's (sorted) interest row into the interval's
+// accumulator through a pair of reusable scratch buffers, so the id
+// list never has to be rebuilt or re-sorted. Score, EventAttendance
+// and IntervalUtility are then allocation-free merge-joins over
+// sorted vectors with deterministic summation order.
 type Sparse struct {
 	objectiveHolder
 	inst  *core.Instance
 	sched *core.Schedule
-	comp  []massVector // per interval: aggregated competing mass (immutable)
+	comp  []massVector // per interval: aggregated competing mass (replaced only by Patch)
 	pmass []massVector // per interval: scheduled mass, sorted, incremental
 	// hwm is the per-interval high-water mark of accumulated mass; it
 	// scales Unapply's noise cutoff (see residualEps).
@@ -55,9 +56,10 @@ type Sparse struct {
 	scratchVals []float64
 }
 
-// massVector is a sorted sparse vector of per-user mass. The competing
-// vectors are immutable after construction; the scheduled-mass
-// accumulators are rebuilt wholesale by merge (never edited in place).
+// massVector is a sorted sparse vector of per-user mass. Competing
+// vectors are never edited (Patch replaces them whole); the
+// scheduled-mass accumulators are rebuilt wholesale by merge (never
+// edited in place).
 type massVector struct {
 	ids  []int32
 	vals []float64
@@ -107,37 +109,44 @@ func (v massVector) atFrom(lo *int, id int32) float64 {
 // aggregateCompeting folds the competing events' interest rows into
 // one sorted mass vector per interval.
 func aggregateCompeting(inst *core.Instance) []massVector {
-	comp := make([]massVector, inst.NumIntervals)
-	acc := make([]map[int32]float64, inst.NumIntervals)
+	byInterval := make([][]int, inst.NumIntervals)
 	for ci, c := range inst.Competing {
+		byInterval[c.Interval] = append(byInterval[c.Interval], ci)
+	}
+	comp := make([]massVector, inst.NumIntervals)
+	for t, cis := range byInterval {
+		comp[t] = aggregateInterval(inst, cis)
+	}
+	return comp
+}
+
+// aggregateInterval sums the interest rows of the listed competing
+// events per user, in list order, into one sorted mass vector. It is
+// the only place competing mass is summed, so a patched interval is
+// bit-identical to a freshly built one.
+func aggregateInterval(inst *core.Instance, cis []int) massVector {
+	if len(cis) == 0 {
+		return massVector{}
+	}
+	m := make(map[int32]float64)
+	for _, ci := range cis {
 		row := inst.CompInterest.Row(ci)
-		m := acc[c.Interval]
-		if m == nil {
-			m = make(map[int32]float64)
-			acc[c.Interval] = m
-		}
 		for i, id := range row.IDs {
 			m[id] += row.Vals[i]
 		}
 	}
-	for t, m := range acc {
-		if len(m) == 0 {
-			continue
-		}
-		mv := massVector{
-			ids:  make([]int32, 0, len(m)),
-			vals: make([]float64, 0, len(m)),
-		}
-		for id := range m {
-			mv.ids = append(mv.ids, id)
-		}
-		sort.Slice(mv.ids, func(i, j int) bool { return mv.ids[i] < mv.ids[j] })
-		for _, id := range mv.ids {
-			mv.vals = append(mv.vals, m[id])
-		}
-		comp[t] = mv
+	mv := massVector{
+		ids:  make([]int32, 0, len(m)),
+		vals: make([]float64, 0, len(m)),
 	}
-	return comp
+	for id := range m {
+		mv.ids = append(mv.ids, id)
+	}
+	sort.Slice(mv.ids, func(i, j int) bool { return mv.ids[i] < mv.ids[j] })
+	for _, id := range mv.ids {
+		mv.vals = append(mv.vals, m[id])
+	}
+	return mv
 }
 
 // NewSparse builds the engine for inst with an empty schedule.
@@ -363,6 +372,24 @@ func (e *Sparse) Unapply(event int) error {
 	return nil
 }
 
+// Patch absorbs instance mutations (see Patcher): the schedule grows
+// to the instance's events, and each listed interval's competing mass
+// is re-summed from the instance. Interest updates need nothing, since
+// Score reads event rows from the instance. The competing vectors are
+// replaced in a copy of the per-interval table, so forks taken
+// earlier keep the mass they were forked with.
+func (e *Sparse) Patch(_, intervals map[int]bool) {
+	e.sched.Grow()
+	if len(intervals) == 0 {
+		return
+	}
+	comp := append([]massVector(nil), e.comp...)
+	for t := range intervals {
+		comp[t] = aggregateInterval(e.inst, e.inst.CompetingAt(t))
+	}
+	e.comp = comp
+}
+
 // Reset empties the schedule and the scheduled-mass accumulators in
 // place, keeping their storage (and the competing-mass aggregates,
 // which depend only on the instance) for the next solve.
@@ -469,7 +496,7 @@ func (e *Sparse) Fork() Engine {
 		objectiveHolder: e.objectiveHolder,
 		inst:            e.inst,
 		sched:           e.sched.Clone(),
-		comp:            e.comp, // immutable after construction
+		comp:            e.comp, // Patch replaces the table, never edits it
 		pmass:           make([]massVector, len(e.pmass)),
 		hwm:             append([]float64(nil), e.hwm...),
 	}
@@ -485,4 +512,8 @@ func (e *Sparse) Fork() Engine {
 	return f
 }
 
-var _ Engine = (*Sparse)(nil)
+var (
+	_ Engine  = (*Sparse)(nil)
+	_ Reuser  = (*Sparse)(nil)
+	_ Patcher = (*Sparse)(nil)
+)

@@ -265,3 +265,57 @@ func TestIsValidMirrorsValidity(t *testing.T) {
 		t.Fatal("IsValid should reflect double assignment")
 	}
 }
+
+// TestIsValidDoesNotAllocate: the selection loops call IsValid on
+// every list entry they meet, so none of the four ways an assignment
+// can be invalid may build an error.
+func TestIsValidDoesNotAllocate(t *testing.T) {
+	s := NewSchedule(tinyInstance())
+	// e0 and e2 at interval 0 use 9 of θ=10 and hold locations 0 and 1.
+	if err := s.Assign(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assign(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		e, t int
+	}{
+		{"assigned event", 0, 1},
+		{"location conflict", 1, 0},
+		{"resource overflow", 3, 0},
+		{"out of range", 99, 0},
+	} {
+		if s.IsValid(c.e, c.t) || s.Validity(c.e, c.t) == nil {
+			t.Fatalf("%s: (%d,%d) should be invalid", c.name, c.e, c.t)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.IsValid(c.e, c.t) }); n != 0 {
+			t.Errorf("%s: IsValid allocated %v times per call", c.name, n)
+		}
+	}
+}
+
+func TestScheduleGrow(t *testing.T) {
+	in := tinyInstance()
+	s := NewSchedule(in)
+	if err := s.Assign(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	in.Events = append(in.Events, Event{Location: 2, Required: 1})
+	for i := 0; i < 2; i++ { // a second Grow is a no-op
+		s.Grow()
+		if s.IntervalOf(4) != Unassigned || !s.IsValid(4, 0) {
+			t.Fatalf("grown event 4: interval %d, valid %v", s.IntervalOf(4), s.IsValid(4, 0))
+		}
+		if s.IntervalOf(0) != 0 || s.Size() != 1 {
+			t.Fatalf("Grow disturbed the schedule: e0 at %d, size %d", s.IntervalOf(0), s.Size())
+		}
+	}
+	if err := s.Assign(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckFeasible(); err != nil {
+		t.Fatal(err)
+	}
+}

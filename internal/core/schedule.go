@@ -113,8 +113,28 @@ func (s *Schedule) Validity(e, t int) error {
 // round-off when many ξe values accumulate.
 const resourceEps = 1e-9
 
-// IsValid reports whether assignment (e, t) is valid.
-func (s *Schedule) IsValid(e, t int) bool { return s.Validity(e, t) == nil }
+// IsValid reports whether assignment (e, t) is valid: the three
+// conditions of Validity, checked without building an error, so the
+// selection loops can test every list entry without allocating.
+func (s *Schedule) IsValid(e, t int) bool {
+	if e < 0 || e >= len(s.byEvent) || t < 0 || t >= len(s.byInterval) || s.byEvent[e] != Unassigned {
+		return false
+	}
+	ev := &s.inst.Events[e]
+	if _, taken := s.locUse[t][ev.Location]; taken {
+		return false
+	}
+	return !(s.usedRes[t]+ev.Required > s.inst.Resources+resourceEps)
+}
+
+// Grow extends the schedule to the events appended to its instance
+// since it was built, each unassigned; existing assignments are kept.
+// Growing an up-to-date schedule is a no-op.
+func (s *Schedule) Grow() {
+	for len(s.byEvent) < len(s.inst.Events) {
+		s.byEvent = append(s.byEvent, Unassigned)
+	}
+}
 
 // Assign adds assignment (e, t) after checking validity.
 func (s *Schedule) Assign(e, t int) error {

@@ -44,6 +44,13 @@ func TestScheduleRandomOperationSequences(t *testing.T) {
 			if s.Size() != len(assigned) {
 				return false
 			}
+			for e := range in.Events {
+				for ti := 0; ti < in.NumIntervals; ti++ {
+					if s.IsValid(e, ti) != (s.Validity(e, ti) == nil) {
+						return false
+					}
+				}
+			}
 		}
 		// Every event the model says is assigned must be found at its
 		// interval, and vice versa.

@@ -9,11 +9,11 @@ import (
 )
 
 // TestSessionPrunedEngineMatchesGRD extends the session-vs-GRD
-// equivalence to the candidate-list pruned engine: the session's
-// selection replay and solver.GRD both take the threshold-pruned
-// rescore path (ScoreUpper + exact resolution on pop), so schedules,
-// utilities and counters must stay identical run for run — and the
-// bound path must actually fire on both sides.
+// equivalence to the candidate-list pruned engine: schedules and
+// utilities must equal GRD's, and counters must equal grdlazy's,
+// whose heap mode the session runs under Omega. Both take the
+// threshold-pruned rescore path (ScoreUpper + exact resolution on
+// pop), and the bound path must actually fire.
 func TestSessionPrunedEngineMatchesGRD(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		inst := testInstance(seed)
@@ -37,8 +37,12 @@ func TestSessionPrunedEngineMatchesGRD(t *testing.T) {
 		if !sameAssignments(s.Schedule(), grd.Schedule.Assignments()) {
 			t.Fatalf("seed %d: schedules differ", seed)
 		}
-		if d.Counters != grd.Counters {
-			t.Fatalf("seed %d: counters differ: %+v vs %+v", seed, d.Counters, grd.Counters)
+		lazy, err := solver.NewGRDLazy(solver.Config{Workers: 1, Engine: eng}).Solve(context.Background(), inst, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Counters != lazy.Counters {
+			t.Fatalf("seed %d: counters differ from grdlazy: %+v vs %+v", seed, d.Counters, lazy.Counters)
 		}
 		if d.Counters.BoundUpdates == 0 {
 			t.Fatalf("seed %d: no bound rescores taken (counters %+v)", seed, d.Counters)
@@ -75,17 +79,23 @@ func TestSessionPrunedWarmResolves(t *testing.T) {
 }
 
 // TestProgressKeepsPrunedBounds: a progress callback is an observer
-// and must not change the work done. GRD and the session, each with
-// and without Progress, must report identical counters on the pruned
-// engine — with the threshold-bound rescores actually taken.
+// and must not change the work done. GRD, grdlazy and the session,
+// each with and without Progress, must report the counters of their
+// kernel mode without Progress on the pruned engine — GRD's for GRD,
+// grdlazy's for the session, which runs heap mode under Omega — with
+// the threshold-bound rescores actually taken in both modes.
 func TestProgressKeepsPrunedBounds(t *testing.T) {
 	inst := sestest.Random(sestest.Config{Users: 80, Events: 12, Intervals: 5, Seed: 1})
 	const k = 8
 	eng := solver.PrunedEngineK(6)
-	var want solver.Counters
+	var wantScan, wantHeap solver.Counters
 	for i, progress := range []func(solver.Progress){nil, func(solver.Progress) {}} {
-		grd, err := solver.NewGRD(solver.Config{Workers: 1, Engine: eng, Progress: progress}).
-			Solve(context.Background(), inst, k)
+		cfg := solver.Config{Workers: 1, Engine: eng, Progress: progress}
+		grd, err := solver.NewGRD(cfg).Solve(context.Background(), inst, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := solver.NewGRDLazy(cfg).Solve(context.Background(), inst, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,16 +108,19 @@ func TestProgressKeepsPrunedBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			want = grd.Counters
-			if want.BoundUpdates == 0 {
-				t.Fatalf("no bound rescores taken (counters %+v)", want)
+			wantScan, wantHeap = grd.Counters, lazy.Counters
+			if wantScan.BoundUpdates == 0 || wantHeap.BoundUpdates == 0 {
+				t.Fatalf("no bound rescores taken (scan %+v, heap %+v)", wantScan, wantHeap)
 			}
 		}
-		if grd.Counters != want {
-			t.Errorf("GRD with progress=%v: counters %+v, want %+v", progress != nil, grd.Counters, want)
+		if grd.Counters != wantScan {
+			t.Errorf("GRD with progress=%v: counters %+v, want %+v", progress != nil, grd.Counters, wantScan)
 		}
-		if d.Counters != want {
-			t.Errorf("session with progress=%v: counters %+v, want %+v", progress != nil, d.Counters, want)
+		if lazy.Counters != wantHeap {
+			t.Errorf("grdlazy with progress=%v: counters %+v, want %+v", progress != nil, lazy.Counters, wantHeap)
+		}
+		if d.Counters != wantHeap {
+			t.Errorf("session with progress=%v: counters %+v, want %+v", progress != nil, d.Counters, wantHeap)
 		}
 	}
 }

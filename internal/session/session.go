@@ -16,15 +16,25 @@
 //   - CancelEvent / Pin / Forbid: nothing at all
 //
 // Resolve patches exactly the invalidated slice, then reruns the
-// greedy *selection* phase (O(k) pops and same-interval updates) over
-// the patched matrix under the session's constraints. That phase is
-// solver.SelectGreedy, the same loop GRD runs: the session hands it
-// the pins and a worklist without cancelled events, pinned events or
-// forbidden pairs. Because the patched matrix is bit-identical to a
-// from-scratch rescore, the resulting schedule and utility are
-// exactly those of from-scratch GRD on the mutated instance — with
-// InitialScores reduced from |E|·|T| to the invalidated slice. The
-// equivalence is enforced by tests, not just argued.
+// greedy *selection* phase over the patched matrix under the
+// session's constraints. That phase is solver.SelectGreedy, the
+// kernel GRD runs: the session hands it the pins and a worklist
+// without cancelled events, pinned events or forbidden pairs. Under a
+// submodular objective (Omega) the kernel runs in heap mode — CELF
+// lazy re-evaluation, which rescores an assignment only when it
+// surfaces at the top after its interval changed — and otherwise in
+// the paper's scan mode with eager same-interval updates. Both modes
+// select the same schedule under Omega, and the patched matrix is
+// bit-identical to a from-scratch rescore, so the resulting schedule
+// and utility are exactly those of from-scratch GRD on the mutated
+// instance — with InitialScores reduced from |E|·|T| to the
+// invalidated slice. The equivalence is enforced by tests, not just
+// argued.
+//
+// The warm engine follows the same record of what changed: a
+// choice.Patcher engine (Sparse, the default) is patched in place
+// after AddEvent, UpdateInterest and AddCompeting, and any other
+// engine is rebuilt.
 package session
 
 import (
@@ -110,12 +120,15 @@ type Scheduler struct {
 	pins      map[int]int          // event -> pinned interval
 	forbidden map[int]map[int]bool // event -> forbidden intervals
 
-	eng      choice.Engine
-	engDirty bool // instance structure/content changed since eng was built
+	eng choice.Engine
 
-	cache          []float64 // initial scores [t*nE+e] at last commit
-	cacheEvents    int       // nE when the cache was committed
-	cacheValid     bool
+	cache       []float64 // initial scores [t*nE+e] at last commit
+	cacheEvents int       // nE when the cache was committed
+	cacheValid  bool
+	// dirtyEvents and dirtyIntervals record what changed since the
+	// last commit: events added or given a new interest row, and
+	// intervals that gained competing events. They are the one record
+	// both the score cache and the engine are brought up to date from.
 	dirtyEvents    map[int]bool
 	dirtyIntervals map[int]bool
 	// matBuf and list recycle the score-matrix and worklist storage
@@ -286,7 +299,6 @@ func (s *Scheduler) AddEvent(ev core.Event, mu map[int]float64) (int, error) {
 	s.inst.CandInterest.ByEvent = append(s.inst.CandInterest.ByEvent, row)
 	s.cancelled = append(s.cancelled, false)
 	s.dirtyEvents[id] = true
-	s.engDirty = true
 	return id, nil
 }
 
@@ -356,7 +368,6 @@ func (s *Scheduler) UpdateInterest(user, event int, mu float64) error {
 	}
 	s.inst.CandInterest.SetRow(event, row)
 	s.dirtyEvents[event] = true
-	s.engDirty = true
 	return nil
 }
 
@@ -377,7 +388,6 @@ func (s *Scheduler) AddCompeting(c core.CompetingEvent, mu map[int]float64) (int
 	s.inst.Competing = append(s.inst.Competing, c)
 	s.inst.CompInterest.ByEvent = append(s.inst.CompInterest.ByEvent, row)
 	s.dirtyIntervals[c.Interval] = true
-	s.engDirty = true
 	return id, nil
 }
 
@@ -504,14 +514,14 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 
 	gctx, gsp := obs.StartSpan(ctx, obs.SpanSelect)
 	s.fillWorklist(mat)
-	stop, err := solver.SelectGreedy(gctx, s.eng, &s.list, s.k, s.sortedPins(), &cnt, "session", s.opts.Progress)
+	stop, err := solver.SelectGreedy(gctx, s.eng, &s.list, s.k, s.sortedPins(), s.obj.Submodular(), &cnt, "session", s.opts.Progress)
 	gsp.SetAttr("pops", cnt.Pops)
 	gsp.SetAttr("bound_updates", cnt.BoundUpdates)
 	gsp.SetAttr("score_updates", cnt.ScoreUpdates)
 	gsp.End()
 	if err != nil {
-		// Nothing is committed; the engine will be reset or rebuilt on
-		// the next Resolve.
+		// Nothing is committed; the engine will be reset on the next
+		// Resolve.
 		s.matBuf = mat
 		return nil, err
 	}
@@ -571,19 +581,23 @@ func (s *Scheduler) Summary() Summary {
 	}
 }
 
-// ensureEngine rebuilds the warm engine after structural mutations or
-// resets it in place otherwise, always binding the session's
-// objective.
+// ensureEngine readies the warm engine for a solve: it is reset in
+// place when it is a choice.Reuser and, after structural mutations,
+// also a choice.Patcher, which is patched from the dirty sets first.
+// Any other engine is rebuilt, bound to the session's objective. The
+// dirty sets are cleared only on commit, so a Resolve that fails
+// after patching patches again on retry; Patch is idempotent.
 func (s *Scheduler) ensureEngine() {
-	if s.eng == nil || s.engDirty {
-		s.eng = s.engineFactory()(s.inst)
-		s.eng.SetObjective(s.obj)
-		s.engDirty = false
-		return
-	}
 	if r, ok := s.eng.(choice.Reuser); ok {
-		r.Reset()
-		return
+		if len(s.dirtyEvents) == 0 && len(s.dirtyIntervals) == 0 {
+			r.Reset()
+			return
+		}
+		if p, ok := s.eng.(choice.Patcher); ok {
+			p.Patch(s.dirtyEvents, s.dirtyIntervals)
+			r.Reset()
+			return
+		}
 	}
 	s.eng = s.engineFactory()(s.inst)
 	s.eng.SetObjective(s.obj)

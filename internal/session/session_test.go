@@ -86,6 +86,17 @@ func assertIncrementalEquivalence(t *testing.T, s *Scheduler, wantInitial int) *
 	return d
 }
 
+// kernelTwin is the from-scratch solver whose counters a session's
+// first resolve reproduces: the session runs SelectGreedy in heap
+// mode under a submodular objective, as grdlazy does, and in the
+// paper's scan mode otherwise, as grd does.
+func kernelTwin(cfg solver.Config) solver.Solver {
+	if cfg.Objective == nil || cfg.Objective.Submodular() {
+		return solver.NewGRDLazy(cfg)
+	}
+	return solver.NewGRD(cfg)
+}
+
 func TestFirstResolveMatchesGRDExactly(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		inst := testInstance(seed)
@@ -109,8 +120,12 @@ func TestFirstResolveMatchesGRDExactly(t *testing.T) {
 			if !sameAssignments(s.Schedule(), grd.Schedule.Assignments()) {
 				t.Fatalf("seed %d: schedules differ", seed)
 			}
-			if d.Counters != grd.Counters {
-				t.Fatalf("seed %d: counters differ: %+v vs %+v", seed, d.Counters, grd.Counters)
+			twin, err := kernelTwin(solver.Config{Workers: workers}).Solve(context.Background(), inst, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Counters != twin.Counters {
+				t.Fatalf("seed %d: counters differ from %s: %+v vs %+v", seed, twin.Solver, d.Counters, twin.Counters)
 			}
 			if len(d.Added) != grd.Schedule.Size() || len(d.Removed) != 0 || len(d.Moved) != 0 {
 				t.Fatalf("seed %d: first delta %+v", seed, d)
@@ -324,16 +339,59 @@ func TestEngineIsReusedWhenOnlyConstraintsChange(t *testing.T) {
 	if s.eng != warm {
 		t.Fatal("engine was rebuilt although only constraints changed")
 	}
-	// A structural mutation must rebuild it.
-	if _, err := s.AddEvent(core.Event{Location: 0, Required: 1}, nil); err != nil {
+	// Structural mutations patch the Sparse engine in place; the
+	// patched engine must still resolve exactly like a fresh session.
+	for _, m := range []struct {
+		name   string
+		mutate func() error
+	}{
+		{"AddEvent", func() error {
+			_, err := s.AddEvent(core.Event{Location: 0, Required: 1}, map[int]float64{3: 0.9, 17: 0.4})
+			return err
+		}},
+		{"UpdateInterest", func() error { return s.UpdateInterest(5, 2, 0.8) }},
+		{"AddCompeting", func() error {
+			_, err := s.AddCompeting(core.CompetingEvent{Interval: 1}, map[int]float64{3: 0.7, 9: 0.5})
+			return err
+		}},
+	} {
+		if err := m.mutate(); err != nil {
+			t.Fatal(err)
+		}
+		assertIncrementalEquivalence(t, s, -1)
+		if s.eng != warm {
+			t.Fatalf("engine rebuilt after %s", m.name)
+		}
+	}
+}
+
+// TestPatchIsIdempotentAcrossFailedResolve: a Resolve that fails
+// after patching the engine keeps the dirty sets, so its retry
+// patches the same interval again. Patching must re-derive the
+// interval from the instance: a patch that folded the interval's
+// competitors into the mass it already held would count the first
+// rival twice and drift from a from-scratch resolve.
+func TestPatchIsIdempotentAcrossFailedResolve(t *testing.T) {
+	s, err := New(testInstance(13), 6, Options{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.eng == warm {
-		t.Fatal("engine not rebuilt after AddEvent")
+	const ti = 2
+	if _, err := s.AddCompeting(core.CompetingEvent{Interval: ti}, map[int]float64{1: 0.9, 4: 0.6, 7: 0.3}); err != nil {
+		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Resolve(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if _, err := s.AddCompeting(core.CompetingEvent{Interval: ti}, map[int]float64{4: 0.5, 8: 0.7}); err != nil {
+		t.Fatal(err)
+	}
+	assertIncrementalEquivalence(t, s, s.inst.NumEvents())
 }
 
 func TestResolveCancelKeepsPreviousSchedule(t *testing.T) {

@@ -108,7 +108,7 @@ func (s *Anneal) Solve(ctx context.Context, inst *core.Instance, k int) (*Result
 		// valid interval.
 		e := src.IntN(inst.NumEvents())
 		t := src.IntN(inst.NumIntervals)
-		ok := !sched.Contains(e) && sched.Validity(e, t) == nil
+		ok := !sched.Contains(e) && sched.IsValid(e, t)
 		accepted := false
 		if ok {
 			gain := eng.Score(e, t)

@@ -51,7 +51,7 @@ func (s *TOP) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 			return nil, err
 		}
 		res.Counters.ListScans++
-		if sched.Validity(a.event, a.interval) != nil {
+		if !sched.IsValid(a.event, a.interval) {
 			continue
 		}
 		if err := eng.Apply(a.event, a.interval); err != nil {
@@ -104,7 +104,7 @@ func (s *TOPFill) Solve(ctx context.Context, inst *core.Instance, k int) (*Resul
 			return nil, err
 		}
 		res.Counters.ListScans++
-		if sched.Validity(a.event, a.interval) != nil {
+		if !sched.IsValid(a.event, a.interval) {
 			continue
 		}
 		if err := eng.Apply(a.event, a.interval); err != nil {
@@ -154,7 +154,7 @@ func (s *RAND) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, 
 		budget--
 		e := src.IntN(inst.NumEvents())
 		t := src.IntN(inst.NumIntervals)
-		if sched.Validity(e, t) != nil {
+		if !sched.IsValid(e, t) {
 			continue
 		}
 		if err := eng.Apply(e, t); err != nil {
@@ -173,7 +173,7 @@ func (s *RAND) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, 
 				continue
 			}
 			for _, t := range src.Perm(inst.NumIntervals) {
-				if sched.Validity(e, t) == nil {
+				if sched.IsValid(e, t) {
 					if err := eng.Apply(e, t); err != nil {
 						return nil, err
 					}

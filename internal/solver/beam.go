@@ -72,7 +72,7 @@ func (s *Beam) expand(inst *core.Instance, pi int, st beamState) ([]beamSucc, in
 			continue
 		}
 		for t := 0; t < inst.NumIntervals; t++ {
-			if sched.Validity(e, t) != nil {
+			if !sched.IsValid(e, t) {
 				continue
 			}
 			sc := st.eng.Score(e, t)

@@ -139,7 +139,7 @@ func (s *Exact) Solve(ctx context.Context, inst *core.Instance, k int) (*Result,
 		e := order[idx]
 		// Branch: assign e to each valid interval.
 		for t := 0; t < inst.NumIntervals; t++ {
-			if eng.Schedule().Validity(e, t) != nil {
+			if !eng.Schedule().IsValid(e, t) {
 				continue
 			}
 			gain := eng.Score(e, t)

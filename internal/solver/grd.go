@@ -11,16 +11,29 @@ import (
 // GRD is the paper's greedy algorithm (Algorithm 1). It generates the
 // scores of all |E|·|T| assignments (in parallel when cfg.Workers > 1;
 // the output is identical either way), then runs the selection phase,
-// SelectGreedy, on the full list.
+// SelectGreedy, on the full list: as the paper's linear scan for
+// "grd", in heap mode for "grdlazy".
 type GRD struct {
-	cfg Config
+	cfg  Config
+	lazy bool
 }
 
 // NewGRD returns the greedy solver.
 func NewGRD(cfg Config) *GRD { return &GRD{cfg: cfg} }
 
-// Name returns "grd".
-func (g *GRD) Name() string { return "grd" }
+// NewGRDLazy returns GRD with its selection in heap mode (CELF lazy
+// re-evaluation). Under a submodular objective (Omega) it selects
+// exactly GRD's schedule with far fewer score updates; under
+// attendance or fairness it is greedy-flavored only.
+func NewGRDLazy(cfg Config) *GRD { return &GRD{cfg: cfg, lazy: true} }
+
+// Name returns "grd", or "grdlazy" in heap mode.
+func (g *GRD) Name() string {
+	if g.lazy {
+		return "grdlazy"
+	}
+	return "grd"
+}
 
 // Solve runs Algorithm 1. GRD is anytime: on context deadline it
 // returns the feasible schedule built so far with Result.Stopped set;
@@ -42,7 +55,7 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 		}
 		return nil, err
 	}
-	stop, err := SelectGreedy(ctx, eng, wl, k, nil, &res.Counters, g.Name(), g.cfg.Progress)
+	stop, err := SelectGreedy(ctx, eng, wl, k, nil, g.lazy, &res.Counters, g.Name(), g.cfg.Progress)
 	if err != nil {
 		return nil, err
 	}
@@ -56,37 +69,64 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 //
 // The pins are applied first, in the given order; they count toward k
 // and are honored even past it. An infeasible pin is an error. The
-// scores in wl assume an empty schedule, so the valid entries at a
-// pinned interval are rescored before selection starts. Then, while
-// fewer than k events are scheduled, the largest score is popped with
-// a linear scan (the paper's popTopAssgn, ties toward the earliest
-// (event, interval)); an invalid pop is dropped, a valid one is
-// applied, and every remaining assignment at the same interval is
-// rescored while invalid ones are removed.
+// scores in wl assume an empty schedule, so entries at a pinned
+// interval must be rescored before they can be trusted. Then, while
+// fewer than k events are scheduled, the top assignment (largest
+// score, ties toward the earliest (event, interval)) is taken in one
+// of two modes:
+//
+//   - Scan (lazy false) is the paper's list: popTopAssgn is a linear
+//     scan, an invalid pop is dropped, a valid one is applied, and
+//     every remaining assignment at the same interval is rescored
+//     while invalid ones are removed. Entries at pinned intervals are
+//     rescored before selection starts. Pops counts scans, and
+//     ListScans the entries the scans and the updates traversed.
+//   - Heap (lazy true) is CELF lazy re-evaluation over the same list,
+//     heapified in place. Every interval carries a version, bumped on
+//     each apply (pins included), and every entry the version its
+//     score was computed at. A popped entry is dropped if invalid,
+//     rescored and reinserted if stale, resolved to its exact score
+//     and reinserted if approximate (see below), and applied only
+//     when it is exact and current. Under a submodular objective a
+//     stale score can only overstate the current one, so the entry
+//     applied is the scan's argmax and both modes select the same
+//     schedule; under attendance or fairness heap mode is only
+//     greedy-flavored. Pops counts every pop — each invalid entry
+//     dropped one by one, each stale or approximate re-pop — and
+//     ListScans stays 0.
 //
 // When eng is a choice.Bounder with valid bounds (the pruned engine
 // under a linear submodular objective), rescores take the O(k)
 // ScoreUpper instead of the exact fold and mark the entry approximate.
-// A popped approximate entry is resolved to its exact score and
-// reinserted, so only an exact score accepts. Because every bound
-// dominates its exact score, the accepted entry is the true argmax —
-// the threshold-algorithm trade: cheap rescores for an occasional
-// extra exact fold when bounds fail to separate.
+// An approximate entry that reaches the top is resolved to its exact
+// score and recontends, so only an exact score accepts. Because every
+// bound dominates its exact score, the accepted entry is the true
+// argmax — the threshold-algorithm trade: cheap rescores for an
+// occasional extra exact fold when bounds fail to separate. In both
+// modes ScoreUpdates counts exact rescores and BoundUpdates bound
+// rescores.
 //
 // progress, when non-nil, receives one notification per applied
 // assignment, pins included, under solverName. ctx is checked before
 // every pop: a deadline returns (StoppedDeadline, nil) with the
 // feasible best-so-far applied to eng; cancellation returns ctx.Err().
 func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, pins []core.Assignment,
-	cnt *Counters, solverName string, progress func(Progress)) (stop string, err error) {
+	lazy bool, cnt *Counters, solverName string, progress func(Progress)) (stop string, err error) {
 	sched := eng.Schedule()
 	bounder, _ := eng.(choice.Bounder)
 	if bounder != nil && !bounder.BoundsValid() {
 		bounder = nil
 	}
+	var versions []int32
+	if lazy {
+		versions = make([]int32, eng.Instance().NumIntervals)
+	}
 	apply := func(event, t int) error {
 		if err := eng.Apply(event, t); err != nil {
 			return err
+		}
+		if versions != nil {
+			versions[t]++
 		}
 		if progress != nil {
 			progress(Progress{Solver: solverName, Event: event, Interval: t, Scheduled: sched.Size()})
@@ -94,24 +134,39 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 		return nil
 	}
 
+	var pinned []bool
 	if len(pins) > 0 {
-		pinned := make([]bool, eng.Instance().NumIntervals)
-		for _, p := range pins {
-			if err := sched.Validity(p.Event, p.Interval); err != nil {
-				return "", fmt.Errorf("solver: pinned assignment (%d,%d) is infeasible: %w", p.Event, p.Interval, err)
-			}
-			if err := apply(p.Event, p.Interval); err != nil {
-				return "", err
-			}
-			pinned[p.Interval] = true
+		pinned = make([]bool, eng.Instance().NumIntervals)
+	}
+	for _, p := range pins {
+		if err := sched.Validity(p.Event, p.Interval); err != nil {
+			return "", fmt.Errorf("solver: pinned assignment (%d,%d) is infeasible: %w", p.Event, p.Interval, err)
 		}
+		if err := apply(p.Event, p.Interval); err != nil {
+			return "", err
+		}
+		pinned[p.Interval] = true
+	}
+	if lazy {
+		// The pins bumped their intervals' versions, so the entries
+		// there are stale until rescored.
+		return selectHeap(ctx, eng, bounder, wl, k, versions, apply, cnt)
+	}
+	return selectScan(ctx, eng, bounder, wl, k, pinned, apply, cnt)
+}
+
+// selectScan is SelectGreedy's scan mode: the paper's list. pinned
+// marks the intervals pins were applied to, if any.
+func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, wl *Worklist, k int,
+	pinned []bool, apply func(event, t int) error, cnt *Counters) (string, error) {
+	sched := eng.Schedule()
+	if pinned != nil {
 		for i := range wl.list {
-			if a := &wl.list[i]; pinned[a.interval] && sched.Validity(a.event, a.interval) == nil {
+			if a := &wl.list[i]; pinned[a.interval] && sched.IsValid(a.event, a.interval) {
 				rescore(eng, bounder, a, cnt)
 			}
 		}
 	}
-
 	for sched.Size() < k && len(wl.list) > 0 {
 		if stop, err := ctxCheck(ctx, true); err != nil || stop != "" {
 			return stop, err
@@ -121,7 +176,7 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 
 		// Line 7: validity check; invalid pops are simply discarded
 		// and the next top is tried.
-		if sched.Validity(top.event, top.interval) != nil {
+		if !sched.IsValid(top.event, top.interval) {
 			continue
 		}
 		// An approximate (upper-bound) entry that reached the top must
@@ -146,7 +201,7 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 			dst := wl.list[:0]
 			for _, a := range wl.list {
 				cnt.ListScans++
-				valid := sched.Validity(a.event, a.interval) == nil
+				valid := sched.IsValid(a.event, a.interval)
 				switch {
 				case a.interval == top.interval && valid:
 					rescore(eng, bounder, &a, cnt)
@@ -158,6 +213,41 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 				}
 			}
 			wl.list = dst
+		}
+	}
+	return "", nil
+}
+
+// selectHeap is SelectGreedy's heap mode: CELF over the same list.
+// A pop that goes back in replaces the top and sifts down, which
+// leaves the heap as a pop followed by a push would.
+func selectHeap(ctx context.Context, eng choice.Engine, bounder choice.Bounder, wl *Worklist, k int,
+	versions []int32, apply func(event, t int) error, cnt *Counters) (string, error) {
+	sched := eng.Schedule()
+	wl.heapify()
+	for sched.Size() < k && len(wl.list) > 0 {
+		if stop, err := ctxCheck(ctx, true); err != nil || stop != "" {
+			return stop, err
+		}
+		cnt.Pops++
+		top := &wl.list[0]
+		switch {
+		case !sched.IsValid(top.event, top.interval):
+			wl.popHeap()
+		case top.version != versions[top.interval]:
+			rescore(eng, bounder, top, cnt)
+			top.version = versions[top.interval]
+			wl.down(0)
+		case top.approx:
+			top.score = eng.Score(top.event, top.interval)
+			top.approx = false
+			cnt.ScoreUpdates++
+			wl.down(0)
+		default:
+			a := wl.popHeap()
+			if err := apply(a.event, a.interval); err != nil {
+				return "", err
+			}
 		}
 	}
 	return "", nil

@@ -1,0 +1,171 @@
+package solver
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"ses/internal/core"
+	"ses/internal/randx"
+	"ses/internal/sestest"
+)
+
+// kernelEngines are the engines the heap ≡ scan harness runs: the
+// production engine, the paper-faithful dense one, and the pruned one
+// with lists short enough that rescores really go through bounds.
+var kernelEngines = []struct {
+	name string
+	f    EngineFactory
+}{
+	{"sparse", DefaultEngine},
+	{"dense", DenseEngine},
+	{"pruned4", PrunedEngineK(4)},
+}
+
+// kernelRun is what one SelectGreedy run did: every applied
+// assignment in order (pins first), the final utility and the work.
+type kernelRun struct {
+	applied []core.Assignment
+	utility float64
+	cnt     Counters
+}
+
+// runKernel selects up to k events on a fresh engine in one mode,
+// from a worklist built the way the session builds its own: the
+// scored cross product minus cancelled events, pinned events and
+// forbidden pairs.
+func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignment,
+	cancelled []bool, forbidden map[core.Assignment]bool, lazy bool) (kernelRun, error) {
+	var run kernelRun
+	eng := f(inst)
+	mat, err := scoreMatrix(context.Background(), eng, 1, &run.cnt)
+	if err != nil {
+		return run, err
+	}
+	pinned := make([]bool, inst.NumEvents())
+	for _, p := range pins {
+		pinned[p.Event] = true
+	}
+	nE, nT := inst.NumEvents(), inst.NumIntervals
+	var wl Worklist
+	wl.Reset(nE * nT)
+	for e := 0; e < nE; e++ {
+		if cancelled[e] || pinned[e] {
+			continue
+		}
+		for t := 0; t < nT; t++ {
+			if !forbidden[core.Assignment{Event: e, Interval: t}] {
+				wl.Add(e, t, mat[t*nE+e])
+			}
+		}
+	}
+	progress := func(p Progress) {
+		run.applied = append(run.applied, core.Assignment{Event: p.Event, Interval: p.Interval})
+	}
+	stop, err := SelectGreedy(context.Background(), eng, &wl, k, pins, lazy, &run.cnt, "kernel", progress)
+	if err != nil {
+		return run, err
+	}
+	if stop != "" {
+		return run, fmt.Errorf("stopped: %s", stop)
+	}
+	run.utility = eng.Utility()
+	return run, nil
+}
+
+// checkHeapMatchesScan draws a random instance, pins, cancellations
+// and forbidden pairs from seed and requires SelectGreedy's heap mode
+// to apply exactly the scan mode's assignments, in the same order,
+// to the same utility bits. It returns both runs' counters.
+func checkHeapMatchesScan(t *testing.T, seed uint64, k int, f EngineFactory) (scan, heap Counters) {
+	t.Helper()
+	inst := sestest.Random(sestest.Config{
+		Users: 40, Events: 12, Intervals: 4, Competing: 5, Locations: 4, Seed: seed,
+	})
+	rng := randx.NewSource(seed ^ 0x9e3779b97f4a7c15)
+	nE, nT := inst.NumEvents(), inst.NumIntervals
+	cancelled := make([]bool, nE)
+	forbidden := make(map[core.Assignment]bool)
+	for i := rng.IntN(3); i > 0; i-- {
+		cancelled[rng.IntN(nE)] = true
+	}
+	for i := rng.IntN(6); i > 0; i-- {
+		forbidden[core.Assignment{Event: rng.IntN(nE), Interval: rng.IntN(nT)}] = true
+	}
+	// Pins must be jointly feasible: keep only those a schedule holding
+	// the earlier ones accepts.
+	var pins []core.Assignment
+	feasible := core.NewSchedule(inst)
+	for i := rng.IntN(3); i > 0; i-- {
+		p := core.Assignment{Event: rng.IntN(nE), Interval: rng.IntN(nT)}
+		if !cancelled[p.Event] && !forbidden[p] && feasible.Assign(p.Event, p.Interval) == nil {
+			pins = append(pins, p)
+		}
+	}
+	slices.SortFunc(pins, func(a, b core.Assignment) int { return cmp.Compare(a.Event, b.Event) })
+
+	s, err := runKernel(inst, f, k, pins, cancelled, forbidden, false)
+	if err != nil {
+		t.Fatalf("seed %d k %d: scan: %v", seed, k, err)
+	}
+	h, err := runKernel(inst, f, k, pins, cancelled, forbidden, true)
+	if err != nil {
+		t.Fatalf("seed %d k %d: heap: %v", seed, k, err)
+	}
+	if len(s.applied) != len(h.applied) {
+		t.Fatalf("seed %d k %d: scan applied %v, heap %v", seed, k, s.applied, h.applied)
+	}
+	for i := range s.applied {
+		if s.applied[i] != h.applied[i] {
+			t.Fatalf("seed %d k %d: step %d: scan applied %v, heap %v (scan %v, heap %v)",
+				seed, k, i, s.applied[i], h.applied[i], s.applied, h.applied)
+		}
+	}
+	if math.Float64bits(s.utility) != math.Float64bits(h.utility) {
+		t.Fatalf("seed %d k %d: scan utility %v, heap %v", seed, k, s.utility, h.utility)
+	}
+	if h.cnt.ListScans != 0 {
+		t.Fatalf("seed %d k %d: heap mode scanned %d list entries", seed, k, h.cnt.ListScans)
+	}
+	return s.cnt, h.cnt
+}
+
+// TestHeapModeMatchesScanMode: under Omega, SelectGreedy's CELF heap
+// mode selects exactly the paper's scan, step for step, on every
+// engine — with pins applied first and a worklist that lacks
+// cancelled events and forbidden pairs, as the session builds it.
+func TestHeapModeMatchesScanMode(t *testing.T) {
+	for _, eng := range kernelEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			var scanWork, heapWork, bounds int
+			for seed := uint64(0); seed < 12; seed++ {
+				for _, k := range []int{1, 3, 6, 10} {
+					s, h := checkHeapMatchesScan(t, seed, k, eng.f)
+					scanWork += s.ScoreUpdates + s.BoundUpdates
+					heapWork += h.ScoreUpdates + h.BoundUpdates
+					bounds += h.BoundUpdates
+				}
+			}
+			if heapWork >= scanWork {
+				t.Errorf("heap mode rescored %d times, scan mode %d", heapWork, scanWork)
+			}
+			if (bounds > 0) != (eng.name == "pruned4") {
+				t.Errorf("heap mode took %d bound rescores", bounds)
+			}
+		})
+	}
+}
+
+// FuzzHeapMatchesScan widens TestHeapModeMatchesScanMode to arbitrary
+// seeds, schedule sizes and engines.
+func FuzzHeapMatchesScan(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(0))
+	f.Add(uint64(7), uint8(9), uint8(1))
+	f.Add(uint64(42), uint8(6), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, k, engine uint8) {
+		checkHeapMatchesScan(t, seed, int(k%16), kernelEngines[int(engine)%len(kernelEngines)].f)
+	})
+}

@@ -98,7 +98,7 @@ climb:
 			bestEvent, bestInterval := a.Event, a.Interval
 			// Relocate: same event, other intervals.
 			for t := 0; t < inst.NumIntervals; t++ {
-				if t == a.Interval || sched.Validity(a.Event, t) != nil {
+				if t == a.Interval || !sched.IsValid(a.Event, t) {
 					continue
 				}
 				res.Counters.ScoreUpdates++
@@ -112,7 +112,7 @@ climb:
 					continue
 				}
 				for t := 0; t < inst.NumIntervals; t++ {
-					if sched.Validity(e, t) != nil {
+					if !sched.IsValid(e, t) {
 						continue
 					}
 					res.Counters.ScoreUpdates++

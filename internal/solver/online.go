@@ -67,7 +67,7 @@ func (s *Online) Solve(ctx context.Context, inst *core.Instance, k int) (*Result
 		// marginal score.
 		bestT, bestScore := -1, 0.0
 		for t := 0; t < inst.NumIntervals; t++ {
-			if sched.Validity(e, t) != nil {
+			if !sched.IsValid(e, t) {
 				continue
 			}
 			sc := eng.Score(e, t)

@@ -4,16 +4,17 @@
 //   - GRD — the paper's greedy Algorithm 1 (Section III), faithful to
 //     the pseudocode: a flat assignment list, linear-scan popTopAssgn,
 //     and eager same-interval score updates after every selection.
-//     Its selection phase, SelectGreedy, is shared with the session
-//     layer's incremental Resolve, which adds pins and a constrained
-//     worklist.
+//     Its selection phase, SelectGreedy, is the one greedy kernel:
+//     the session layer's incremental Resolve runs it too, adding
+//     pins and a constrained worklist.
 //   - TOP — baseline: initial scores only, take the top-k valid
 //     assignments without ever updating a score (Section IV-A).
 //   - RAND — baseline: valid assignments chosen uniformly at random
 //     (Section IV-A).
-//   - GRDLazy — extension: identical output to GRD, but with a
-//     max-heap and CELF-style lazy re-evaluation, exploiting the
-//     per-interval submodularity of the objective.
+//   - GRDLazy — extension: GRD with SelectGreedy in heap mode, a
+//     max-heap with CELF-style lazy re-evaluation that exploits the
+//     per-interval submodularity of the objective; identical output
+//     to GRD under Omega with far fewer score updates.
 //   - Exact — exhaustive DFS with an admissible upper-bound prune;
 //     tractable only on small instances, used to measure the greedy's
 //     empirical approximation quality.
@@ -69,14 +70,22 @@ func PrunedEngineK(k int) EngineFactory {
 type Counters struct {
 	// InitialScores counts Eq. 4 evaluations during list generation.
 	InitialScores int
-	// ScoreUpdates counts Eq. 4 re-evaluations after selections.
+	// ScoreUpdates counts Eq. 4 re-evaluations after selections: the
+	// eager same-interval rescores in SelectGreedy's scan mode, the
+	// stale re-pops in its heap mode, and in both the exact
+	// resolution of a bound-valued entry that reached the top.
 	ScoreUpdates int
 	// BoundUpdates counts O(k) upper-bound rescores (choice.Bounder)
 	// taken in place of exact re-evaluations.
 	BoundUpdates int
-	// Pops counts popTopAssgn calls (including invalid pops).
+	// Pops counts popTopAssgn calls. In scan mode that is one linear
+	// scan each, invalid pops included; in heap mode it is every heap
+	// pop: each invalid entry dropped one by one, each stale or
+	// bound-valued re-pop and each applied entry.
 	Pops int
-	// ListScans counts assignment-list elements traversed.
+	// ListScans counts assignment-list elements traversed by scan
+	// mode's popTopAssgn and same-interval update; heap mode scans no
+	// list, so it leaves ListScans at 0.
 	ListScans int
 	// Moves counts accepted local-search/annealing moves.
 	Moves int

@@ -67,7 +67,7 @@ func (s *Spread) Solve(ctx context.Context, inst *core.Instance, k int) (*Result
 		// Least-loaded valid interval; ties by initial score there.
 		bestT := -1
 		for t := 0; t < nT; t++ {
-			if sched.Validity(a.event, t) != nil {
+			if !sched.IsValid(a.event, t) {
 				continue
 			}
 			if bestT < 0 ||

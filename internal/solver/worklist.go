@@ -24,10 +24,14 @@ import (
 // approx marks a score that is an upper bound from a choice.Bounder
 // rescore rather than an exact Score; the selection loop must resolve
 // it exactly before accepting it (threshold-algorithm pruning).
+// version is, in SelectGreedy's heap mode, the interval's version the
+// score was computed at; it sits in the struct's padding, so an entry
+// stays 32 bytes.
 type assignment struct {
 	event    int
 	interval int
 	score    float64
+	version  int32
 	approx   bool
 }
 
@@ -128,9 +132,9 @@ func scoreMatrix(ctx context.Context, eng choice.Engine, workers int, counters *
 }
 
 // Worklist is the scored assignment list shared by the constructive
-// solvers (GRD, TOP, TOPFill; GRDLazy heapifies the same entries) and
-// consumed by SelectGreedy. The session layer fills one itself, with
-// Reset and Add, to select from its cached scores.
+// solvers (GRD in either selection mode, TOP, TOPFill) and consumed
+// by SelectGreedy. The session layer fills one itself, with Reset and
+// Add, to select from its cached scores.
 type Worklist struct {
 	list []assignment
 }
@@ -198,6 +202,47 @@ func (w *Worklist) popTop(counters *Counters) assignment {
 	top := l[best]
 	l[best] = l[len(l)-1]
 	w.list = l[:len(l)-1]
+	return top
+}
+
+// heapify orders the list as a binary max-heap under better, in place.
+func (w *Worklist) heapify() {
+	for i := len(w.list)/2 - 1; i >= 0; i-- {
+		w.down(i)
+	}
+}
+
+// down sifts entry i toward the leaves until neither child is better.
+func (w *Worklist) down(i int) {
+	l := w.list
+	x := l[i]
+	for {
+		c := 2*i + 1
+		if c >= len(l) {
+			break
+		}
+		if r := c + 1; r < len(l) && better(l[r], l[c]) {
+			c = r
+		}
+		if !better(l[c], x) {
+			break
+		}
+		l[i] = l[c]
+		i = c
+	}
+	l[i] = x
+}
+
+// popHeap removes and returns the top of a heapified list.
+func (w *Worklist) popHeap() assignment {
+	l := w.list
+	top := l[0]
+	last := len(l) - 1
+	w.list = l[:last]
+	if last > 0 {
+		l[0] = l[last]
+		w.down(0)
+	}
 	return top
 }
 
