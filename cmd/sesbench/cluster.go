@@ -270,7 +270,7 @@ func bootBenchCluster(n int, tag string, tweaks ...func(*cluster.NodeOptions)) (
 			ID:      bn.id,
 			Peers:   urls,
 			Session: session.Options{Workers: 1},
-			Shipper: cluster.ShipperOptions{Poll: 2 * time.Millisecond, Heartbeat: 50 * time.Millisecond},
+			Shipper: cluster.ShipperOptions{Heartbeat: 50 * time.Millisecond},
 		}
 		for _, tw := range tweaks {
 			tw(&opts)

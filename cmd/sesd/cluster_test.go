@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,7 +81,7 @@ func newDaemonCluster(t *testing.T, n int, tweaks ...func(*cluster.NodeOptions))
 			ID:      id,
 			Peers:   dc.urls,
 			Session: session.Options{Workers: 1},
-			Shipper: cluster.ShipperOptions{Poll: 2 * time.Millisecond, Heartbeat: 50 * time.Millisecond},
+			Shipper: cluster.ShipperOptions{Heartbeat: 50 * time.Millisecond},
 			Logf:    t.Logf,
 			Tracer:  o.Tracer,
 		}
@@ -401,5 +404,119 @@ func TestClusterFlagsValidated(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-data-dir", t.TempDir(), "-node-id", "n1", "-peers", "n2=http://x"}); err == nil {
 		t.Error("peers without self accepted")
+	}
+}
+
+// TestShutdownEndsLongLivedStreams: shutting down a clustered sesd
+// whose follower holds its shipping and ack streams open, with a watch
+// stream open too, returns within a second under a 5s drain budget —
+// the streams end when shutdown starts instead of holding it for the
+// whole budget — while a batch already mid-request still drains to its
+// 200 and the final checkpoint is written.
+func TestShutdownEndsLongLivedStreams(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := &daemonSwap{}
+	peerSrv := httptest.NewServer(sw)
+	peers := map[string]string{"n1": "http://" + ln.Addr().String(), "n2": peerSrv.URL}
+	node := func(id string, d *ses.DurableStore) *cluster.Node {
+		n, err := cluster.NewNode(d, cluster.NodeOptions{ID: id, Peers: peers, Session: session.Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	d2, err := ses.OpenStore(ses.WithDurability(t.TempDir()), ses.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2 := node("n2", d2)
+	sw.h.Store(n2.Handler())
+	n2.Start()
+	t.Cleanup(func() {
+		n2.Close()
+		peerSrv.CloseClientConnections()
+		peerSrv.Close()
+		d2.Close()
+	})
+
+	dir := t.TempDir()
+	o := ses.NewObservability(ses.ObservabilityOptions{})
+	d1, err := ses.OpenStore(ses.WithDurability(dir), ses.WithWorkers(1), ses.WithObservability(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1 := node("n1", d1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(ctx, ln, d1, ses.NewPipeline(d1, ses.WithResolveWorkers(1)), d1, n1, o, 5*time.Second)
+	}()
+	url := peers["n1"]
+	do(t, "POST", url+"/v1/sessions", createReq{Name: "drain", K: 3, Instance: instanceDoc(t, 61)}, http.StatusCreated, nil)
+
+	// n2 follows n1: one shipping stream, and acks arriving on its ack
+	// stream.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := n1.Status(); len(st.Streams) != 1 || st.AcksReceived == 0; st = n1.Status() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never connected: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	watch, err := http.Get(url + "/v1/sessions/drain/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Body.Close()
+	events := make(chan sseEvent, 16)
+	go readSSE(bufio.NewScanner(watch.Body), events)
+	if ev, ok := nextEvent(t, events); !ok || ev.Type != "hello" {
+		t.Fatalf("first watch event = %+v, want hello", ev)
+	}
+
+	// A batch whose body is only half sent when shutdown starts is in
+	// flight for certain: it must drain, not be cut.
+	body, _ := json.Marshal(batchReq{Mutations: []ses.Mutation{ses.UpdateInterestOp(1, 0, 0.9)}})
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/sessions/drain/batch HTTP/1.1\r\nHost: n1\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	conn.Write(body[:len(body)/2])
+	time.Sleep(100 * time.Millisecond) // let the server read the head
+
+	start := time.Now()
+	cancel()
+	conn.Write(body[len(body)/2:])
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("in-flight batch cut by shutdown: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-flight batch answered %s, want 200", resp.Status)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve never returned")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("shutdown took %v with long-lived streams open; want under 1s", took)
+	}
+	for range events {
+		// The watch stream ended with the shutdown.
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.ckpt"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no final checkpoint under %s (%v)", dir, err)
 	}
 }

@@ -20,8 +20,9 @@
 // acknowledged create/delete/batch/resolve/restore is appended to a
 // per-shard write-ahead log under DIR before the response is sent
 // (fsynced per -sync), boot recovers the acknowledged state from the
-// log, and SIGTERM/SIGINT shuts down gracefully — stop accepting,
-// drain in-flight requests (once -drain expires their contexts are
+// log, and SIGTERM/SIGINT shuts down gracefully — stop accepting, end
+// the long-lived watch and replication streams at once, drain
+// in-flight requests (once -drain expires their contexts are
 // cancelled: those resolves abort without committing and the previous
 // schedules stay current), write a final checkpoint, exit 0. Inspect
 // the log offline with seswal. -group-commit batches concurrent
@@ -307,10 +308,11 @@ func tracerOf(o *ses.Observability) *obs.Tracer {
 const readHeaderTimeout = 5 * time.Second
 
 // serve runs the HTTP front until ctx is cancelled, then shuts down
-// gracefully: the listener stops accepting, in-flight requests drain,
-// and a durable store writes its final checkpoint before serve
-// returns nil. If the drain budget expires first, the remaining
-// requests' contexts are cancelled: their resolves abort WITHOUT
+// gracefully: the listener stops accepting, the long-lived streams
+// (watch, replication shipping and acks) end at once, in-flight
+// requests drain, and a durable store writes its final checkpoint
+// before serve returns nil. If the drain budget expires first, the
+// remaining requests' contexts are cancelled: their resolves abort WITHOUT
 // committing (cancellation, unlike a deadline, never commits a
 // best-so-far) — the previous schedules stay current and batch
 // mutations stay staged for the next resolve.
@@ -326,11 +328,17 @@ func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
+	streams, endStreams := context.WithCancel(context.Background())
+	defer endStreams()
+	srv.shutdown = streams
 	httpSrv := &http.Server{
 		Handler:           srv.routes(),
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 		ReadHeaderTimeout: readHeaderTimeout,
 	}
+	// Shutdown waits for every active handler, and the long-lived
+	// streams never end on their own: end them when it starts.
+	httpSrv.RegisterOnShutdown(endStreams)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -392,6 +400,9 @@ type server struct {
 	// backs replica reads for sessions whose primary is a peer.
 	node  *cluster.Node
 	start time.Time
+	// shutdown is cancelled when graceful shutdown starts; the
+	// long-lived stream routes end on it (nil outside serve).
+	shutdown context.Context
 	// obs is the observability bundle (nil when -obs=false): trace
 	// ring behind /v1/traces, Prometheus registry behind /metrics, and
 	// the watch hub behind the SSE endpoint.
@@ -438,7 +449,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{name}/schedule", s.getSchedule)
 	mux.HandleFunc("GET /v1/sessions/{name}/snapshot", s.getSnapshot)
 	mux.HandleFunc("POST /v1/sessions/{name}/restore", s.restoreSession)
-	mux.HandleFunc("GET /v1/sessions/{name}/watch", s.watchSession)
+	mux.Handle("GET /v1/sessions/{name}/watch", s.untilShutdown(http.HandlerFunc(s.watchSession)))
 	mux.HandleFunc("GET /v1/metrics", s.metrics)
 	mux.HandleFunc("GET /v1/traces", s.listTraces)
 	mux.HandleFunc("GET /v1/traces/{id}", s.getTrace)
@@ -449,7 +460,10 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", healthz)
 	mux.HandleFunc("GET /v1/readyz", s.readyz)
 	if s.node != nil {
-		mux.Handle("/v1/replication/", s.node.Handler())
+		repl := s.node.Handler()
+		mux.Handle("/v1/replication/", repl)
+		mux.Handle("POST /v1/replication/stream", s.untilShutdown(repl))
+		mux.Handle("POST /v1/replication/ack", s.untilShutdown(repl))
 	}
 	if s.obs != nil {
 		s.registerMetrics()
@@ -457,6 +471,31 @@ func (s *server) routes() http.Handler {
 	}
 	mux.HandleFunc("GET /{$}", s.dashboard)
 	return s.instrument(mux)
+}
+
+// untilShutdown wraps a long-lived stream handler so it ends when
+// graceful shutdown starts: its context is cancelled (the watch and
+// shipping loops select on it) and its connection's deadlines pass (a
+// handler blocked reading the ack stream's body, or writing to a
+// client that stopped reading, returns). Ordinary requests are not
+// wrapped, so they drain.
+func (s *server) untilShutdown(h http.Handler) http.Handler {
+	if s.shutdown == nil {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		stop := context.AfterFunc(s.shutdown, func() {
+			cancel()
+			rc := http.NewResponseController(w)
+			now := time.Now()
+			rc.SetReadDeadline(now)
+			rc.SetWriteDeadline(now)
+		})
+		defer stop()
+		h.ServeHTTP(w, r.WithContext(ctx))
+	})
 }
 
 // writeJSON emits one JSON response.

@@ -23,7 +23,7 @@ func (s *server) tracer() *obs.Tracer {
 
 // statusWriter captures the response status for the per-route counter
 // and the root span, passing Flush through so SSE streaming works
-// behind the wrapper.
+// behind the wrapper, and unwrapping for http.ResponseController.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -48,6 +48,8 @@ func (w *statusWriter) Flush() {
 		f.Flush()
 	}
 }
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) status() int {
 	if w.code == 0 {
@@ -187,7 +189,7 @@ func (s *server) registerMetrics() {
 				repl(func(m cluster.Metrics) float64 { return float64(m.AckWaits) }))
 			reg.CollectFunc("ses_replication_ack_timeouts_total", "Synchronous-ack waits that degraded to 503.", "counter", nil,
 				repl(func(m cluster.Metrics) float64 { return float64(m.AckTimeouts) }))
-			reg.CollectFunc("ses_replication_acks_received_total", "Follower ack POSTs processed.", "counter", nil,
+			reg.CollectFunc("ses_replication_acks_received_total", "Follower ack messages processed.", "counter", nil,
 				repl(func(m cluster.Metrics) float64 { return float64(m.AcksReceived) }))
 		}
 		if s.obs.Hub != nil {

@@ -248,18 +248,21 @@
 // set — every member and the router build the identical ring from the
 // identical -peers map, so a session's primary needs no coordination
 // to compute. Each node follows every peer: a streaming HTTP endpoint
-// (/v1/replication/stream) tails the primary's per-shard WALs live
-// via WALTailer — across segment rotation, stopping cleanly at torn
-// tails — and the follower applies the records through the same
+// (/v1/replication/stream) pushes the primary's per-shard WALs — every
+// commit wakes one ship loop per follower, which reads the shards that
+// moved via WALTailer (across segment rotation, stopping cleanly at
+// torn tails) — and the follower applies the records through the same
 // replay path recovery uses, into an in-memory replica store serving
 // lock-free Meta and read fallbacks while staying warm for takeover.
-// Because a record is shipped only after the primary's group-commit
-// fsync acknowledged it, replication never advertises state the
-// primary could lose. Shipping is asynchronous by default; with
+// A record ships only once its append is acknowledged (after its fsync
+// under SyncAlways): the ship loop stops at the store's committed
+// watermark, so under that policy replication never advertises state
+// the primary could lose. Shipping is asynchronous by default; with
 // -replicate-ack N each mutation response additionally waits until N
-// distinct followers have durably applied the record (followers post
-// applied cursors back to the primary), degrading to 503 past a
-// bounded wait rather than overstating durability. The sesd daemon
+// distinct followers have durably applied the record (each follower
+// streams its applied cursors back to the primary on one long-lived
+// request), degrading to 503 past a bounded wait rather than
+// overstating durability. The sesd daemon
 // joins a cluster with -node-id and -peers (health and readiness on
 // /v1/healthz and /v1/readyz, replication lag under /v1/metrics); the
 // sesrouter command fronts the cluster, routing mutations to

@@ -14,12 +14,13 @@ import (
 // Replication acks close the acked-write loss window: with
 // `-replicate-ack N` a mutation's HTTP response is withheld until N
 // followers have applied the shipped record, so an acknowledged write
-// can no longer die with its primary alone. The stream itself stays
-// one-way (see proto.go); followers report progress by POSTing their
-// applied cursors to /v1/replication/ack after each apply, coalesced
-// naturally by the round-trip time — while one ack POST is in flight,
-// every record applied meanwhile folds into the next one, the same
-// self-batching shape as the WAL group-commit queue.
+// can no longer die with its primary alone. The shipping stream
+// itself stays one-way (see proto.go); each follower reports progress
+// on a second long-lived request, POST /v1/replication/ack, whose body
+// is a stream of newline-delimited cursor messages — one after each
+// apply, holding only the shards that moved. Messages self-batch: while
+// one is being written, every record applied meanwhile folds into the
+// next, the same shape as the WAL group-commit queue.
 
 // ErrAckTimeout reports that a synchronous-ack wait expired before
 // enough followers confirmed the write. The write IS committed on the
@@ -35,7 +36,7 @@ type ackTracker struct {
 	mu      sync.Mutex
 	peers   map[string]*[store.NumShards]wal.Cursor
 	waiters map[*ackWaiter]struct{}
-	acks    atomic.Uint64 // ack requests processed
+	acks    atomic.Uint64 // ack messages processed
 }
 
 // ackWaiter is one parked AwaitAck call.

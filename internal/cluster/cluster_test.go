@@ -110,7 +110,7 @@ func newTestCluster(t *testing.T, n int, durOpts store.DurableOptions, tweaks ..
 			ID:      id,
 			Peers:   c.urls,
 			Session: durOpts.Session,
-			Shipper: ShipperOptions{Poll: 2 * time.Millisecond, Heartbeat: 50 * time.Millisecond},
+			Shipper: ShipperOptions{Heartbeat: 50 * time.Millisecond},
 		}
 		for _, tw := range tweaks {
 			tw(&opts)

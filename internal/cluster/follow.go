@@ -45,7 +45,8 @@ type Follower struct {
 	onAdopt func(name string)
 
 	// ackCh wakes the ack loop after an apply; capacity 1, so applies
-	// that land while an ack POST is in flight coalesce into one.
+	// that land while an ack message is being written coalesce into
+	// the next one.
 	ackCh    chan struct{}
 	acksSent atomic.Uint64
 
@@ -77,18 +78,19 @@ func newFollower(self, peer, url string, replica *store.Store, client *http.Clie
 // Replica returns the in-memory store the follower maintains.
 func (f *Follower) Replica() *store.Store { return f.replica }
 
-// start launches the reconnect loop and the ack loop.
+// start launches the replication stream and the ack stream, each
+// reconnecting until stop.
 func (f *Follower) start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	f.cancel = cancel
 	f.wg.Add(2)
 	go func() {
 		defer f.wg.Done()
-		f.run(ctx)
+		redial(ctx, f.stream, f.setDisconnected)
 	}()
 	go func() {
 		defer f.wg.Done()
-		f.ackLoop(ctx)
+		redial(ctx, f.ackStream, func(error) {})
 	}()
 }
 
@@ -100,13 +102,16 @@ func (f *Follower) stop() {
 	}
 }
 
-// run reconnects with backoff until the context ends.
-func (f *Follower) run(ctx context.Context) {
+// redial runs connect until the context ends, reporting each
+// connection's end to ended and pausing between attempts with a
+// backoff that doubles from 100ms to 2s and resets once a connection
+// stayed up for 2s.
+func redial(ctx context.Context, connect func(context.Context) error, ended func(error)) {
 	backoff := 100 * time.Millisecond
 	for ctx.Err() == nil {
 		started := time.Now()
-		err := f.stream(ctx)
-		f.setDisconnected(err)
+		err := connect(ctx)
+		ended(err)
 		if ctx.Err() != nil {
 			return
 		}
@@ -225,8 +230,8 @@ func (f *Follower) apply(m streamMsg) error {
 	}
 }
 
-// noteApplied wakes the ack loop; a full channel means an ack POST is
-// already pending and this apply will ride it.
+// noteApplied wakes the ack stream; a full channel means an ack
+// message is already pending and this apply will ride it.
 func (f *Follower) noteApplied() {
 	select {
 	case f.ackCh <- struct{}{}:
@@ -234,50 +239,68 @@ func (f *Follower) noteApplied() {
 	}
 }
 
-// ackLoop reports the replica's applied cursors back to the peer
-// primary after each apply, so the primary's synchronous-ack waiters
-// (and its re-replication watermarks) see follower progress. The POST
-// reuses the streamReq shape; failures are recorded but not retried —
-// the next apply triggers a fresh, strictly newer ack.
-func (f *Follower) ackLoop(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-f.ackCh:
+// ackStream keeps one POST /v1/replication/ack open to the peer
+// primary and writes the replica's applied cursors onto its body as
+// newline-delimited streamReq objects: first every shard past zero,
+// then, after each apply, only the shards whose cursor moved. The
+// primary's synchronous-ack waiters and re-replication watermarks
+// read them. It returns when the connection breaks; because the next
+// connection restates every shard, an ack lost with this one is never
+// needed.
+func (f *Follower) ackStream(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.url+"/v1/replication/ack", pr)
+	if err != nil {
+		cancel()
+		return err
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	var doErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := f.client.Do(req)
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("cluster: ack stream to %s ended: %s", f.peer, resp.Status)
 		}
-		req := streamReq{Node: f.self, Cursors: map[string]string{}}
+		doErr = err
+		pr.CloseWithError(err) // fail a write blocked on the dead stream
+	}()
+	defer func() {
+		// The transport's write loop is blocked reading the body until
+		// it ends, and a cancelled Do waits for that loop.
+		cancel()
+		pw.Close()
+		<-done
+	}()
+
+	var sent [store.NumShards]wal.Cursor // acked on this connection
+	enc := json.NewEncoder(pw)
+	for {
+		msg := streamReq{Node: f.self, Cursors: map[string]string{}}
 		f.mu.Lock()
 		for i, c := range f.cursors {
-			if !c.IsZero() {
-				req.Cursors[strconv.Itoa(i)] = c.String()
+			if sent[i].Before(c) {
+				msg.Cursors[strconv.Itoa(i)] = c.String()
+				sent[i] = c
 			}
 		}
 		f.mu.Unlock()
-		if len(req.Cursors) == 0 {
-			continue
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			continue
-		}
-		postCtx, cancel := context.WithTimeout(ctx, time.Second)
-		httpReq, err := http.NewRequestWithContext(postCtx, http.MethodPost,
-			f.url+"/v1/replication/ack", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			continue
-		}
-		httpReq.Header.Set("Content-Type", "application/json")
-		resp, err := f.client.Do(httpReq)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode < 300 {
-				f.acksSent.Add(1)
+		if len(msg.Cursors) > 0 {
+			if err := enc.Encode(msg); err != nil {
+				return err
 			}
+			f.acksSent.Add(1)
 		}
-		cancel()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-done:
+			return doErr
+		case <-f.ackCh:
+		}
 	}
 }
 
@@ -343,7 +366,8 @@ type FollowStatus struct {
 	// acked by ANY follower survives no matter which survivor the
 	// router picks.
 	Cursors map[string]string `json:"cursors,omitempty"`
-	// AcksSent counts ack POSTs this follower delivered to its peer.
+	// AcksSent counts ack messages this follower wrote to its ack
+	// stream to the peer.
 	AcksSent uint64 `json:"acks_sent"`
 }
 

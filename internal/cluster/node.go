@@ -115,7 +115,7 @@ type Node struct {
 	followers map[string]*Follower // peer id -> stream from that peer
 
 	// acks tracks what this node's followers have applied of ITS log
-	// (they POST cursors to /v1/replication/ack); AwaitAck and the
+	// (they stream cursors to /v1/replication/ack); AwaitAck and the
 	// re-replication watermarks read it.
 	acks        *ackTracker
 	ackWaits    atomic.Uint64
@@ -176,7 +176,7 @@ func NewNode(d *store.Durable, opts NodeOptions) (*Node, error) {
 		opts:      opts,
 		ring:      ring,
 		durable:   d,
-		shipper:   NewShipper(d.Dir(), shipOpts),
+		shipper:   NewShipper(d.Dir(), d, shipOpts),
 		followers: make(map[string]*Follower),
 		acks:      newAckTracker(),
 		adoptedBy: make(map[string]string),
@@ -602,7 +602,7 @@ type Status struct {
 	// non-truncation reasons — nonzero means lag figures may understate
 	// a sick disk.
 	BacklogScanErrors uint64 `json:"backlog_scan_errors"`
-	// AcksReceived counts follower ack POSTs this node processed.
+	// AcksReceived counts follower ack messages this node processed.
 	AcksReceived uint64 `json:"acks_received"`
 	// AdoptedShardsPending/Replicated track post-failover
 	// re-replication: shards whose adopted sessions no follower has
@@ -680,8 +680,8 @@ type Metrics struct {
 	// BacklogScanErrors counts failed (non-truncation) backlog scans.
 	BacklogScanErrors uint64 `json:"backlog_scan_errors"`
 	// AcksReceived/AckWaits/AckTimeouts price the synchronous-ack
-	// path: follower ack POSTs processed, mutations that waited, and
-	// waits that degraded to 503.
+	// path: follower ack messages processed, mutations that waited,
+	// and waits that degraded to 503.
 	AcksReceived uint64 `json:"acks_received"`
 	AckWaits     uint64 `json:"ack_waits"`
 	AckTimeouts  uint64 `json:"ack_timeouts"`
@@ -720,27 +720,20 @@ func (n *Node) Metrics() Metrics {
 	return m
 }
 
-// Handler serves the node's replication endpoints:
-//
-//	POST /v1/replication/stream   the WAL shipping stream (Shipper)
-//	GET  /v1/replication/status   Status JSON
-//	POST /v1/replication/ack      follower cursor acks (streamReq shape)
-//	GET  /v1/replication/replica  ?peer=ID&shard=N -> checkpoint-entry
-//	                              transfer of our replica of that peer's
-//	                              shard (the promote-time merge source)
-//	POST /v1/replication/promote  {"peer":ID,"epoch":E} -> {"adopted":N,"epoch":E}
-//	                              (epoch 0/omitted mints current+1;
-//	                              stale epochs get 409)
-func (n *Node) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("POST /v1/replication/stream", n.shipper)
-	mux.HandleFunc("GET /v1/replication/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(n.Status())
-	})
-	mux.HandleFunc("POST /v1/replication/ack", func(w http.ResponseWriter, r *http.Request) {
+// serveAcks reads one follower's ack stream: newline-delimited
+// streamReq objects, each one ack message carrying the shards whose
+// applied cursor moved, until the follower ends the body (so a
+// one-object POST stays valid). Every message feeds the ack tracker
+// as it arrives.
+func (n *Node) serveAcks(w http.ResponseWriter, r *http.Request) {
+	dec := json.NewDecoder(r.Body)
+	for {
 		var req streamReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Node == "" {
+		err := dec.Decode(&req)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || req.Node == "" {
 			http.Error(w, "bad ack request", http.StatusBadRequest)
 			return
 		}
@@ -754,8 +747,31 @@ func (n *Node) Handler() http.Handler {
 			cursors[i] = cur
 		}
 		n.acks.update(req.Node, cursors)
-		w.WriteHeader(http.StatusNoContent)
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// Handler serves the node's replication endpoints:
+//
+//	POST /v1/replication/stream   the WAL shipping stream (Shipper)
+//	GET  /v1/replication/status   Status JSON
+//	POST /v1/replication/ack      follower cursor acks: a long-lived
+//	                              body of newline-delimited streamReq
+//	                              objects
+//	GET  /v1/replication/replica  ?peer=ID&shard=N -> checkpoint-entry
+//	                              transfer of our replica of that peer's
+//	                              shard (the promote-time merge source)
+//	POST /v1/replication/promote  {"peer":ID,"epoch":E} -> {"adopted":N,"epoch":E}
+//	                              (epoch 0/omitted mints current+1;
+//	                              stale epochs get 409)
+func (n *Node) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("POST /v1/replication/stream", n.shipper)
+	mux.HandleFunc("GET /v1/replication/status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(n.Status())
 	})
+	mux.HandleFunc("POST /v1/replication/ack", n.serveAcks)
 	mux.HandleFunc("GET /v1/replication/replica", func(w http.ResponseWriter, r *http.Request) {
 		peer := r.URL.Query().Get("peer")
 		shard, err := strconv.Atoi(r.URL.Query().Get("shard"))

@@ -29,13 +29,19 @@ import (
 //	     shipped yet (records, bytes) — measured by walking frame
 //	     headers, so follower lag is exact, not estimated.
 //
+// The primary pushes: its ship loop wakes on the store's commit
+// signal and sends each shard's records up to the shard's committed
+// watermark, so no record leaves before its Append is acknowledged.
+//
 // The stream itself carries no acks (resuming is a reconnect with
-// newer cursors), but follower progress does flow back out-of-band:
-// after each apply the follower POSTs its cursors — the same
-// streamReq JSON shape — to /v1/replication/ack on the primary,
-// coalesced by the round-trip time. The primary's ack tracker (see
-// ack.go) feeds synchronous-ack waits (`sesd -replicate-ack N`) and
-// the post-failover re-replication watermarks.
+// newer cursors), but follower progress does flow back on a second
+// long-lived request: the follower holds one POST
+// /v1/replication/ack open and writes newline-delimited streamReq
+// objects onto its body — every shard past zero first, then after
+// each apply only the shards whose cursor moved. The primary's ack
+// tracker (see ack.go) feeds synchronous-ack waits
+// (`sesd -replicate-ack N`) and the post-failover re-replication
+// watermarks.
 const (
 	msgCheckpoint byte = 'C'
 	msgRecord     byte = 'R'
@@ -101,7 +107,8 @@ func readMsg(r io.Reader, buf *[]byte) (streamMsg, error) {
 	return m, nil
 }
 
-// streamReq is the POST body opening a replication stream.
+// streamReq is the POST body opening a replication stream, and one
+// message of an ack stream.
 type streamReq struct {
 	// Node identifies the follower (for the primary's status page).
 	Node string `json:"node"`

@@ -17,19 +17,10 @@ import (
 
 // ShipperOptions configures a Shipper; the zero value is usable.
 type ShipperOptions struct {
-	// Poll is the shard tailers' directory poll interval (0 = 5ms).
-	Poll time.Duration
 	// Heartbeat is how often each stream reports backlog (0 = 500ms).
 	Heartbeat time.Duration
 	// Logf receives connection lifecycle lines (nil = silent).
 	Logf func(format string, args ...any)
-}
-
-func (o ShipperOptions) poll() time.Duration {
-	if o.Poll <= 0 {
-		return 5 * time.Millisecond
-	}
-	return o.Poll
 }
 
 func (o ShipperOptions) heartbeat() time.Duration {
@@ -39,14 +30,37 @@ func (o ShipperOptions) heartbeat() time.Duration {
 	return o.Heartbeat
 }
 
+// shipFallback is how often a ship loop rechecks every shard's
+// watermark without a commit signal, so a missed wake cannot strand a
+// record.
+const shipFallback = time.Second
+
+// CommitSource is what a Shipper needs from the primary's store: the
+// per-shard committed watermark and the signal that it moved.
+// *store.Durable implements it.
+type CommitSource interface {
+	// Commits returns a channel closed by the next commit to any
+	// shard; the shipper takes it before reading watermarks.
+	Commits() <-chan struct{}
+	// ShardCommitted is the cursor just past shard i's last committed
+	// record.
+	ShardCommitted(i int) wal.Cursor
+}
+
 // Shipper serves a primary's replication stream: one HTTP response
-// per follower, multiplexing live tailers over all shard logs. It
-// reads the data directory only — the serving store never cooperates
-// beyond writing its WAL, which is what makes shipping safe to bolt
-// onto the existing append path.
+// per follower, multiplexing all shard logs. Each stream runs one
+// loop that sleeps until the store signals a commit, then reads every
+// shard behind its committed watermark straight from the data
+// directory and ships it — up to the watermark and never past it, so
+// a record leaves the primary only once its Append was acknowledged
+// (after its fsync under sync=always).
 type Shipper struct {
 	dir  string
+	src  CommitSource
 	opts ShipperOptions
+	// fallback is the ship loop's recheck period (shipFallback; tests
+	// shorten it).
+	fallback time.Duration
 
 	records atomic.Uint64 // total records shipped across streams
 	bytes   atomic.Uint64
@@ -59,29 +73,33 @@ type Shipper struct {
 	streams map[*shipStream]struct{}
 }
 
-// NewShipper ships the WAL under a durable store's data directory.
-func NewShipper(dir string, opts ShipperOptions) *Shipper {
-	return &Shipper{dir: dir, opts: opts, streams: make(map[*shipStream]struct{})}
+// NewShipper ships the WAL under a durable store's data directory,
+// following src's committed watermarks.
+func NewShipper(dir string, src CommitSource, opts ShipperOptions) *Shipper {
+	return &Shipper{dir: dir, src: src, opts: opts, fallback: shipFallback,
+		streams: make(map[*shipStream]struct{})}
 }
 
-// shipStream is one follower connection.
+// shipStream is one follower connection. Only its ship loop writes
+// the response, the tailers and the cursors; mu orders the cursor and
+// backlog writes with Status readers.
 type shipStream struct {
 	node  string
 	since time.Time
 
 	records atomic.Uint64 // records shipped on this stream
 
-	mu      sync.Mutex // serializes writes to the response
 	w       http.ResponseWriter
 	flush   func()
-	cursors [store.NumShards]wal.Cursor // shipped-so-far, for backlog scans
+	tailers [store.NumShards]*wal.Tailer // opened on a shard's first visit
+
+	mu      sync.Mutex
+	cursors [store.NumShards]wal.Cursor // shipped-so-far
 	backlog wal.Backlog                 // last heartbeat's measured backlog
 }
 
 // send frames one message onto the stream and flushes it.
 func (s *shipStream) send(kind byte, shard int, a, b uint64, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := writeMsg(s.w, kind, shard, a, b, payload); err != nil {
 		return err
 	}
@@ -201,75 +219,79 @@ func (sh *Shipper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sh.logf("cluster: follower %q disconnected", req.Node)
 	}()
 
-	// One goroutine per shard tails that shard's log; the first error
-	// (client gone, I/O) cancels them all.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < store.NumShards; i++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			if err := sh.shipShard(ctx, st, shard); err != nil && ctx.Err() == nil {
-				sh.logf("cluster: stream to %q shard %d: %v", st.node, shard, err)
-				cancel()
-			}
-		}(i)
+	if err := sh.ship(r.Context(), st); err != nil && r.Context().Err() == nil {
+		sh.logf("cluster: stream to %q: %v", st.node, err)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := sh.heartbeatLoop(ctx, st); err != nil && ctx.Err() == nil {
-			cancel()
+}
+
+// ship is a stream's one loop. It reports the backlog at connect
+// (before the catch-up pass, so a follower starting far behind knows
+// it), then repeatedly ships every shard up to its watermark and
+// sleeps until the store signals a commit, the fallback tick fires or
+// a heartbeat is due. It returns when the client goes away or a send
+// fails.
+func (sh *Shipper) ship(ctx context.Context, st *shipStream) error {
+	defer func() {
+		for _, t := range st.tailers {
+			if t != nil {
+				t.Close()
+			}
 		}
 	}()
-	wg.Wait()
-}
-
-// shipShard streams one shard from the follower's cursor, resyncing
-// through the checkpoint whenever the cursor falls below the
-// truncation horizon.
-func (sh *Shipper) shipShard(ctx context.Context, st *shipStream, shard int) error {
-	dir := store.ShardDir(sh.dir, shard)
-	cur := st.cursor(shard)
-	for ctx.Err() == nil {
-		// Resync decision: a cursor below the checkpoint horizon (or a
-		// zero cursor on a checkpointed log) starts from the checkpoint
-		// image instead of records that no longer exist.
-		l, err := wal.Open(dir, wal.Options{})
-		if err != nil {
-			return err
-		}
-		// Only the checkpoint image and its seq are needed; close the
-		// log before streaming so a long-lived stream that resyncs many
-		// times does not accumulate open segment handles.
-		ck, data := l.CheckpointSeq(), l.Checkpoint()
-		l.Close()
-		if ck > 0 && cur.Seq < ck {
-			if err := st.send(msgCheckpoint, shard, ck, 0, data); err != nil {
-				return err
-			}
-			sh.bytes.Add(uint64(len(data)))
-			cur = wal.Cursor{Seq: ck}
-			st.setCursor(shard, cur)
-		}
-		err = sh.tailFrom(ctx, st, shard, dir, &cur)
-		if errors.Is(err, wal.ErrTruncated) {
-			continue // a new checkpoint swept the cursor; resync
-		}
+	beat := time.NewTicker(sh.opts.heartbeat())
+	defer beat.Stop()
+	fallback := time.NewTicker(sh.fallback)
+	defer fallback.Stop()
+	if err := sh.heartbeat(st); err != nil {
 		return err
 	}
-	return ctx.Err()
+	for {
+		// Take the signal before reading any watermark: a commit that
+		// lands during the pass then wakes the select below.
+		wake := sh.src.Commits()
+		for i := range st.tailers {
+			if err := sh.shipShard(st, i); err != nil {
+				return err
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-wake:
+		case <-fallback.C:
+		case <-beat.C:
+			if err := sh.heartbeat(st); err != nil {
+				return err
+			}
+		}
+	}
 }
 
-// tailFrom streams records from cur until the context ends or the
-// cursor is truncated away.
-func (sh *Shipper) tailFrom(ctx context.Context, st *shipStream, shard int, dir string, cur *wal.Cursor) error {
-	t := wal.NewTailer(dir, *cur, wal.TailerOptions{Poll: sh.opts.poll()})
-	defer t.Close()
-	for {
-		rec, err := t.Next(ctx)
-		if err != nil {
+// shipShard ships one shard from the stream's cursor up to the
+// shard's committed watermark, resyncing through the checkpoint when
+// the cursor falls below the truncation horizon. A shard already at
+// its watermark costs one comparison.
+func (sh *Shipper) shipShard(st *shipStream, shard int) error {
+	limit := sh.src.ShardCommitted(shard)
+	cur := st.cursor(shard)
+	for cur.Before(limit) {
+		t := st.tailers[shard]
+		if t == nil {
+			t = wal.NewTailer(store.ShardDir(sh.dir, shard), cur, wal.TailerOptions{})
+			st.tailers[shard] = t
+		}
+		rec, ok, err := t.TryNext()
+		if errors.Is(err, wal.ErrTruncated) {
+			t.Close()
+			st.tailers[shard] = nil
+			next, err := sh.resync(st, shard, cur)
+			if err != nil || next == cur {
+				return err // no checkpoint covers the gap yet; the next pass retries
+			}
+			cur = next
+			continue
+		}
+		if err != nil || !ok {
 			return err
 		}
 		if err := st.send(msgRecord, shard, rec.Seq, uint64(rec.End), rec.Payload); err != nil {
@@ -278,48 +300,69 @@ func (sh *Shipper) tailFrom(ctx context.Context, st *shipStream, shard int, dir 
 		sh.records.Add(1)
 		st.records.Add(1)
 		sh.bytes.Add(uint64(len(rec.Payload)))
-		*cur = wal.Cursor{Seq: rec.Seq, Off: rec.End}
-		st.setCursor(shard, *cur)
+		cur = wal.Cursor{Seq: rec.Seq, Off: rec.End}
+		st.setCursor(shard, cur)
 	}
+	return nil
 }
 
-// heartbeatLoop periodically measures the backlog the stream has not
-// shipped yet (exactly, by walking frame headers from each shipped
-// cursor) and sends it as one aggregated heartbeat.
-func (sh *Shipper) heartbeatLoop(ctx context.Context, st *shipStream) error {
-	tick := time.NewTicker(sh.opts.heartbeat())
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-		var total wal.Backlog
-		for i := 0; i < store.NumShards; i++ {
-			bl, err := wal.ScanBacklog(store.ShardDir(sh.dir, i), st.cursor(i))
-			if err != nil {
-				// Truncation races are routine (the ship loop resyncs
-				// through the checkpoint); anything else is a real scan
-				// failure and must be counted, not folded into zero lag.
-				if !errors.Is(err, wal.ErrTruncated) {
-					sh.scanErrors.Add(1)
-				}
-				continue
-			}
-			total.Records += bl.Records
-			total.Bytes += bl.Bytes
-		}
-		st.mu.Lock()
-		st.backlog = total
-		st.mu.Unlock()
-		var payload [16]byte
-		binary.LittleEndian.PutUint64(payload[0:8], uint64(total.Records))
-		binary.LittleEndian.PutUint64(payload[8:16], uint64(total.Bytes))
-		if err := st.send(msgHeartbeat, 0, 0, 0, payload[:]); err != nil {
-			return err
-		}
+// resync ships the shard's checkpoint image when cur predates it (a
+// cursor below the horizon, or a zero cursor on a checkpointed log)
+// and returns the cursor to resume from; cur itself when no
+// checkpoint covers it.
+func (sh *Shipper) resync(st *shipStream, shard int, cur wal.Cursor) (wal.Cursor, error) {
+	l, err := wal.Open(store.ShardDir(sh.dir, shard), wal.Options{})
+	if err != nil {
+		return cur, err
 	}
+	// Only the checkpoint image and its seq are needed; close the log
+	// at once so a long-lived stream that resyncs many times does not
+	// accumulate open segment handles.
+	ck, data := l.CheckpointSeq(), l.Checkpoint()
+	l.Close()
+	if ck == 0 || cur.Seq >= ck {
+		return cur, nil
+	}
+	if err := st.send(msgCheckpoint, shard, ck, 0, data); err != nil {
+		return cur, err
+	}
+	sh.bytes.Add(uint64(len(data)))
+	cur = wal.Cursor{Seq: ck}
+	st.setCursor(shard, cur)
+	return cur, nil
+}
+
+// heartbeat measures the committed backlog the stream has not shipped
+// yet (exactly, by walking frame headers from each shipped cursor) and
+// sends it as one aggregated message. A shard shipped up to its
+// watermark has no committed backlog and is not scanned.
+func (sh *Shipper) heartbeat(st *shipStream) error {
+	var total wal.Backlog
+	for i := 0; i < store.NumShards; i++ {
+		cur := st.cursor(i)
+		if !cur.Before(sh.src.ShardCommitted(i)) {
+			continue
+		}
+		bl, err := wal.ScanBacklog(store.ShardDir(sh.dir, i), cur)
+		if err != nil {
+			// Truncation races are routine (the ship loop resyncs
+			// through the checkpoint); anything else is a real scan
+			// failure and must be counted, not folded into zero lag.
+			if !errors.Is(err, wal.ErrTruncated) {
+				sh.scanErrors.Add(1)
+			}
+			continue
+		}
+		total.Records += bl.Records
+		total.Bytes += bl.Bytes
+	}
+	st.mu.Lock()
+	st.backlog = total
+	st.mu.Unlock()
+	var payload [16]byte
+	binary.LittleEndian.PutUint64(payload[0:8], uint64(total.Records))
+	binary.LittleEndian.PutUint64(payload[8:16], uint64(total.Bytes))
+	return st.send(msgHeartbeat, 0, 0, 0, payload[:])
 }
 
 // parseShardCursor parses one entry of streamReq.Cursors.

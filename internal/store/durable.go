@@ -95,6 +95,11 @@ type Durable struct {
 	// the replication watermark ShardCommitted serves without taking
 	// the log mutex.
 	committed [numShards]atomic.Pointer[wal.Cursor]
+	// commits is the store-wide commit signal Commits hands out: nil
+	// until a waiter asks, then closed (and cleared) by the next
+	// append. Appends never touch it otherwise, so the store does not
+	// depend on anyone waiting.
+	commits atomic.Pointer[chan struct{}]
 
 	flusher *wal.Flusher
 	ckptCh  chan int
@@ -177,15 +182,25 @@ func (d *Durable) recoverShard(i int) error {
 			}
 		}
 	}
+	// The watermark starts at the recovered log end: the checkpoint
+	// boundary, then the end of each replayed record. (Not
+	// Log.Position, which past a torn tail names a cursor no record
+	// reaches.) Records from before a restart thus ship without
+	// waiting for the shard's next append.
+	end := wal.Cursor{Seq: l.CheckpointSeq()}
 	rep, err := l.Replay(func(r wal.Record) error {
 		rec, err := DecodeWALRecord(r.Payload)
 		if err != nil {
 			return fmt.Errorf("segment %x offset %d: %w", r.Seq, r.Offset, err)
 		}
+		end = wal.Cursor{Seq: r.Seq, Off: r.End}
 		return d.Store.ApplyWALRecord(rec)
 	})
 	if err != nil {
 		return err
+	}
+	if !end.IsZero() {
+		d.committed[i].Store(&end)
 	}
 	d.since[i] = rep.Records
 	return nil
@@ -212,6 +227,9 @@ func (d *Durable) append(i int, payload []byte) error {
 		return fmt.Errorf("store: WAL append failed (store is now read-only): %w", err)
 	}
 	d.committed[i].Store(&pos)
+	if ch := d.commits.Load(); ch != nil && d.commits.CompareAndSwap(ch, nil) {
+		close(*ch)
+	}
 	d.since[i]++
 	if every := d.opts.checkpointEvery(); every > 0 && d.since[i] >= every {
 		select {

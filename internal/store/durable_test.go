@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -559,5 +560,174 @@ func TestDurablePoisonBlocksCheckpoints(t *testing.T) {
 	// Recovery still sees the pre-poison log (the create record).
 	if re.Len() != 1 {
 		t.Errorf("recovered %d sessions, want 1", re.Len())
+	}
+}
+
+// TestDurableCommitSignal pins the store-wide commit signal: an append
+// with no waiter publishes nothing; waiters share one channel; a
+// commit closes it only once ShardCommitted shows the append; and a
+// closed channel is never handed out again.
+func TestDurableCommitSignal(t *testing.T) {
+	ctx := context.Background()
+	d := openDurable(t, t.TempDir(), DurableOptions{Sync: wal.SyncAlways})
+	defer d.Close()
+	if err := d.Create("sig", testInstance(1), 3); err != nil {
+		t.Fatal(err)
+	}
+	if d.commits.Load() != nil {
+		t.Fatal("an append with no waiter created a commit signal")
+	}
+	ch := d.Commits()
+	if d.Commits() != ch {
+		t.Fatal("two waiters of one commit got different channels")
+	}
+	select {
+	case <-ch:
+		t.Fatal("signal closed before any commit")
+	default:
+	}
+	shard := ShardOf("sig")
+	before := d.ShardCommitted(shard)
+	if _, err := d.ApplyBatch(ctx, "sig", []Mutation{SetK(2)}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("a commit did not close the signal")
+	}
+	if !before.Before(d.ShardCommitted(shard)) {
+		t.Fatal("the signal fired but the watermark did not move")
+	}
+	if d.Commits() == ch {
+		t.Fatal("a closed signal was handed out again")
+	}
+}
+
+// TestDurableCommitSignalLosesNoWake runs the waiter protocol (take
+// the channel, then read the watermark, then wait) against concurrent
+// appenders on several shards: every waiter must see its shard's final
+// watermark, which a lost wake-up would turn into a stall.
+func TestDurableCommitSignalLosesNoWake(t *testing.T) {
+	ctx := context.Background()
+	d := openDurable(t, t.TempDir(), DurableOptions{Sync: wal.SyncNone})
+	defer d.Close()
+	const writers, batches = 4, 20
+	names := make([]string, writers)
+	final := make([]atomic.Pointer[wal.Cursor], writers)
+	for i := range names {
+		names[i] = fmt.Sprintf("wake-%d", i)
+		if err := d.Create(names[i], testInstance(uint64(i)+1), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var waiters sync.WaitGroup
+	for i := range names {
+		waiters.Add(1)
+		go func(i int) {
+			defer waiters.Done()
+			shard := ShardOf(names[i])
+			for {
+				ch := d.Commits()
+				w := d.ShardCommitted(shard)
+				if f := final[i].Load(); f != nil && !w.Before(*f) {
+					return
+				}
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Errorf("waiter on shard %d stalled at %s: a commit wake was lost", shard, w)
+					return
+				}
+			}
+		}(i)
+	}
+	var appenders sync.WaitGroup
+	for i := range names {
+		appenders.Add(1)
+		go func(i int) {
+			defer appenders.Done()
+			for b := 0; b < batches; b++ {
+				if _, err := d.ApplyBatch(ctx, names[i], []Mutation{UpdateInterest(b%20, b%3, 0.5)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	appenders.Wait()
+	for i := range names {
+		c := d.ShardCommitted(ShardOf(names[i]))
+		final[i].Store(&c)
+	}
+	// One more commit wakes every waiter parked before the finals were
+	// published.
+	if _, err := d.ApplyBatch(ctx, names[0], []Mutation{SetK(2)}); err != nil {
+		t.Fatal(err)
+	}
+	waiters.Wait()
+}
+
+// TestDurableWatermarkSeededAtOpen pins the open-time watermark: after
+// a crash it is the end of the last recovered record (even with a torn
+// tail behind it, where the log's raw position is not a record
+// boundary), after a clean restart it is the checkpoint boundary, and
+// a shard with no history stays zero.
+func TestDurableWatermarkSeededAtOpen(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := DurableOptions{Sync: wal.SyncNone, CheckpointEvery: -1}
+	d := openDurable(t, dir, opts)
+	if err := d.Create("seed", testInstance(3), 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.ApplyBatch(ctx, "seed", []Mutation{UpdateInterest(i, i%3, 0.3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard := ShardOf("seed")
+	want := d.ShardCommitted(shard)
+	crashDir, tornDir := t.TempDir(), t.TempDir()
+	copyTree(t, dir, crashDir)
+	copyTree(t, dir, tornDir)
+	d.Close()
+
+	re := openDurable(t, crashDir, opts)
+	if got := re.ShardCommitted(shard); got != want {
+		t.Errorf("after a crash, ShardCommitted = %s, want the last record's end %s", got, want)
+	}
+	other := (shard + 1) % NumShards
+	if got := re.ShardCommitted(other); !got.IsZero() {
+		t.Errorf("untouched shard %d has watermark %s, want zero", other, got)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean := openDurable(t, crashDir, opts)
+	defer clean.Close()
+	if got := clean.ShardCommitted(shard); got.Off != 0 || !want.Before(got) {
+		t.Errorf("after a clean restart, ShardCommitted = %s, want the checkpoint boundary past %s", got, want)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(ShardDir(tornDir, shard), "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in the torn copy: %v", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xff, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	torn := openDurable(t, tornDir, opts)
+	defer torn.Close()
+	if got := torn.ShardCommitted(shard); got != want {
+		t.Errorf("with a torn tail, ShardCommitted = %s, want the last record's end %s", got, want)
+	}
+	if pos := torn.ShardPosition(shard); !want.Before(pos) {
+		t.Errorf("ShardPosition %s should count the torn bytes past %s", pos, want)
 	}
 }

@@ -36,17 +36,39 @@ func (d *Durable) ShardPosition(i int) wal.Cursor {
 	return d.logs[i].Position()
 }
 
-// ShardCommitted returns the cursor just past the last record this
-// process committed to shard i's log — the replication watermark a
-// synchronous-ack wait compares follower acks against. Unlike
-// ShardPosition it never touches the log mutex (which fsyncs hold),
-// so the serving path can read it per request. Zero until the first
-// post-open append.
+// ShardCommitted returns the cursor just past the last record
+// committed to shard i's log — acknowledged by its Append, so fsynced
+// under wal.SyncAlways. It is the replication watermark: a
+// synchronous-ack wait compares follower acks against it, and the
+// shipper never ships a record past it. Unlike ShardPosition it never
+// touches the log mutex (which fsyncs hold), so the serving path can
+// read it per request. OpenDurable seeds it with the end of the
+// recovered log (the checkpoint boundary when no record follows it);
+// it is zero only for a shard with no history at all.
 func (d *Durable) ShardCommitted(i int) wal.Cursor {
 	if c := d.committed[i].Load(); c != nil {
 		return *c
 	}
 	return wal.Cursor{}
+}
+
+// Commits returns a channel that is closed by the next append to any
+// shard, once that append is committed (after its fsync under
+// wal.SyncAlways, after its write otherwise) and ShardCommitted shows
+// it. A waiter takes the channel BEFORE reading ShardCommitted, so a
+// commit landing between the read and the wait still wakes it. One
+// channel covers every shard: a waiter rereads the watermarks it
+// cares about after each wake.
+func (d *Durable) Commits() <-chan struct{} {
+	for {
+		if ch := d.commits.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if d.commits.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
 }
 
 // Epoch returns the highest promotion epoch this store has observed:

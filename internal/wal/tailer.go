@@ -15,12 +15,13 @@ import (
 )
 
 // This file is the read side of replication: a Cursor names a byte
-// position in a log directory, and a Tailer follows the directory
-// live, delivering every committed record exactly once, in order,
-// across segment rotations. The write side never cooperates — the
-// tailer works purely from the on-disk layout, so it can run inside
-// the writing process (a primary shipping its own WAL) or over a
-// directory another process owns (seswal tail).
+// position in a log directory, and a Tailer follows the directory,
+// delivering every complete record exactly once, in order, across
+// segment rotations. The tailer works purely from the on-disk layout,
+// so it can run inside the writing process (a primary shipping its own
+// WAL, woken by the store's commit signal and reading with TryNext) or
+// over a directory another process owns (seswal tail, polling with
+// Next).
 
 // headerLen is the segment header size ("SESWAL" + version byte).
 const headerLen = len(segMagic) + 1
@@ -95,8 +96,8 @@ func (l *Log) Position() Cursor {
 
 // TailerOptions configures a Tailer; the zero value is usable.
 type TailerOptions struct {
-	// Poll is how often the tailer re-checks the directory when it has
-	// caught up with the committed tail (0 = 10ms).
+	// Poll is how often Next re-checks the directory when it has
+	// caught up with the tail (0 = 10ms). TryNext never waits.
 	Poll time.Duration
 }
 
@@ -107,9 +108,9 @@ func (o TailerOptions) poll() time.Duration {
 	return o.Poll
 }
 
-// Tailer follows a log directory live. Next blocks until the next
-// committed record is available (polling the directory), tolerating
-// segment rotation and torn tails:
+// Tailer follows a log directory. TryNext returns the next complete
+// record if one is on disk; Next blocks until one is (polling the
+// directory). Both tolerate segment rotation and torn tails:
 //
 //   - an incomplete or CRC-failing frame at the tail of the *newest*
 //     segment is treated as an in-flight append and re-read until it
@@ -124,7 +125,10 @@ func (o TailerOptions) poll() time.Duration {
 // Like recovery, a tailer may deliver a fully-written record an
 // instant before its Append is acknowledged (the frame hits the page
 // cache before the batch fsync returns); it never delivers a partial
-// or reordered one. A Tailer is not safe for concurrent use.
+// or reordered one. A caller that must not read past acknowledged
+// records — the cluster shipper — stops at the writer's committed
+// cursor instead of draining to the end of the file. A Tailer is not
+// safe for concurrent use.
 type Tailer struct {
 	dir     string
 	opts    TailerOptions
@@ -135,7 +139,7 @@ type Tailer struct {
 }
 
 // NewTailer positions a tailer at from within dir. The directory need
-// not exist yet; Next waits for it.
+// not exist yet: Next waits for it, TryNext reports nothing.
 func NewTailer(dir string, from Cursor, opts TailerOptions) *Tailer {
 	return &Tailer{dir: dir, opts: opts, cur: from}
 }
@@ -159,46 +163,58 @@ func (t *Tailer) Close() error {
 	return nil
 }
 
-// Next returns the next committed record, blocking until one is
-// available or ctx is done. The record's payload is owned by the
-// tailer and valid only until the following Next call. The returned
-// record's End is the cursor to resume from.
+// Next returns the next complete record, blocking until one is
+// available or ctx is done: TryNext, polling the directory every
+// TailerOptions.Poll while it finds nothing. The record's payload is
+// owned by the tailer and valid only until the following Next or
+// TryNext call. The returned record's End is the cursor to resume
+// from.
 func (t *Tailer) Next(ctx context.Context) (Record, error) {
 	for {
-		ready, err := t.ensure()
-		if err != nil {
-			return Record{}, err
-		}
-		if ready {
-			rec, ok := t.readRecord()
-			if ok {
-				return rec, nil
-			}
-			// Incomplete frame at t.cur.Off. If a later segment exists
-			// this segment is sealed and the tail is a permanent tear;
-			// otherwise it may be an append in flight — wait and re-read.
-			next, gap, err := t.successor()
-			if err != nil {
-				return Record{}, err
-			}
-			if gap {
-				return Record{}, ErrTruncated
-			}
-			if next {
-				if t.cur.Off < t.segEnd() {
-					t.skipped = append(t.skipped, Truncation{
-						Seq:    t.cur.Seq,
-						Offset: t.cur.Off,
-						Reason: "torn tail sealed by rotation",
-					})
-				}
-				t.advance()
-				continue
-			}
+		rec, ok, err := t.TryNext()
+		if err != nil || ok {
+			return rec, err
 		}
 		if err := sleepCtx(ctx, t.opts.poll()); err != nil {
 			return Record{}, err
 		}
+	}
+}
+
+// TryNext returns the next complete record without waiting: ok is
+// false when none is on disk yet (the segment does not exist, or the
+// newest segment ends at the cursor or in a frame still being
+// written). Payload ownership and errors are as for Next.
+func (t *Tailer) TryNext() (rec Record, ok bool, err error) {
+	for {
+		ready, err := t.ensure()
+		if err != nil || !ready {
+			return Record{}, false, err
+		}
+		if rec, ok := t.readRecord(); ok {
+			return rec, true, nil
+		}
+		// Incomplete frame at t.cur.Off. If a later segment exists
+		// this segment is sealed and the tail is a permanent tear;
+		// otherwise it may be an append in flight — report nothing yet.
+		next, gap, err := t.successor()
+		if err != nil {
+			return Record{}, false, err
+		}
+		if gap {
+			return Record{}, false, ErrTruncated
+		}
+		if !next {
+			return Record{}, false, nil
+		}
+		if t.cur.Off < t.segEnd() {
+			t.skipped = append(t.skipped, Truncation{
+				Seq:    t.cur.Seq,
+				Offset: t.cur.Off,
+				Reason: "torn tail sealed by rotation",
+			})
+		}
+		t.advance()
 	}
 }
 

@@ -360,3 +360,54 @@ func TestScanBacklog(t *testing.T) {
 		t.Fatalf("post-checkpoint backlog = %+v, %v", bl, err)
 	}
 }
+
+// TestTailerTryNextNeverWaits pins the non-blocking read the cluster
+// shipper drains with: nothing on disk (no directory, an empty log, a
+// drained tail) is ok=false with no error, and every record is
+// delivered once, in order, across segment rotations, with the cursor
+// its Append returned.
+func TestTailerTryNextNeverWaits(t *testing.T) {
+	dir := t.TempDir()
+	tl := NewTailer(dir, Cursor{}, TailerOptions{})
+	defer tl.Close()
+	if _, ok, err := tl.TryNext(); ok || err != nil {
+		t.Fatalf("TryNext on a missing directory = ok %v, err %v; want nothing", ok, err)
+	}
+	l, err := Open(dir, Options{Sync: SyncNone, SegmentMaxBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	var want []string
+	var ends []Cursor
+	for i := 0; i < 10; i++ {
+		p := fmt.Sprintf("record-%d", i)
+		c, err := l.AppendCursor([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ends = append(want, p), append(ends, c)
+	}
+	if ends[len(ends)-1].Seq == ends[0].Seq {
+		t.Fatal("appends never rotated; the test needs several segments")
+	}
+	for i, p := range want {
+		rec, ok, err := tl.TryNext()
+		if err != nil || !ok {
+			t.Fatalf("record %d: ok %v, err %v", i, ok, err)
+		}
+		if string(rec.Payload) != p || (Cursor{Seq: rec.Seq, Off: rec.End}) != ends[i] {
+			t.Fatalf("record %d = %q ending %d:%d; want %q ending %s", i, rec.Payload, rec.Seq, rec.End, p, ends[i])
+		}
+	}
+	if _, ok, err := tl.TryNext(); ok || err != nil {
+		t.Fatalf("TryNext past the tail = ok %v, err %v; want nothing", ok, err)
+	}
+	if err := l.Append([]byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok, err := tl.TryNext(); err != nil || !ok || string(rec.Payload) != "late" {
+		t.Fatalf("TryNext after a late append = %q, ok %v, err %v", rec.Payload, ok, err)
+	}
+}
