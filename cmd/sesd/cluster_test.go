@@ -93,11 +93,7 @@ func newDaemonCluster(t *testing.T, n int, tweaks ...func(*cluster.NodeOptions))
 			t.Fatal(err)
 		}
 		pipe := ses.NewPipeline(d, ses.WithResolveWorkers(1))
-		srv := newServer(d, pipe)
-		srv.obs = o
-		srv.walStats = d.WALStats
-		srv.node = node
-		swaps[id].h.Store(srv.routes())
+		swaps[id].h.Store(newServer(d, pipe, o, d.WALStats, node).routes())
 		node.Start()
 		dc.nodes[id] = node
 		pipes, stores = append(pipes, pipe), append(stores, d)

@@ -55,13 +55,16 @@
 // X-Ses-Trace header (sesrouter stamps one when forwarding, so one ID
 // spans a routed write and the follower's replication apply), the
 // bounded in-memory trace ring is served at GET /v1/traces and
-// /v1/traces/{id}, Prometheus text exposition is served at
-// GET /metrics next to the JSON /v1/metrics, live per-session
+// /v1/traces/{id}, Prometheus text exposition of the daemon's one
+// metrics registry is served at GET /metrics, live per-session
 // progress streams as server-sent events from
 // GET /v1/sessions/{name}/watch, and GET / serves a single-file live
 // dashboard. -slow-trace logs the full span tree of any request
 // slower than the threshold; -pprof ADDR serves net/http/pprof on a
 // separate listener that is never reachable through the serving mux.
+// GET /v1/metrics is a JSON view of the same registry (its latency
+// percentiles are histogram bucket estimates since boot); under
+// -obs=false the registry is private and /metrics is not served.
 //
 // Resolve and batch requests run on a resolve pipeline: back-to-back
 // requests against the same session coalesce into one incremental
@@ -84,7 +87,7 @@
 //	GET    /v1/sessions/{name}/snapshot     versioned snapshot [?format=binary]
 //	POST   /v1/sessions/{name}/restore      snapshot document  [?replace=true]
 //	GET    /v1/sessions/{name}/watch        live progress + commits (server-sent events)
-//	GET    /v1/metrics                      daemon + per-session counters (JSON)
+//	GET    /v1/metrics                      daemon + per-session counters (JSON view of the registry)
 //	GET    /metrics                         Prometheus text exposition
 //	GET    /v1/traces                       recent traces [?min=10ms&limit=50]
 //	GET    /v1/traces/{id}                  one trace's span tree
@@ -114,11 +117,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -127,7 +127,6 @@ import (
 	"ses/internal/dataset"
 	"ses/internal/obs"
 	"ses/internal/session"
-	"ses/internal/stats"
 )
 
 func main() {
@@ -291,8 +290,7 @@ func run(ctx context.Context, args []string) error {
 	return serve(ctx, ln, st, pipe, durable, node, o, *drain)
 }
 
-// tracerOf unwraps the tracer for layers that take one directly (nil
-// when observability is off).
+// tracerOf returns o's tracer, nil when observability is off.
 func tracerOf(o *ses.Observability) *obs.Tracer {
 	if o == nil {
 		return nil
@@ -317,13 +315,12 @@ const readHeaderTimeout = 5 * time.Second
 // best-so-far) — the previous schedules stay current and batch
 // mutations stay staged for the next resolve.
 func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline, durable *ses.DurableStore, node *cluster.Node, o *ses.Observability, drain time.Duration) error {
-	srv := newServer(st, pipe)
-	srv.obs = o
+	var walStats func() ses.WALStats
 	if durable != nil {
-		srv.walStats = durable.WALStats
+		walStats = durable.WALStats
 	}
+	srv := newServer(st, pipe, o, walStats, node)
 	if node != nil {
-		srv.node = node
 		node.Start()
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
@@ -385,7 +382,7 @@ func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline
 }
 
 // server wires the store to the HTTP surface and keeps the daemon
-// metrics.
+// metrics in one registry.
 type server struct {
 	store storeAPI
 	// pipeline coalesces and parallelizes resolve/batch traffic;
@@ -407,34 +404,28 @@ type server struct {
 	// ring behind /v1/traces, Prometheus registry behind /metrics, and
 	// the watch hub behind the SSE endpoint.
 	obs *ses.Observability
-	// regOnce guards Prometheus family registration: routes() may run
-	// more than once against one registry in tests.
-	regOnce sync.Once
-	// httpRequests/httpErrors are the live Prometheus vectors (nil
-	// without obs; the instruments are nil-safe).
-	httpRequests *obs.CounterVec
-	httpErrors   *obs.CounterVec
-
-	requests atomic.Uint64
-	resolves atomic.Uint64
-	batches  atomic.Uint64
-	errors   atomic.Uint64
-	// errorsClient/errorsServer split errors by responsibility:
-	// client = 4xx and 499 disconnects, server = 5xx.
-	errorsClient atomic.Uint64
-	errorsServer atomic.Uint64
-
-	// lat is a bounded ring of resolve latencies (seconds) backing the
-	// /v1/metrics percentiles.
-	latMu sync.Mutex
-	lat   []float64
-	latAt int
+	// The live instruments, registered once in newServer. errClient
+	// and errServer are ses_http_errors_total's two children: client =
+	// 4xx and 499 disconnects, server = 5xx.
+	httpRequests         *obs.CounterVec
+	errClient, errServer *obs.Counter
+	resolves, batches    *obs.Counter
+	resolveSeconds       *obs.Histogram
 }
 
-const latRing = 4096
-
-func newServer(st storeAPI, pipe *ses.Pipeline) *server {
-	return &server{store: st, pipeline: pipe, start: time.Now()}
+// newServer builds the daemon's handler state and registers its
+// metric families. walStats and node are nil on a memory-only or
+// unclustered daemon.
+func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, walStats func() ses.WALStats, node *cluster.Node) *server {
+	s := &server{store: st, pipeline: pipe, walStats: walStats, node: node, obs: o, start: time.Now()}
+	// One registry either way: under -obs=false a private one that
+	// /v1/metrics reads and no route mounts.
+	reg := obs.NewRegistry()
+	if o != nil {
+		reg = o.Metrics
+	}
+	s.registerMetrics(reg)
+	return s
 }
 
 // routes builds the method+pattern mux.
@@ -466,7 +457,6 @@ func (s *server) routes() http.Handler {
 		mux.Handle("POST /v1/replication/ack", s.untilShutdown(repl))
 	}
 	if s.obs != nil {
-		s.registerMetrics()
 		mux.Handle("GET /metrics", s.obs.Metrics.Handler())
 	}
 	mux.HandleFunc("GET /{$}", s.dashboard)
@@ -505,18 +495,9 @@ func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeErr maps an error to a JSON error body, classing it client
-// (4xx and 499 disconnects) or server (5xx) for the split counters.
+// writeErr maps an error to a JSON error body; instrument counts it
+// by the status.
 func (s *server) writeErr(w http.ResponseWriter, status int, err error) {
-	s.errors.Add(1)
-	class := "client"
-	if status >= 500 {
-		class = "server"
-		s.errorsServer.Add(1)
-	} else {
-		s.errorsClient.Add(1)
-	}
-	s.httpErrors.With(class).Inc()
 	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
@@ -732,17 +713,10 @@ func (s *server) deleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// observeResolve records one resolve latency.
+// observeResolve records one committed resolve and its latency.
 func (s *server) observeResolve(d time.Duration) {
-	s.resolves.Add(1)
-	s.latMu.Lock()
-	if len(s.lat) < latRing {
-		s.lat = append(s.lat, d.Seconds())
-	} else {
-		s.lat[s.latAt%latRing] = d.Seconds()
-	}
-	s.latAt++
-	s.latMu.Unlock()
+	s.resolves.Inc()
+	s.resolveSeconds.Observe(d.Seconds())
 }
 
 func (s *server) resolveSession(w http.ResponseWriter, r *http.Request) {
@@ -799,7 +773,7 @@ func (s *server) batchSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeResolve(time.Since(start))
-	s.batches.Add(1)
+	s.batches.Inc()
 	if !s.awaitAck(w, r, name) {
 		return
 	}
@@ -909,7 +883,8 @@ type metricsResp struct {
 	Batches   uint64  `json:"batches"`
 	Errors    uint64  `json:"errors"`
 	// ErrorsClient/ErrorsServer split Errors by responsibility: client
-	// = 4xx and 499 disconnects, server = 5xx.
+	// = 4xx and 499 disconnects, server = 5xx. Every error response
+	// counts, whichever handler wrote it.
 	ErrorsClient uint64               `json:"errors_client"`
 	ErrorsServer uint64               `json:"errors_server"`
 	ResolveMs    map[string]float64   `json:"resolve_latency_ms"`
@@ -935,27 +910,25 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
+// metrics serves GET /v1/metrics: a JSON view of the registry plus the
+// pipeline, WAL and replication sections.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	s.latMu.Lock()
-	lat := append([]float64(nil), s.lat...)
-	s.latMu.Unlock()
-	sort.Float64s(lat)
 	resolveMs := map[string]float64{}
-	if len(lat) > 0 {
-		for _, p := range []float64{50, 90, 99} {
-			resolveMs[fmt.Sprintf("p%.0f", p)] = stats.PercentileSorted(lat, p) * 1000
+	if snap := s.resolveSeconds.Snapshot(); snap.Count > 0 {
+		for key, q := range map[string]float64{"p50": 0.5, "p90": 0.9, "p99": 0.99, "max": 1} {
+			resolveMs[key] = snap.Quantile(q) * 1000
 		}
-		resolveMs["max"] = lat[len(lat)-1] * 1000
 	}
+	clientErrs, serverErrs := s.errClient.Value(), s.errServer.Value()
 	resp := metricsResp{
 		UptimeSec:    time.Since(s.start).Seconds(),
 		Sessions:     s.store.Len(),
-		Requests:     s.requests.Load(),
-		Resolves:     s.resolves.Load(),
-		Batches:      s.batches.Load(),
-		Errors:       s.errors.Load(),
-		ErrorsClient: s.errorsClient.Load(),
-		ErrorsServer: s.errorsServer.Load(),
+		Requests:     s.httpRequests.Sum(),
+		Resolves:     s.resolves.Value(),
+		Batches:      s.batches.Value(),
+		Errors:       clientErrs + serverErrs,
+		ErrorsClient: clientErrs,
+		ErrorsServer: serverErrs,
 		ResolveMs:    resolveMs,
 		Metas:        s.store.Metas(),
 	}

@@ -21,7 +21,7 @@ func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	st := ses.NewStore(ses.WithWorkers(1))
 	pipe := ses.NewPipeline(st, ses.WithResolveWorkers(2))
-	srv := httptest.NewServer(newServer(st, pipe).routes())
+	srv := httptest.NewServer(newServer(st, pipe, nil, nil, nil).routes())
 	t.Cleanup(func() {
 		srv.Close()
 		pipe.Close()

@@ -13,17 +13,10 @@ import (
 	"ses/internal/obs"
 )
 
-// tracer returns the daemon's tracer (nil when observability is off).
-func (s *server) tracer() *obs.Tracer {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.Tracer
-}
-
-// statusWriter captures the response status for the per-route counter
-// and the root span, passing Flush through so SSE streaming works
-// behind the wrapper, and unwrapping for http.ResponseController.
+// statusWriter captures the response status for the per-route and
+// error-class counters and the root span, passing Flush through so SSE
+// streaming works behind the wrapper, and unwrapping for
+// http.ResponseController.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -79,16 +72,15 @@ func traceworthy(path string) bool {
 	return true
 }
 
-// instrument is the outermost handler: it counts the request, opens
-// the root span (adopting a propagated X-Ses-Trace ID), and records
-// the per-route/status series after the mux ran. r.Pattern is read
-// AFTER mux.ServeHTTP so the label is the bounded route pattern, not
-// the unbounded raw path.
+// instrument is the outermost handler: it opens the root span
+// (adopting a propagated X-Ses-Trace ID) and, after the mux ran,
+// counts the request in the per-route/status series and any 4xx/5xx
+// in its error class. r.Pattern is read AFTER mux.ServeHTTP so the
+// label is the bounded route pattern, not the unbounded raw path.
 func (s *server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
-		if t := s.tracer(); t != nil && traceworthy(r.URL.Path) {
+		if t := tracerOf(s.obs); t != nil && traceworthy(r.URL.Path) {
 			ctx, sp := t.StartRoot(r.Context(), obs.SpanHandler, r.Header.Get("X-Ses-Trace"))
 			sp.SetAttr("method", r.Method)
 			sp.SetAttr("path", r.URL.Path)
@@ -100,118 +92,120 @@ func (s *server) instrument(mux *http.ServeMux) http.Handler {
 			}()
 		}
 		mux.ServeHTTP(sw, r)
-		if s.httpRequests != nil {
-			route := r.Pattern
-			if route == "" {
-				route = "other"
-			}
-			s.httpRequests.With(route, strconv.Itoa(sw.status())).Inc()
+		route, code := r.Pattern, sw.status()
+		if route == "" {
+			route = "other"
+		}
+		s.httpRequests.With(route, strconv.Itoa(code)).Inc()
+		switch {
+		case code >= 500:
+			s.errServer.Inc()
+		case code >= 400:
+			s.errClient.Inc()
 		}
 	})
 }
 
-// registerMetrics installs the daemon's Prometheus families. Called
-// from routes() (after walStats/node are set) under a sync.Once so
-// swapped handlers never double-register.
-func (s *server) registerMetrics() {
-	if s.obs == nil || s.obs.Metrics == nil {
-		return
+// registerMetrics installs the daemon's metric families on reg, once,
+// from newServer: the live instruments /v1/metrics reads, then
+// scrape-time collectors over state other layers already keep.
+func (s *server) registerMetrics(reg *obs.Registry) {
+	s.httpRequests = reg.CounterVec("ses_http_requests_total",
+		"HTTP requests served, by route pattern and status code.", "route", "code")
+	httpErrors := reg.CounterVec("ses_http_errors_total",
+		"HTTP error responses, by class (client = 4xx/499, server = 5xx).", "class")
+	s.errClient, s.errServer = httpErrors.With("client"), httpErrors.With("server")
+	s.resolves = reg.Counter("ses_resolves_total", "Committed resolves (batch commits included).")
+	s.batches = reg.Counter("ses_batches_total", "Committed batch requests.")
+	s.resolveSeconds = reg.Histogram("ses_resolve_seconds",
+		"Latency of committed resolve and batch requests, up to the commit (replication ack wait excluded).", nil)
+	reg.CollectFunc("ses_uptime_seconds", "Seconds since the daemon started.", "gauge", nil,
+		func(emit func([]string, float64)) { emit(nil, time.Since(s.start).Seconds()) })
+	reg.CollectFunc("ses_sessions", "Registered sessions.", "gauge", nil,
+		func(emit func([]string, float64)) { emit(nil, float64(s.store.Len())) })
+	if s.pipeline != nil {
+		pipe := func(pick func(ses.PipelineMetrics) float64) func(func([]string, float64)) {
+			return func(emit func([]string, float64)) { emit(nil, pick(s.pipeline.Metrics())) }
+		}
+		reg.CollectFunc("ses_pipeline_queue_depth", "Requests queued on the resolve pipeline.", "gauge", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.QueueDepth) }))
+		reg.CollectFunc("ses_pipeline_workers", "Resolve pipeline worker-pool size.", "gauge", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Workers) }))
+		reg.CollectFunc("ses_pipeline_submitted_total", "Requests accepted by the pipeline.", "counter", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Submitted) }))
+		reg.CollectFunc("ses_pipeline_executed_total", "Backend calls the pipeline made.", "counter", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Executed) }))
+		reg.CollectFunc("ses_pipeline_coalesced_total", "Requests that shared another request's backend call.", "counter", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Coalesced) }))
+		reg.CollectFunc("ses_pipeline_rejected_total", "Admission-control rejections (queue full).", "counter", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Rejected) }))
+		reg.CollectFunc("ses_pipeline_withdrawn_total", "Requests withdrawn by context cancellation while queued.", "counter", nil,
+			pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Withdrawn) }))
 	}
-	s.regOnce.Do(func() {
-		reg := s.obs.Metrics
-		s.httpRequests = reg.CounterVec("ses_http_requests_total",
-			"HTTP requests served, by route pattern and status code.", "route", "code")
-		s.httpErrors = reg.CounterVec("ses_http_errors_total",
-			"HTTP error responses, by class (client = 4xx/499, server = 5xx).", "class")
-		reg.CollectFunc("ses_uptime_seconds", "Seconds since the daemon started.", "gauge", nil,
-			func(emit func([]string, float64)) { emit(nil, time.Since(s.start).Seconds()) })
-		reg.CollectFunc("ses_sessions", "Registered sessions.", "gauge", nil,
-			func(emit func([]string, float64)) { emit(nil, float64(s.store.Len())) })
-		reg.CollectFunc("ses_resolves_total", "Committed resolves (batch commits included).", "counter", nil,
-			func(emit func([]string, float64)) { emit(nil, float64(s.resolves.Load())) })
-		reg.CollectFunc("ses_batches_total", "Committed batch requests.", "counter", nil,
-			func(emit func([]string, float64)) { emit(nil, float64(s.batches.Load())) })
-		if s.pipeline != nil {
-			pipe := func(pick func(ses.PipelineMetrics) float64) func(func([]string, float64)) {
-				return func(emit func([]string, float64)) { emit(nil, pick(s.pipeline.Metrics())) }
-			}
-			reg.CollectFunc("ses_pipeline_queue_depth", "Requests queued on the resolve pipeline.", "gauge", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.QueueDepth) }))
-			reg.CollectFunc("ses_pipeline_workers", "Resolve pipeline worker-pool size.", "gauge", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Workers) }))
-			reg.CollectFunc("ses_pipeline_submitted_total", "Requests accepted by the pipeline.", "counter", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Submitted) }))
-			reg.CollectFunc("ses_pipeline_executed_total", "Backend calls the pipeline made.", "counter", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Executed) }))
-			reg.CollectFunc("ses_pipeline_coalesced_total", "Requests that shared another request's backend call.", "counter", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Coalesced) }))
-			reg.CollectFunc("ses_pipeline_rejected_total", "Admission-control rejections (queue full).", "counter", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Rejected) }))
-			reg.CollectFunc("ses_pipeline_withdrawn_total", "Requests withdrawn by context cancellation while queued.", "counter", nil,
-				pipe(func(m ses.PipelineMetrics) float64 { return float64(m.Withdrawn) }))
+	if s.walStats != nil {
+		walc := func(pick func(ses.WALStats) float64) func(func([]string, float64)) {
+			return func(emit func([]string, float64)) { emit(nil, pick(s.walStats())) }
 		}
-		if s.walStats != nil {
-			walc := func(pick func(ses.WALStats) float64) func(func([]string, float64)) {
-				return func(emit func([]string, float64)) { emit(nil, pick(s.walStats())) }
-			}
-			reg.CollectFunc("ses_wal_appends_total", "WAL records appended.", "counter", nil,
-				walc(func(w ses.WALStats) float64 { return float64(w.Appends) }))
-			reg.CollectFunc("ses_wal_fsyncs_total", "WAL fsyncs issued.", "counter", nil,
-				walc(func(w ses.WALStats) float64 { return float64(w.Fsyncs) }))
-			reg.CollectFunc("ses_wal_batches_total", "Group-commit batches flushed.", "counter", nil,
-				walc(func(w ses.WALStats) float64 { return float64(w.Batches) }))
-			reg.CollectFunc("ses_wal_batched_records_total", "Records committed through group-commit batches.", "counter", nil,
-				walc(func(w ses.WALStats) float64 { return float64(w.BatchedRecords) }))
-			reg.CollectFunc("ses_wal_records_per_fsync", "Realized fsync amortization (appends per fsync).", "gauge", nil,
-				func(emit func([]string, float64)) { emit(nil, s.walStats().RecordsPerFsync()) })
+		reg.CollectFunc("ses_wal_appends_total", "WAL records appended.", "counter", nil,
+			walc(func(w ses.WALStats) float64 { return float64(w.Appends) }))
+		reg.CollectFunc("ses_wal_fsyncs_total", "WAL fsyncs issued.", "counter", nil,
+			walc(func(w ses.WALStats) float64 { return float64(w.Fsyncs) }))
+		reg.CollectFunc("ses_wal_batches_total", "Group-commit batches flushed.", "counter", nil,
+			walc(func(w ses.WALStats) float64 { return float64(w.Batches) }))
+		reg.CollectFunc("ses_wal_batched_records_total", "Records committed through group-commit batches.", "counter", nil,
+			walc(func(w ses.WALStats) float64 { return float64(w.BatchedRecords) }))
+		reg.CollectFunc("ses_wal_records_per_fsync", "Realized fsync amortization (appends per fsync).", "gauge", nil,
+			func(emit func([]string, float64)) { emit(nil, s.walStats().RecordsPerFsync()) })
+	}
+	if s.node != nil {
+		reg.CollectFunc("ses_replication", "Replication shipping, apply, lag, and ack counters.", "gauge", []string{"stat"},
+			func(emit func([]string, float64)) {
+				m := s.node.Metrics()
+				emit([]string{"active_streams"}, float64(m.ActiveStreams))
+				emit([]string{"records_shipped_total"}, float64(m.RecordsShipped))
+				emit([]string{"bytes_shipped_total"}, float64(m.BytesShipped))
+				emit([]string{"records_applied_total"}, float64(m.RecordsApplied))
+				emit([]string{"bytes_applied_total"}, float64(m.BytesApplied))
+				emit([]string{"promoted_sessions_total"}, float64(m.PromotedSessions))
+				emit([]string{"epoch"}, float64(m.Epoch))
+				emit([]string{"adopted_shards_pending"}, float64(m.AdoptedShardsPending))
+			})
+		repl := func(pick func(m cluster.Metrics) float64) func(func([]string, float64)) {
+			return func(emit func([]string, float64)) { emit(nil, pick(s.node.Metrics())) }
 		}
-		if s.node != nil {
-			reg.CollectFunc("ses_replication", "Replication shipping, apply, lag, and ack counters.", "gauge", []string{"stat"},
-				func(emit func([]string, float64)) {
-					m := s.node.Metrics()
-					emit([]string{"active_streams"}, float64(m.ActiveStreams))
-					emit([]string{"records_shipped_total"}, float64(m.RecordsShipped))
-					emit([]string{"bytes_shipped_total"}, float64(m.BytesShipped))
-					emit([]string{"records_applied_total"}, float64(m.RecordsApplied))
-					emit([]string{"bytes_applied_total"}, float64(m.BytesApplied))
-					emit([]string{"promoted_sessions_total"}, float64(m.PromotedSessions))
-					emit([]string{"epoch"}, float64(m.Epoch))
-					emit([]string{"adopted_shards_pending"}, float64(m.AdoptedShardsPending))
-				})
-			repl := func(pick func(m cluster.Metrics) float64) func(func([]string, float64)) {
-				return func(emit func([]string, float64)) { emit(nil, pick(s.node.Metrics())) }
-			}
-			reg.CollectFunc("ses_replication_follower_lag_records", "Primary-measured records this node's follower streams trail by.", "gauge", nil,
-				repl(func(m cluster.Metrics) float64 { return float64(m.FollowerLagRecords) }))
-			reg.CollectFunc("ses_replication_follower_lag_bytes", "Primary-measured bytes this node's follower streams trail by.", "gauge", nil,
-				repl(func(m cluster.Metrics) float64 { return float64(m.FollowerLagBytes) }))
-			reg.CollectFunc("ses_replication_ack_waits_total", "Mutations that waited for synchronous follower acks.", "counter", nil,
-				repl(func(m cluster.Metrics) float64 { return float64(m.AckWaits) }))
-			reg.CollectFunc("ses_replication_ack_timeouts_total", "Synchronous-ack waits that degraded to 503.", "counter", nil,
-				repl(func(m cluster.Metrics) float64 { return float64(m.AckTimeouts) }))
-			reg.CollectFunc("ses_replication_acks_received_total", "Follower ack messages processed.", "counter", nil,
-				repl(func(m cluster.Metrics) float64 { return float64(m.AcksReceived) }))
+		reg.CollectFunc("ses_replication_follower_lag_records", "Primary-measured records this node's follower streams trail by.", "gauge", nil,
+			repl(func(m cluster.Metrics) float64 { return float64(m.FollowerLagRecords) }))
+		reg.CollectFunc("ses_replication_follower_lag_bytes", "Primary-measured bytes this node's follower streams trail by.", "gauge", nil,
+			repl(func(m cluster.Metrics) float64 { return float64(m.FollowerLagBytes) }))
+		reg.CollectFunc("ses_replication_ack_waits_total", "Mutations that waited for synchronous follower acks.", "counter", nil,
+			repl(func(m cluster.Metrics) float64 { return float64(m.AckWaits) }))
+		reg.CollectFunc("ses_replication_ack_timeouts_total", "Synchronous-ack waits that degraded to 503.", "counter", nil,
+			repl(func(m cluster.Metrics) float64 { return float64(m.AckTimeouts) }))
+		reg.CollectFunc("ses_replication_acks_received_total", "Follower ack messages processed.", "counter", nil,
+			repl(func(m cluster.Metrics) float64 { return float64(m.AcksReceived) }))
+	}
+	if s.obs == nil {
+		return // the watch and trace families describe -obs surfaces
+	}
+	if s.obs.Hub != nil {
+		hub := func(pick func(obs.HubStats) float64) func(func([]string, float64)) {
+			return func(emit func([]string, float64)) { emit(nil, pick(s.obs.Hub.Stats())) }
 		}
-		if s.obs.Hub != nil {
-			hub := func(pick func(obs.HubStats) float64) func(func([]string, float64)) {
-				return func(emit func([]string, float64)) { emit(nil, pick(s.obs.Hub.Stats())) }
-			}
-			reg.CollectFunc("ses_watch_subscribers", "Live watch (SSE) subscribers.", "gauge", nil,
-				hub(func(h obs.HubStats) float64 { return float64(h.Subscribers) }))
-			reg.CollectFunc("ses_watch_events_total", "Events published to watch subscribers.", "counter", nil,
-				hub(func(h obs.HubStats) float64 { return float64(h.Published) }))
-			reg.CollectFunc("ses_watch_evictions_total", "Watch subscribers evicted for falling behind.", "counter", nil,
-				hub(func(h obs.HubStats) float64 { return float64(h.Evicted) }))
-		}
-		reg.CollectFunc("ses_traces", "Traces retained in the ring.", "gauge", nil,
-			func(emit func([]string, float64)) { emit(nil, float64(s.obs.Tracer.Len())) })
-	})
+		reg.CollectFunc("ses_watch_subscribers", "Live watch (SSE) subscribers.", "gauge", nil,
+			hub(func(h obs.HubStats) float64 { return float64(h.Subscribers) }))
+		reg.CollectFunc("ses_watch_events_total", "Events published to watch subscribers.", "counter", nil,
+			hub(func(h obs.HubStats) float64 { return float64(h.Published) }))
+		reg.CollectFunc("ses_watch_evictions_total", "Watch subscribers evicted for falling behind.", "counter", nil,
+			hub(func(h obs.HubStats) float64 { return float64(h.Evicted) }))
+	}
+	reg.CollectFunc("ses_traces", "Traces retained in the ring.", "gauge", nil,
+		func(emit func([]string, float64)) { emit(nil, float64(s.obs.Tracer.Len())) })
 }
 
 // listTraces serves GET /v1/traces: recent traces, newest first,
 // filterable with ?min=DURATION and ?limit=N.
 func (s *server) listTraces(w http.ResponseWriter, r *http.Request) {
-	t := s.tracer()
+	t := tracerOf(s.obs)
 	if t == nil {
 		s.writeJSON(w, http.StatusNotFound, map[string]string{"error": "tracing is disabled (-obs=false)"})
 		return
@@ -239,7 +233,7 @@ func (s *server) listTraces(w http.ResponseWriter, r *http.Request) {
 
 // getTrace serves GET /v1/traces/{id}: the full span tree.
 func (s *server) getTrace(w http.ResponseWriter, r *http.Request) {
-	t := s.tracer()
+	t := tracerOf(s.obs)
 	if t == nil {
 		s.writeJSON(w, http.StatusNotFound, map[string]string{"error": "tracing is disabled (-obs=false)"})
 		return

@@ -23,9 +23,7 @@ func obsTestServer(t *testing.T) (*httptest.Server, *ses.Observability) {
 	o := ses.NewObservability(ses.ObservabilityOptions{})
 	st := ses.NewStore(ses.WithWorkers(1), ses.WithObservability(o))
 	pipe := ses.NewPipeline(st, ses.WithResolveWorkers(2))
-	handler := newServer(st, pipe)
-	handler.obs = o
-	srv := httptest.NewServer(handler.routes())
+	srv := httptest.NewServer(newServer(st, pipe, o, nil, nil).routes())
 	t.Cleanup(func() {
 		srv.Close()
 		pipe.Close()

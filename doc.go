@@ -293,9 +293,10 @@
 // trace IDs propagate across router and replication hops via the
 // X-Ses-Trace header, and followers record remote replication.apply
 // spans under the primary's IDs, so one ID shows a write's full
-// cross-node story. A lock-free metrics registry (counters, gauges,
-// fixed-bucket histograms, scrape-time collectors) renders Prometheus
-// text exposition at /metrics on both sesd and sesrouter. A
+// cross-node story. A metrics registry of atomic instruments
+// (counters, gauges, fixed-bucket histograms, scrape-time collectors)
+// renders Prometheus text exposition at /metrics on both sesd and
+// sesrouter; sesd's JSON /v1/metrics is a view of the same registry. A
 // per-session fan-out hub bridges solver progress callbacks and
 // committed deltas to GET /v1/sessions/{name}/watch as server-sent
 // events, evicting subscribers that stop reading so a slow dashboard

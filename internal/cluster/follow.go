@@ -256,6 +256,13 @@ func (f *Follower) ackStream(ctx context.Context) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
+	// A server whose handler answers without reading the body (a peer
+	// still booting, a route it does not serve) drains an unread body
+	// before it writes the response, and this body never ends: the
+	// response would never come and every ack would be discarded.
+	// Under Expect: 100-continue it closes the connection instead, Do
+	// returns, and the stream redials.
+	req.Header.Set("Expect", "100-continue")
 	var doErr error
 	done := make(chan struct{})
 	go func() {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -244,6 +245,42 @@ func TestAckStreamReconnects(t *testing.T) {
 	}
 	if got := n1.Metrics().AcksReceived; got <= acksAtCut {
 		t.Fatalf("acks_received stuck at %d after the cut", got)
+	}
+}
+
+// TestAckStreamSurvivesRejection: a primary that first answers the ack
+// stream without reading its body, as a peer still booting does, must
+// not swallow the follower's acks; the follower redials and its acks
+// land within the ack wait.
+func TestAckStreamSurvivesRejection(t *testing.T) {
+	ctx := context.Background()
+	c := newTestCluster(t, 2, store.DurableOptions{Sync: wal.SyncAlways}, func(o *NodeOptions) {
+		o.ReplicateAck = 1
+	})
+	var rejected atomic.Int32
+	swap := c.servers["n1"].Config.Handler.(*swapHandler)
+	h := swap.h.Load().(http.Handler)
+	first := http.NewServeMux() // the swap holds a *http.ServeMux
+	first.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replication/ack" && rejected.Add(1) == 1 {
+			http.Error(w, "node not up", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+	swap.set(first)
+	c.start()
+	d, n1 := c.stores["n1"], c.nodes["n1"]
+	if err := d.Create("early", testInstance(6), 3); err != nil {
+		t.Fatal(err)
+	}
+	for op := 0; op < 5; op++ {
+		if _, err := d.ApplyBatch(ctx, "early", []store.Mutation{store.UpdateInterest(op, 0, 0.5)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.AwaitAck(ctx, "early"); err != nil {
+			t.Fatalf("op %d: %v (ack connections seen: %d)", op, err, rejected.Load())
+		}
 	}
 }
 

@@ -34,6 +34,28 @@ func TestCounterAndGaugeValues(t *testing.T) {
 	}
 }
 
+func TestCounterVecSum(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("req_total", "requests", "route", "code")
+	if v.Sum() != 0 {
+		t.Errorf("empty vector sum = %d, want 0", v.Sum())
+	}
+	v.With("/a", "200").Add(3)
+	v.With("/a", "404").Inc()
+	v.With("/b", "200").Add(2)
+	if v.Sum() != 6 {
+		t.Errorf("sum = %d, want 6", v.Sum())
+	}
+	// The same family found again reads the same children.
+	if again := r.CounterVec("req_total", "requests", "route", "code"); again.Sum() != 6 {
+		t.Errorf("re-registered sum = %d, want 6", again.Sum())
+	}
+	var nilV *CounterVec
+	if nilV.Sum() != 0 {
+		t.Error("nil vector sum != 0")
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "latency", []float64{0.01, 0.1, 1})

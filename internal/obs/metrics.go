@@ -13,8 +13,10 @@ import (
 )
 
 // Registry holds a process's metric families and renders them in
-// Prometheus text exposition format. Instrument reads and writes are
-// lock-free (atomics; vectors add one sync.Map lookup); the registry
+// Prometheus text exposition format. Reads and writes on an instrument
+// already in hand are lock-free atomics. A vector's With is not: it
+// joins the label values into a key and looks it up under the family
+// mutex, so hot callers resolve a child once and keep it. The registry
 // mutex guards only registration and scraping.
 type Registry struct {
 	mu       sync.Mutex
@@ -115,8 +117,8 @@ type CounterVec struct {
 	f *family
 }
 
-// With returns the counter for the given label values (created on
-// first use); safe on nil.
+// With returns the counter for the given label values, created on
+// first use. It takes the family mutex; safe on nil.
 func (v *CounterVec) With(labelVals ...string) *Counter {
 	if v == nil {
 		return nil
@@ -124,6 +126,20 @@ func (v *CounterVec) With(labelVals ...string) *Counter {
 	return v.f.get(labelVals, func() series {
 		return &Counter{vals: append([]string(nil), labelVals...)}
 	}).(*Counter)
+}
+
+// Sum is the total over every child counter; safe on nil.
+func (v *CounterVec) Sum() uint64 {
+	if v == nil {
+		return 0
+	}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	var n uint64
+	for _, s := range v.f.series {
+		n += s.(*Counter).Value()
+	}
+	return n
 }
 
 // CounterVec registers (or finds) a labeled counter family.
@@ -298,7 +314,8 @@ type HistogramVec struct {
 	buckets []float64
 }
 
-// With returns the histogram for the given label values; safe on nil.
+// With returns the histogram for the given label values, created on
+// first use. It takes the family mutex; safe on nil.
 func (v *HistogramVec) With(labelVals ...string) *Histogram {
 	if v == nil {
 		return nil

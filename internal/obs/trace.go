@@ -1,8 +1,9 @@
 // Package obs is the zero-dependency observability layer of the ses
 // serving stack: context-carried request tracing with a bounded
-// in-memory trace ring, a lock-free metrics registry with Prometheus
-// text exposition, and a per-session fan-out hub that bridges solver
-// progress and committed deltas to live subscribers (SSE in sesd).
+// in-memory trace ring, a metrics registry of atomic instruments with
+// Prometheus text exposition (vector lookups take a family mutex), and
+// a per-session fan-out hub that bridges solver progress and committed
+// deltas to live subscribers (SSE in sesd).
 //
 // The package sits below every serving layer and above none: store,
 // session, wal, cluster and the daemons all call into obs, obs calls

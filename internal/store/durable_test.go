@@ -275,7 +275,14 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	}
 	want := canonicalState(t, d, "auto")
 	crashDir := t.TempDir()
-	copyTree(t, dir, crashDir)
+	// Later checkpoints may still be running. The worker holds the
+	// shard's op lock for a whole checkpoint, so copying under it
+	// crashes between two operations, never mid-checkpoint.
+	func() {
+		d.shardMu[shard].Lock()
+		defer d.shardMu[shard].Unlock()
+		copyTree(t, dir, crashDir)
+	}()
 	d.Close()
 
 	re := openDurable(t, crashDir, DurableOptions{Sync: wal.SyncNone})
