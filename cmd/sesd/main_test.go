@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ses"
+	"ses/internal/core"
 	"ses/internal/dataset"
 	"ses/internal/sestest"
 )
@@ -327,6 +328,87 @@ func TestDaemonRejectsGarbage(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage restore: status %d", resp.StatusCode)
 	}
+}
+
+// TestDaemonRejectsOutOfRangeDocuments sends two documents whose
+// interest rows name users the σ table does not hold: a negative user
+// id, and a 1×1 table under a row naming user 2. Both must be refused
+// at create and at restore (400), and the daemon must keep serving. A
+// daemon that accepts either one panics in its scoring goroutine on
+// the resolve below, which takes the whole process down.
+func TestDaemonRejectsOutOfRangeDocuments(t *testing.T) {
+	srv := testServer(t)
+	do(t, "POST", srv.URL+"/v1/sessions", map[string]any{"name": "ok", "k": 3, "instance": instanceDoc(t, 5)}, http.StatusCreated, nil)
+	resp, err := http.Get(srv.URL + "/v1/sessions/ok/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&snapshot)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	row := func(ids []int32) dataset.MatrixDoc {
+		vals := make([]float64, len(ids))
+		for i := range vals {
+			vals[i] = 0.5
+		}
+		return dataset.MatrixDoc{NumUsers: 3, Rows: []dataset.VectorDoc{{IDs: ids, Vals: vals}}}
+	}
+	docs := map[string]*dataset.InstanceDoc{
+		"negative-user": {
+			NumUsers: 3, NumIntervals: 2, Resources: 10,
+			Events:       []core.Event{{Required: 1}},
+			CandInterest: row([]int32{-7, 1}),
+			CompInterest: dataset.MatrixDoc{NumUsers: 3},
+			Activity:     dataset.ActivityDoc{Type: "table", Table: [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}},
+		},
+		"short-table": {
+			NumUsers: 3, NumIntervals: 1, Resources: 10,
+			Events:       []core.Event{{Required: 1}},
+			CandInterest: row([]int32{2}),
+			CompInterest: dataset.MatrixDoc{NumUsers: 3},
+			Activity:     dataset.ActivityDoc{Type: "table", Table: [][]float64{{0.5}}},
+		},
+	}
+	for name, doc := range docs {
+		body, err := json.Marshal(map[string]any{"name": name, "k": 1, "instance": doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		created := post(t, srv.URL+"/v1/sessions", body)
+		resolved := post(t, srv.URL+"/v1/sessions/"+name+"/resolve", nil)
+		if created != http.StatusBadRequest || resolved != http.StatusNotFound {
+			t.Fatalf("%s: create %d, resolve %d; want 400, 404", name, created, resolved)
+		}
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot["instance"] = raw
+		body, err = json.Marshal(snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := post(t, srv.URL+"/v1/sessions/"+name+"/restore", body); got != http.StatusBadRequest {
+			t.Fatalf("%s: restore %d, want 400", name, got)
+		}
+	}
+	do(t, "POST", srv.URL+"/v1/sessions/ok/resolve", nil, http.StatusOK, nil)
+}
+
+// post sends a JSON body and returns the status code.
+func post(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestDaemonObjectiveSelection: a session created with an objective

@@ -70,7 +70,10 @@
 // and the utility accessors. Three implementations exist: Sparse, the
 // production engine, keeps per-interval scheduled mass in sorted
 // accumulators maintained by incremental merge, making the hot paths
-// allocation-free merge-joins; Dense is the paper-faithful
+// allocation-free merge-joins, and scores a large batch (rows holding
+// at least |U| entries, e.g. all events at one interval) through a
+// dense per-user view of the interval, so its memory stays bounded by
+// the entries it reads; Dense is the paper-faithful
 // O(|U|)-per-score baseline; Ref wraps the definitional Reference*
 // oracle functions. Property tests force all of them to
 // agree to floating-point accuracy.

@@ -56,6 +56,26 @@ func NewTable(p [][]float64) (*Table, error) {
 // Prob returns σ(user, interval).
 func (t *Table) Prob(user, interval int) float64 { return t.P[user][interval] }
 
+// CheckShape reports an error unless the table holds σ for every one
+// of numUsers users at every one of numIntervals intervals, so that
+// Prob never indexes past it. core.Instance.Validate calls it.
+func (t *Table) CheckShape(numUsers, numIntervals int) error {
+	return checkShape(t.P, numUsers, numIntervals)
+}
+
+// checkShape is CheckShape for a σ grid indexed [user][interval].
+func checkShape(p [][]float64, numUsers, numIntervals int) error {
+	if len(p) < numUsers {
+		return fmt.Errorf("activity: σ table has %d user rows, instance has %d users", len(p), numUsers)
+	}
+	for u, row := range p[:numUsers] {
+		if len(row) < numIntervals {
+			return fmt.Errorf("activity: σ table row %d has %d intervals, instance has %d", u, len(row), numIntervals)
+		}
+	}
+	return nil
+}
+
 // Scaled wraps another model and multiplies its probabilities by a
 // factor in [0,1] — handy for what-if analyses ("what if everyone were
 // half as likely to go out?").

@@ -69,6 +69,25 @@ func TestTable(t *testing.T) {
 	if _, err := NewTable([][]float64{{-0.1}}); err == nil {
 		t.Fatal("NewTable accepted σ < 0")
 	}
+	if err := tab.CheckShape(2, 2); err != nil {
+		t.Fatalf("CheckShape(2, 2) on a 2×2 table: %v", err)
+	}
+	if err := tab.CheckShape(1, 1); err != nil {
+		t.Fatalf("CheckShape(1, 1) on a 2×2 table: %v", err)
+	}
+	if tab.CheckShape(3, 2) == nil {
+		t.Fatal("CheckShape accepted a table with too few users")
+	}
+	if tab.CheckShape(2, 3) == nil {
+		t.Fatal("CheckShape accepted a table with too few intervals")
+	}
+	ragged, err := NewTable([][]float64{{0.1, 0.2}, {0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ragged.CheckShape(2, 2) == nil {
+		t.Fatal("CheckShape accepted a ragged table")
+	}
 }
 
 func TestScaled(t *testing.T) {
@@ -165,5 +184,13 @@ func TestEstimatorActivityMapping(t *testing.T) {
 	}
 	if _, err := e.Activity([]int{9}); err == nil {
 		t.Fatal("accepted interval mapped to invalid slot")
+	}
+	// The estimate holds 2 users × 2 intervals; an instance with more
+	// of either must be refused before Prob indexes past it.
+	if err := act.CheckShape(2, 2); err != nil {
+		t.Fatalf("CheckShape(2, 2): %v", err)
+	}
+	if act.CheckShape(3, 2) == nil || act.CheckShape(2, 3) == nil {
+		t.Fatal("CheckShape accepted an instance larger than the estimate")
 	}
 }

@@ -105,3 +105,9 @@ type Estimated struct {
 
 // Prob returns σ̂(user, interval).
 func (a *Estimated) Prob(user, interval int) float64 { return a.probs[user][interval] }
+
+// CheckShape is Table.CheckShape for the frozen estimate: it holds the
+// estimator's users at the intervals Activity mapped.
+func (a *Estimated) CheckShape(numUsers, numIntervals int) error {
+	return checkShape(a.probs, numUsers, numIntervals)
+}

@@ -26,9 +26,12 @@
 //     µ(u,e) = 0 contributes nothing to the score of assigning e (their
 //     Luce denominator does not change), so scores only iterate the
 //     sparse interest row of the event. Competing interest mass is
-//     pre-aggregated per interval into sorted vectors; scheduled mass
-//     is maintained incrementally in sorted accumulators so the hot
-//     paths (Score, IntervalUtility) are allocation-free merge-joins.
+//     pre-aggregated per interval into sorted vectors (a k-way merge
+//     of the sorted competing rows); scheduled mass is maintained
+//     incrementally in sorted accumulators so the hot paths (Score,
+//     IntervalUtility) are allocation-free merge-joins. A large
+//     ScoreBatch reads the interval through a dense per-user view
+//     instead (see Engine.ScoreBatch).
 //
 // All implementations agree to floating-point accuracy; property tests
 // enforce it.
@@ -65,10 +68,14 @@ type Engine interface {
 	// meaningful while e is unassigned.
 	Score(e, t int) float64
 	// ScoreBatch computes Score(events[i], t) into out[i] for every
-	// listed event. It is equivalent to calling Score in a loop but
-	// lets engines hoist per-interval state, and it is the unit of
-	// work the solver layer fans out across workers. out must have
-	// at least len(events) elements.
+	// listed event. It is equivalent (bit for bit) to calling Score in
+	// a loop but lets engines hoist per-interval state, and it is the
+	// unit of work the solver layer fans out across workers. Sparse
+	// hoists the interval into a dense per-user view under a linear
+	// objective when the listed rows hold at least NumUsers entries in
+	// total, so the view's 16 B per user never exceed 16 B per entry
+	// read; smaller batches loop Score. out must have at least
+	// len(events) elements.
 	ScoreBatch(events []int, t int, out []float64)
 	// Apply adds assignment (e, t), returning the schedule's validity
 	// error if the assignment is not valid.

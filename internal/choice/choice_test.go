@@ -102,26 +102,51 @@ func TestSparseAndDenseAgreeExactly(t *testing.T) {
 
 func TestScoreBatchMatchesScore(t *testing.T) {
 	// ScoreBatch must be bit-identical to a Score loop — the solver
-	// layer's parallel scoring relies on it.
-	for seed := uint64(90); seed < 96; seed++ {
-		inst := sestest.Random(sestest.Config{Seed: seed, Competing: 5})
-		events := make([]int, inst.NumEvents())
-		for i := range events {
-			events[i] = i
-		}
-		out := make([]float64, len(events))
-		for name, eng := range newEngines(inst) {
-			greedyFill(eng, 3)
-			for ti := 0; ti < inst.NumIntervals; ti++ {
-				eng.ScoreBatch(events, ti, out)
-				for i, ev := range events {
-					if want := eng.Score(ev, ti); out[i] != want {
-						t.Errorf("seed %d %s: ScoreBatch(e%d,t%d) = %v, Score = %v",
-							seed, name, ev, ti, out[i], want)
+	// layer's parallel scoring relies on it. The two configs put
+	// Sparse's all-events batch on both sides of its dense-view
+	// threshold (rows holding at least NumUsers entries in total), and
+	// every engine is checked at three schedule sizes, so intervals
+	// carry scheduled mass, under Omega and under nonlinear Fairness.
+	fair, err := NewFairness(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := []sestest.Config{
+		{Competing: 5}, // ~80 entries for 20 users: dense
+		{Users: 300, Events: 12, Competing: 6, Density: 0.02}, // ~70 entries for 300 users: serial
+	}
+	sides := map[bool]bool{}
+	for _, cfg := range configs {
+		for seed := uint64(90); seed < 96; seed++ {
+			cfg.Seed = seed
+			inst := sestest.Random(cfg)
+			events := make([]int, inst.NumEvents())
+			for i := range events {
+				events[i] = i
+			}
+			sides[entriesAtLeast(inst.CandInterest, events, inst.NumUsers)] = true
+			out := make([]float64, len(events))
+			for _, obj := range []Objective{Omega, fair} {
+				for name, eng := range newEngines(inst) {
+					eng.SetObjective(obj)
+					for _, fill := range []int{0, 3, 6} {
+						greedyFill(eng, fill)
+						for ti := 0; ti < inst.NumIntervals; ti++ {
+							eng.ScoreBatch(events, ti, out)
+							for i, ev := range events {
+								if want := eng.Score(ev, ti); math.Float64bits(out[i]) != math.Float64bits(want) {
+									t.Errorf("seed %d users %d %s %s fill %d: ScoreBatch(e%d,t%d) = %v, Score = %v",
+										seed, inst.NumUsers, obj.Name(), name, fill, ev, ti, out[i], want)
+								}
+							}
+						}
 					}
 				}
 			}
 		}
+	}
+	if !sides[true] || !sides[false] {
+		t.Fatalf("configs cover the dense threshold only on side %v", sides)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ses/internal/core"
+	"ses/internal/interest"
 )
 
 // residualEps bounds, relative to the *high-water mark* of the
@@ -31,8 +32,9 @@ const residualEps = 64 * 2.220446049250313e-16 // 64 ulps ≈ 1.4e-14
 // denominator at t is unchanged by the assignment.
 //
 // Competing interest mass C(t,u) = Σ_{c∈Ct} µ(u,c) is aggregated at
-// construction into per-interval sorted vectors, and re-aggregated
-// per interval when the instance gains competing events (Patch).
+// construction into per-interval sorted vectors, by a k-way merge of
+// the sorted competing rows, and re-aggregated per interval when the
+// instance gains competing events (Patch).
 // Scheduled mass P(t,u) = Σ_{p∈Et(S)} µ(u,p) is maintained
 // incrementally in per-interval *sorted accumulators*: Apply/Unapply
 // merge the event's (sorted) interest row into the interval's
@@ -40,6 +42,16 @@ const residualEps = 64 * 2.220446049250313e-16 // 64 ulps ≈ 1.4e-14
 // list never has to be rebuilt or re-sorted. Score, EventAttendance
 // and IntervalUtility are then allocation-free merge-joins over
 // sorted vectors with deterministic summation order.
+//
+// ScoreBatch hoists the interval instead: under a linear objective, a
+// batch whose rows hold at least NumUsers entries in total scatters
+// C(t,·) and P(t,·) into a dense per-user view (two float64 arrays the
+// engine owns and allocates once; forks get their own), reads every
+// row by direct index and zeroes only what it scattered. The view
+// costs 16 B per user, which the threshold bounds by 16 B per entry
+// the batch reads, so a document claiming 2^31 users with a few
+// entries scores serially. Initial scoring (all events at one
+// interval) takes the dense path on instances as dense as the paper's.
 type Sparse struct {
 	objectiveHolder
 	inst  *core.Instance
@@ -54,6 +66,11 @@ type Sparse struct {
 	// steady state allocates nothing.
 	scratchIDs  []int32
 	scratchVals []float64
+	// denseC and denseP are ScoreBatch's dense view of one interval's
+	// competing and scheduled mass, indexed by user id and all zero
+	// between calls. They are allocated by the first batch that takes
+	// the dense path and never shared with a fork.
+	denseC, denseP []float64
 }
 
 // massVector is a sorted sparse vector of per-user mass. Competing
@@ -114,39 +131,104 @@ func aggregateCompeting(inst *core.Instance) []massVector {
 		byInterval[c.Interval] = append(byInterval[c.Interval], ci)
 	}
 	comp := make([]massVector, inst.NumIntervals)
+	var m massMerger
 	for t, cis := range byInterval {
-		comp[t] = aggregateInterval(inst, cis)
+		comp[t] = m.aggregateInterval(inst, cis)
 	}
 	return comp
 }
 
+// massMerger holds the buffers of aggregateInterval's k-way merge, so
+// aggregating many intervals reuses them.
+type massMerger struct {
+	rows []interest.SparseVector
+	pos  []int   // per row: the next entry to merge
+	heap []int32 // rows with entries left, a min-heap under less
+	ids  []int32
+	vals []float64
+}
+
+// less orders rows by their next user id, then by list position.
+func (m *massMerger) less(a, b int32) bool {
+	ia, ib := m.rows[a].IDs[m.pos[a]], m.rows[b].IDs[m.pos[b]]
+	return ia < ib || (ia == ib && a < b)
+}
+
+// down sifts heap entry i toward the leaves.
+func (m *massMerger) down(i int) {
+	h := m.heap
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+			c = r
+		}
+		if !m.less(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
 // aggregateInterval sums the interest rows of the listed competing
-// events per user, in list order, into one sorted mass vector. It is
-// the only place competing mass is summed, so a patched interval is
-// bit-identical to a freshly built one.
-func aggregateInterval(inst *core.Instance, cis []int) massVector {
+// events per user into one sorted mass vector. The rows are sorted by
+// user id, so a k-way merge over them pops entries in ascending user
+// order, and a user's entries in list order: every sum starts from 0
+// and adds in list order, exactly as a per-user map filled row by row
+// would. It is the only place competing mass is summed, so a patched
+// interval is bit-identical to a freshly built one. The result is
+// sized to the distinct users.
+func (m *massMerger) aggregateInterval(inst *core.Instance, cis []int) massVector {
 	if len(cis) == 0 {
 		return massVector{}
 	}
-	m := make(map[int32]float64)
-	for _, ci := range cis {
+	m.rows, m.pos, m.heap = m.rows[:0], m.pos[:0], m.heap[:0]
+	total := 0
+	for k, ci := range cis {
 		row := inst.CompInterest.Row(ci)
-		for i, id := range row.IDs {
-			m[id] += row.Vals[i]
+		m.rows = append(m.rows, row)
+		m.pos = append(m.pos, 0)
+		if row.Len() > 0 {
+			m.heap = append(m.heap, int32(k))
 		}
+		total += row.Len()
 	}
-	mv := massVector{
-		ids:  make([]int32, 0, len(m)),
-		vals: make([]float64, 0, len(m)),
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
-	for id := range m {
-		mv.ids = append(mv.ids, id)
+	if cap(m.ids) < total {
+		m.ids = make([]int32, 0, total)
+		m.vals = make([]float64, 0, total)
 	}
-	sort.Slice(mv.ids, func(i, j int) bool { return mv.ids[i] < mv.ids[j] })
-	for _, id := range mv.ids {
-		mv.vals = append(mv.vals, m[id])
+	ids, vals := m.ids[:0], m.vals[:0]
+	for len(m.heap) > 0 {
+		k := m.heap[0]
+		row := m.rows[k]
+		id, v := row.IDs[m.pos[k]], row.Vals[m.pos[k]]
+		if m.pos[k]++; m.pos[k] == len(row.IDs) {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
+		}
+		if len(m.heap) > 0 {
+			m.down(0)
+		}
+		if n := len(ids); n > 0 && ids[n-1] == id {
+			vals[n-1] += v
+			continue
+		}
+		ids = append(ids, id)
+		vals = append(vals, 0+v) // a map's first += adds to 0 too
 	}
-	return mv
+	return massVector{
+		ids:  append(make([]int32, 0, len(ids)), ids...),
+		vals: append(make([]float64, 0, len(vals)), vals...),
+	}
 }
 
 // NewSparse builds the engine for inst with an empty schedule.
@@ -233,9 +315,60 @@ func (e *Sparse) scoreNonlinear(event, t int) float64 {
 	return fold.value(e.obj) - before
 }
 
-// ScoreBatch computes Score for every listed event at t.
+// ScoreBatch computes Score for every listed event at t. Under a
+// linear objective, a batch whose rows hold at least NumUsers entries
+// in total is scored through a dense view of the interval: its
+// competing and scheduled mass are scattered into two engine-owned
+// arrays indexed by user id, each row is read by direct index instead
+// of two seeks per entry, and only the scattered entries are zeroed
+// again. Every event sums the same terms in the same order as Score,
+// so the scores are bit-identical. The threshold bounds the view's
+// memory (16 B per user) by 16 B per entry the batch reads; smaller
+// batches, and nonlinear objectives, loop Score.
 func (e *Sparse) ScoreBatch(events []int, t int, out []float64) {
-	scoreBatchSerial(e, events, t, out)
+	n := e.inst.NumUsers
+	if !e.linear || !entriesAtLeast(e.inst.CandInterest, events, n) {
+		scoreBatchSerial(e, events, t, out)
+		return
+	}
+	if len(e.denseC) < n {
+		e.denseC = make([]float64, n)
+		e.denseP = make([]float64, n)
+	}
+	dc, dp := e.denseC, e.denseP
+	comp, pm := e.comp[t], e.pmass[t]
+	for i, id := range comp.ids {
+		dc[id] = comp.vals[i]
+	}
+	for i, id := range pm.ids {
+		dp[id] = pm.vals[i]
+	}
+	obj, act := e.obj, e.inst.Activity
+	for k, ev := range events {
+		row := e.inst.CandInterest.Row(ev)
+		sum := 0.0
+		for i, id := range row.IDs {
+			sum += obj.Gain(act.Prob(int(id), t), row.Vals[i], dc[id], dp[id])
+		}
+		out[k] = sum
+	}
+	for _, id := range comp.ids {
+		dc[id] = 0
+	}
+	for _, id := range pm.ids {
+		dp[id] = 0
+	}
+}
+
+// entriesAtLeast reports whether the listed events' rows hold at
+// least n entries in total, stopping as soon as they do.
+func entriesAtLeast(m *interest.Matrix, events []int, n int) bool {
+	for _, ev := range events {
+		if n -= m.Row(ev).Len(); n <= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // merge rebuilds pmass[t] as acc ± row into the scratch buffers, then
@@ -384,8 +517,9 @@ func (e *Sparse) Patch(_, intervals map[int]bool) {
 		return
 	}
 	comp := append([]massVector(nil), e.comp...)
+	var m massMerger
 	for t := range intervals {
-		comp[t] = aggregateInterval(e.inst, e.inst.CompetingAt(t))
+		comp[t] = m.aggregateInterval(e.inst, e.inst.CompetingAt(t))
 	}
 	e.comp = comp
 }

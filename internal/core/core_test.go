@@ -11,6 +11,19 @@ type constActivity float64
 
 func (c constActivity) Prob(u, t int) float64 { return float64(c) }
 
+// shapedConst is a constant σ that holds only users×intervals cells,
+// like an explicit table.
+type shapedConst struct{ users, intervals int }
+
+func (s shapedConst) Prob(u, t int) float64 { return 1 }
+
+func (s shapedConst) CheckShape(users, intervals int) error {
+	if users > s.users || intervals > s.intervals {
+		return errors.New("short table")
+	}
+	return nil
+}
+
 // tinyInstance: 4 events, 2 intervals, 3 users, 1 competing event.
 // Locations: e0,e1 share location 0; e2 at 1; e3 at 2.
 // Resources: θ=10; ξ = {4, 4, 5, 8}.
@@ -69,6 +82,10 @@ func TestInstanceValidateRejects(t *testing.T) {
 		{"comp rows mismatch", func(in *Instance) { in.CompInterest = interest.NewMatrix(3, 5) }},
 		{"user dim mismatch", func(in *Instance) { in.CandInterest = interest.NewMatrix(7, 4) }},
 		{"nil activity", func(in *Instance) { in.Activity = nil }},
+		{"negative user id", func(in *Instance) {
+			in.CandInterest.SetRow(1, interest.SparseVector{IDs: []int32{-7, 1}, Vals: []float64{0.5, 0.5}})
+		}},
+		{"short activity table", func(in *Instance) { in.Activity = shapedConst{users: 1, intervals: 2} }},
 	}
 	for _, c := range cases {
 		in := tinyInstance()

@@ -54,6 +54,13 @@ type Activity interface {
 	Prob(user, interval int) float64
 }
 
+// shapedActivity is implemented by activity models that hold σ for a
+// fixed grid of users and intervals (an explicit table). Validate asks
+// them to confirm the grid covers the instance.
+type shapedActivity interface {
+	CheckShape(numUsers, numIntervals int) error
+}
+
 // Instance is a complete SES problem instance.
 type Instance struct {
 	// NumUsers is |U|. Users are identified by 0..NumUsers-1.
@@ -95,9 +102,11 @@ func (in *Instance) CompetingAt(t int) []int {
 
 // Validate checks the structural invariants of the instance: positive
 // dimensions, locations and required resources in range, competing
-// events pinned to existing intervals, and interest matrices with
-// matching shapes. Solvers call it once up front so that the hot paths
-// can assume a well-formed instance.
+// events pinned to existing intervals, interest matrices with
+// matching shapes and user ids in [0, NumUsers), and an explicit σ
+// table that covers every user and interval. Solvers call it once up
+// front so that the hot paths can assume a well-formed instance (the
+// engines index σ tables and per-user views by user id).
 func (in *Instance) Validate() error {
 	if in.NumUsers <= 0 {
 		return fmt.Errorf("core: instance needs at least one user, got %d", in.NumUsers)
@@ -143,6 +152,11 @@ func (in *Instance) Validate() error {
 	}
 	if in.Activity == nil {
 		return errors.New("core: instance is missing an activity model")
+	}
+	if g, ok := in.Activity.(shapedActivity); ok {
+		if err := g.CheckShape(in.NumUsers, in.NumIntervals); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 	}
 	return nil
 }

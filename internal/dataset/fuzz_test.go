@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"slices"
 	"testing"
 
 	"ses/internal/ebsn"
@@ -70,6 +73,62 @@ func FuzzDatasetIO(f *testing.F) {
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Fatalf("dataset save not canonical:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
 			}
+		}
+	})
+}
+
+// FuzzVectorDocJSON is the differential test of the interest-row
+// decoder: for every input, json.Unmarshal into VectorDoc (whose
+// UnmarshalJSON parses the canonical form itself) and into the
+// method-less vectorDocJSON (encoding/json's reflective decode) must
+// both accept or both reject, with the same error text, and decode the
+// same row, values compared bit for bit.
+func FuzzVectorDocJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"ids":[0,3,17],"vals":[0.25,1,0.0625]}`,
+		`{"ids":[],"vals":[]}`,
+		" {\n \"ids\" : [ 1 , 2 ] ,\t\"vals\" : [ 5e-1 , 1E0 ] } ",
+		`{"ids":[-0,-3],"vals":[-0,-0.5e+2]}`,
+		`null`,
+		`{"IDS":[1],"Vals":[0.5]}`,
+		`{"ids":[1],"vals":[0.5]}`,
+		`{"vals":[0.5],"ids":[1]}`,
+		`{"ids":[1],"vals":[0.5],"extra":true}`,
+		`{"ids":[1]}`,
+		`{"ids":[1.5],"vals":[0.5]}`,
+		`{"ids":[2147483648],"vals":[0.5]}`,
+		`{"ids":[2147483647,-2147483648],"vals":[0.5,0.5]}`,
+		`{"ids":[1],"vals":[1e400]}`,
+		`{"ids":[1],"vals":["0.5"]}`,
+		`{"ids":null,"vals":[0.5]}`,
+		`{"ids":[01],"vals":[0.5]}`,
+		`{"ids":[1,],"vals":[0.5]}`,
+		`[1,2]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fast VectorDoc
+		errFast := json.Unmarshal(data, &fast)
+		var slow vectorDocJSON
+		errSlow := json.Unmarshal(data, &slow)
+		if (errFast == nil) != (errSlow == nil) {
+			t.Fatalf("%q: UnmarshalJSON error %v, reflective %v", data, errFast, errSlow)
+		}
+		if errFast != nil {
+			if errFast.Error() != errSlow.Error() {
+				t.Fatalf("%q: UnmarshalJSON error %q, reflective %q", data, errFast, errSlow)
+			}
+			return
+		}
+		if (fast.IDs == nil) != (slow.IDs == nil) || (fast.Vals == nil) != (slow.Vals == nil) {
+			t.Fatalf("%q: nil slices differ: %+v vs %+v", data, fast, slow)
+		}
+		if !slices.Equal(fast.IDs, slow.IDs) {
+			t.Fatalf("%q: ids %v, reflective %v", data, fast.IDs, slow.IDs)
+		}
+		if !slices.EqualFunc(fast.Vals, slow.Vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%q: vals %v, reflective %v", data, fast.Vals, slow.Vals)
 		}
 	})
 }

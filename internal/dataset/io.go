@@ -79,10 +79,14 @@ type ActivityDoc struct {
 	Table [][]float64 `json:"table,omitempty"`
 }
 
-// VectorDoc is a sparse interest row.
+// VectorDoc is a sparse interest row. It decodes its own JSON (see
+// UnmarshalJSON).
 type VectorDoc struct {
 	IDs  []int32   `json:"ids"`
 	Vals []float64 `json:"vals"`
+	// unknownKey records that the row's JSON carried a key with no
+	// field here (see CheckRowKeys); neither codec writes it.
+	unknownKey bool
 }
 
 // MatrixDoc is a sparse interest matrix.

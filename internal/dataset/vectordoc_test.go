@@ -1,0 +1,108 @@
+package dataset
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ses/internal/sestest"
+)
+
+// TestSavedRowsTakeTheFastPath: every row SaveInstance writes is in
+// the form UnmarshalJSON parses itself, and a saved instance decodes
+// to the same document through either decoder.
+func TestSavedRowsTakeTheFastPath(t *testing.T) {
+	inst := sestest.Random(sestest.Config{Users: 40, Events: 12, Intervals: 4, Competing: 6, Seed: 11})
+	var b bytes.Buffer
+	if err := SaveInstance(&b, inst); err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		CandInterest struct {
+			Rows []json.RawMessage `json:"rows"`
+		} `json:"cand_interest"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range raw.CandInterest.Rows {
+		if _, _, ok := parseVectorDoc(row); !ok {
+			t.Fatalf("saved row %d falls back to the reflective decode: %s", i, row)
+		}
+	}
+
+	var doc InstanceDoc
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	// The same bytes, with every row decoded reflectively.
+	var ref struct {
+		CandInterest struct {
+			Rows []vectorDocJSON `json:"rows"`
+		} `json:"cand_interest"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &ref); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ref.CandInterest.Rows {
+		if !reflect.DeepEqual(doc.CandInterest.Rows[i], VectorDoc(r)) {
+			t.Fatalf("row %d: %+v, reflective %+v", i, doc.CandInterest.Rows[i], r)
+		}
+	}
+	if err := doc.CheckRowKeys(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckRowKeys: a row with a key VectorDoc has no field for
+// decodes as encoding/json would (the key is ignored), and is flagged
+// for strict readers; other spellings encoding/json matches are not.
+func TestCheckRowKeys(t *testing.T) {
+	decode := func(rows string) *InstanceDoc {
+		t.Helper()
+		var doc InstanceDoc
+		if err := json.Unmarshal([]byte(`{"comp_interest":{"rows":[`+rows+`]}}`), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return &doc
+	}
+	if err := decode(`{"ids":[1],"vals":[0.5]},{"IDS":[1],"Vals":[0.5]},null`).CheckRowKeys(); err != nil {
+		t.Fatalf("known keys flagged: %v", err)
+	}
+	doc := decode(`{"ids":[1],"vals":[0.5]},{"ids":[2],"vals":[0.5],"weight":3}`)
+	if got := doc.CompInterest.Rows[1]; len(got.IDs) != 1 || got.IDs[0] != 2 {
+		t.Fatalf("row with an unknown key decoded to %+v", got)
+	}
+	err := doc.CheckRowKeys()
+	if err == nil || !strings.Contains(err.Error(), "comp_interest row 1") {
+		t.Fatalf("unknown key: CheckRowKeys = %v", err)
+	}
+	var nilDoc *InstanceDoc
+	if err := nilDoc.CheckRowKeys(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnmarshalJSONRejectsInvalidJSON: called directly, on bytes no
+// JSON decoder has validated, UnmarshalJSON accepts no more than
+// encoding/json would.
+func TestUnmarshalJSONRejectsInvalidJSON(t *testing.T) {
+	for _, in := range []string{
+		`{"ids":[+1],"vals":[0.5]}`,
+		`{"ids":[01],"vals":[0.5]}`,
+		`{"ids":[1.],"vals":[0.5]}`,
+		`{"ids":[1],"vals":[.5]}`,
+		`{"ids":[1],"vals":[5e]}`,
+		`{"ids":[1,],"vals":[0.5]}`,
+		`{"ids":[1],"vals":[0.5]} x`,
+		`{"ids":[1],"vals":[0.5]`,
+		`{"ids":[1] "vals":[0.5]}`,
+	} {
+		var d VectorDoc
+		if err := d.UnmarshalJSON([]byte(in)); err == nil {
+			t.Errorf("UnmarshalJSON(%s) = %+v, want an error", in, d)
+		}
+	}
+}

@@ -25,10 +25,18 @@ type SparseVector struct {
 }
 
 // NewSparseVector builds a vector from parallel slices, sorting by ID
-// and dropping non-positive entries. Duplicate IDs are summed.
+// and dropping non-positive entries. Duplicate IDs are summed. Input
+// that is already canonical (IDs strictly ascending, every value > 0)
+// is copied once, with no sort.
 func NewSparseVector(ids []int32, vals []float64) (SparseVector, error) {
 	if len(ids) != len(vals) {
 		return SparseVector{}, fmt.Errorf("interest: %d ids but %d values", len(ids), len(vals))
+	}
+	if canonical(ids, vals) {
+		out := SparseVector{IDs: make([]int32, len(ids)), Vals: make([]float64, len(vals))}
+		copy(out.IDs, ids)
+		copy(out.Vals, vals)
+		return out, nil
 	}
 	type pair struct {
 		id int32
@@ -54,6 +62,18 @@ func NewSparseVector(ids []int32, vals []float64) (SparseVector, error) {
 		out.Vals = append(out.Vals, p.v)
 	}
 	return out, nil
+}
+
+// canonical reports whether ids are strictly ascending and every value
+// is positive (NaN is not), i.e. whether NewSparseVector's sort, drop
+// and sum would leave the input as it is.
+func canonical(ids []int32, vals []float64) bool {
+	for i, v := range vals {
+		if !(v > 0) || (i > 0 && ids[i] <= ids[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of non-zero entries.
@@ -128,14 +148,21 @@ func (m *Matrix) NNZ() int {
 	return n
 }
 
-// Validate checks every row and that IDs stay within NumUsers.
+// Validate checks every row and that IDs stay within [0, NumUsers).
+// Rows are sorted, so their first and last IDs bound the rest.
 func (m *Matrix) Validate() error {
 	for e, r := range m.ByEvent {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("event %d: %w", e, err)
 		}
-		if n := r.Len(); n > 0 && int(r.IDs[n-1]) >= m.NumUsers {
-			return fmt.Errorf("event %d: user id %d out of range [0,%d)", e, r.IDs[n-1], m.NumUsers)
+		n := r.Len()
+		if n == 0 {
+			continue
+		}
+		for _, id := range [2]int32{r.IDs[0], r.IDs[n-1]} {
+			if id < 0 || int(id) >= m.NumUsers {
+				return fmt.Errorf("event %d: user id %d out of range [0,%d)", e, id, m.NumUsers)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package interest
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +103,75 @@ func TestMatrixBasics(t *testing.T) {
 	m.SetRow(2, out)
 	if m.Validate() == nil {
 		t.Fatal("user id out of range accepted")
+	}
+	// A negative id sorts first; the row is ordered and its last id is
+	// in range, so only the lower bound catches it.
+	neg, err := NewSparseVector([]int32{1, -7}, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := neg.Validate(); err != nil {
+		t.Fatalf("row validation: %v", err)
+	}
+	m.SetRow(2, neg)
+	if m.Validate() == nil {
+		t.Fatal("negative user id accepted")
+	}
+}
+
+// slowSparseVector is NewSparseVector's general path (filter, sort,
+// sum duplicates), the reference for its canonical-input fast path.
+func slowSparseVector(ids []int32, vals []float64) SparseVector {
+	type pair struct {
+		id int32
+		v  float64
+	}
+	var pairs []pair
+	for i, id := range ids {
+		if vals[i] > 0 {
+			pairs = append(pairs, pair{id, vals[i]})
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
+	out := SparseVector{IDs: []int32{}, Vals: []float64{}}
+	for _, p := range pairs {
+		if n := len(out.IDs); n > 0 && out.IDs[n-1] == p.id {
+			out.Vals[n-1] += p.v
+			continue
+		}
+		out.IDs = append(out.IDs, p.id)
+		out.Vals = append(out.Vals, p.v)
+	}
+	return out
+}
+
+func TestNewSparseVectorCanonicalFastPath(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		ids  []int32
+		vals []float64
+	}{
+		{[]int32{}, []float64{}},
+		{[]int32{0, 3, 9}, []float64{0.1, 1, 0.5}},     // canonical: copied
+		{[]int32{0, 3, 3}, []float64{0.1, 0.2, 0.5}},   // duplicate
+		{[]int32{3, 0}, []float64{0.1, 0.2}},           // descending
+		{[]int32{0, 3}, []float64{0.1, 0}},             // zero
+		{[]int32{0, 3}, []float64{-0.1, 0.2}},          // negative
+		{[]int32{0, 3, 4}, []float64{0.1, nan, 0.2}},   // NaN is dropped, not kept
+		{[]int32{-5, 3, 4}, []float64{0.1, 0.3, 0.2}},  // negative id, canonical
+		{[]int32{0, 3, 4}, []float64{0.1, 0.3, 1e300}}, // out of (0,1]: kept for Validate
+	}
+	for _, c := range cases {
+		got, err := NewSparseVector(c.ids, c.vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := slowSparseVector(c.ids, c.vals); !reflect.DeepEqual(got, want) {
+			t.Errorf("NewSparseVector(%v, %v) = %+v, general path %+v", c.ids, c.vals, got, want)
+		}
+		if len(got.IDs) > 0 && &got.IDs[0] == &c.ids[0] {
+			t.Errorf("NewSparseVector(%v) aliases its input", c.ids)
+		}
 	}
 }
 

@@ -2,13 +2,16 @@ package session
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"ses/internal/choice"
 	"ses/internal/core"
+	"ses/internal/dataset"
 	"ses/internal/sestest"
 	"ses/internal/solver"
 )
@@ -688,5 +691,61 @@ func TestDeadlineDuringScorePatchIsAnError(t *testing.T) {
 	}
 	if _, err := s.Resolve(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHugeUserSpaceStaysSmall: a valid document that claims 2^30 users
+// but holds a handful of interest entries is decoded, created and
+// resolved with memory bounded by its entries, not by its claim. (The
+// Sparse engine scores an interval through a dense per-user view only
+// when the batch reads at least NumUsers entries.) TotalAlloc counts
+// every byte allocated, including the scoring forks' discarded
+// scratch.
+func TestHugeUserSpaceStaysSmall(t *testing.T) {
+	const users = 1 << 30
+	row := func(ids ...int32) dataset.VectorDoc {
+		vals := make([]float64, len(ids))
+		for i := range vals {
+			vals[i] = 0.5
+		}
+		return dataset.VectorDoc{IDs: ids, Vals: vals}
+	}
+	raw, err := json.Marshal(dataset.InstanceDoc{
+		NumUsers: users, NumIntervals: 3, Resources: 10,
+		Events:    []core.Event{{Location: 0, Required: 1}, {Location: 1, Required: 1}, {Location: 2, Required: 1}},
+		Competing: []core.CompetingEvent{{Interval: 1}},
+		CandInterest: dataset.MatrixDoc{NumUsers: users, Rows: []dataset.VectorDoc{
+			row(0, 5, users-1), row(5, 7), row(users - 2),
+		}},
+		CompInterest: dataset.MatrixDoc{NumUsers: users, Rows: []dataset.VectorDoc{row(5, users-1)}},
+		Activity:     dataset.ActivityDoc{Type: "uniformhash", Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var doc dataset.InstanceDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := doc.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(inst, 2, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resolve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := len(s.Schedule()); n != 2 || !(s.Utility() > 0) {
+		t.Fatalf("resolve scheduled %d events, utility %v", n, s.Utility())
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
+		t.Fatalf("decode, create and resolve allocated %d bytes for %d interest entries", grown, 8)
 	}
 }

@@ -212,12 +212,16 @@ func EncodeJSON(w io.Writer, s *Snapshot) error {
 }
 
 // DecodeJSON reads one JSON snapshot. Unknown fields and unknown
-// versions are errors; see the package version policy.
+// versions are errors; see the package version policy. Interest rows
+// decode themselves, so their unknown fields are checked separately.
 func DecodeJSON(r io.Reader) (*Snapshot, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Snapshot
 	if err := dec.Decode(&s); err != nil {
+		return nil, fmt.Errorf("snap: decoding snapshot: %w", err)
+	}
+	if err := s.Instance.CheckRowKeys(); err != nil {
 		return nil, fmt.Errorf("snap: decoding snapshot: %w", err)
 	}
 	if !knownVersion(s.Version) {

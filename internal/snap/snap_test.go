@@ -175,6 +175,22 @@ func TestDecodeRejections(t *testing.T) {
 			t.Fatal("unknown field accepted")
 		}
 	})
+	t.Run("json unknown field in an interest row", func(t *testing.T) {
+		// Rows decode themselves (dataset.VectorDoc), out of reach of
+		// the decoder's DisallowUnknownFields; DecodeJSON must still
+		// refuse them.
+		var b bytes.Buffer
+		if err := EncodeJSON(&b, doc); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), `"vals":[`) {
+			t.Fatal("snapshot has no interest row to tamper with")
+		}
+		tampered := strings.Replace(b.String(), `"vals":[`, `"sneaky":1,"vals":[`, 1)
+		if _, err := DecodeJSON(strings.NewReader(tampered)); err == nil {
+			t.Fatal("unknown row field accepted")
+		}
+	})
 	t.Run("json future version", func(t *testing.T) {
 		future := *doc
 		future.Version = Version + 1
