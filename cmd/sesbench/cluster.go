@@ -2,7 +2,7 @@ package main
 
 // -fig cluster prices the replicated cluster of internal/cluster: a
 // throughput curve over node counts (each node a durable store with
-// its own group-commit WAL, full-mesh WAL shipping between them) and
+// its own SyncAlways WAL, full-mesh WAL shipping between them) and
 // a kill -9 failover timeline — detection, promotion, first
 // post-failover write — with the acknowledged counters verified to
 // come through the promotion exactly. The throughput floor
@@ -201,7 +201,7 @@ func (b *benchSwap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // benchNode is one in-process cluster member: a durable store with
-// its own group-commit SyncAlways WAL, a single-worker resolve
+// its own SyncAlways WAL, a single-worker resolve
 // pipeline (its serving capacity), and the replication layer, served
 // over an httptest server.
 type benchNode struct {
@@ -258,8 +258,7 @@ func bootBenchCluster(n int, tag string, tweaks ...func(*cluster.NodeOptions)) (
 		}
 		bn.dir = dir
 		d, err := ses.OpenStore(ses.WithDurability(dir), ses.WithWorkers(1),
-			ses.WithSyncPolicy(ses.SyncAlways),
-			ses.WithGroupCommit(ses.GroupCommit{Enabled: true}))
+			ses.WithSyncPolicy(ses.SyncAlways))
 		if err != nil {
 			closeAll()
 			return nil, nil, nil, err

@@ -16,7 +16,6 @@ import (
 	"ses/internal/ebsn"
 	"ses/internal/session"
 	"ses/internal/sestest"
-	"ses/internal/wal"
 )
 
 // This file is the one harness every JSON figure runs through: the
@@ -224,49 +223,4 @@ func commitLoad(sessions, ops, users, events int, commit func(i int, batch []ses
 		}
 	}
 	return float64(sessions*ops) / wall, nil
-}
-
-// appendLoad is the concurrent-appender driver: it opens a fresh log
-// with opts and has appenders goroutines each append payload per
-// times back to back. It returns every append's latency in seconds,
-// the wall-clock seconds and the log's stats.
-func appendLoad(opts wal.Options, appenders, per int, payload []byte) ([]float64, float64, wal.Stats, error) {
-	dir, err := os.MkdirTemp("", "sesbench-wal-*")
-	if err != nil {
-		return nil, 0, wal.Stats{}, err
-	}
-	defer os.RemoveAll(dir)
-	l, err := wal.Open(dir, opts)
-	if err != nil {
-		return nil, 0, wal.Stats{}, err
-	}
-	defer l.Close()
-	lats := make([][]float64, appenders)
-	errs := make([]error, appenders)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for g := 0; g < appenders; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				a0 := time.Now()
-				if err := l.Append(payload); err != nil {
-					errs[g] = err
-					return
-				}
-				lats[g] = append(lats[g], time.Since(a0).Seconds())
-			}
-		}(g)
-	}
-	wg.Wait()
-	wall := time.Since(t0).Seconds()
-	var all []float64
-	for g, err := range errs {
-		if err != nil {
-			return nil, 0, wal.Stats{}, err
-		}
-		all = append(all, lats[g]...)
-	}
-	return all, wall, l.Stats(), nil
 }

@@ -41,8 +41,6 @@ func TestVerifyRejectsBrokenArtifacts(t *testing.T) {
 	policy := func(sync string) string {
 		return `{"sync":"` + sync + `","append":{"count":4},"store_batch":{"count":4}}`
 	}
-	goodGC := `"group_commit":{"appenders":8,"lone_append":{"count":4},"concurrent_single_append":{"ops_per_sec":10},` +
-		`"concurrent_group_append":{"ops_per_sec":50},"records_per_fsync":5}`
 	for _, tc := range []struct {
 		name, fig, doc string
 		ok             bool
@@ -57,9 +55,9 @@ func TestVerifyRejectsBrokenArtifacts(t *testing.T) {
 		{"resolve no scenarios", "resolve", `{"scenarios":[]}`, false},
 		{"resolve diverged", "resolve", scenario(false, 75, 7500), false},
 		{"resolve no saving", "resolve", scenario(true, 7500, 7500), false},
-		{"wal ok", "wal", `{"policies":[` + policy("always") + `,` + policy("interval") + `,` + policy("none") + `],` + goodGC + `}`, true},
-		{"wal missing none", "wal", `{"policies":[` + policy("always") + `,` + policy("interval") + `],` + goodGC + `}`, false},
-		{"wal no group commit", "wal", `{"policies":[` + policy("always") + `,` + policy("interval") + `,` + policy("none") + `]}`, false},
+		{"wal ok", "wal", `{"policies":[` + policy("always") + `,` + policy("interval") + `,` + policy("none") + `]}`, true},
+		{"wal missing none", "wal", `{"policies":[` + policy("always") + `,` + policy("interval") + `]}`, false},
+		{"wal always unmeasured", "wal", `{"policies":[` + strings.Replace(policy("always"), `"count":4`, `"count":0`, 1) + `,` + policy("interval") + `,` + policy("none") + `]}`, false},
 	} {
 		path := filepath.Join(t.TempDir(), "doc.json")
 		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {

@@ -24,9 +24,9 @@
 //     re-solve; utilities must match and the incremental run must
 //     compute fewer initial scores.
 //   - wal (BENCH_wal.json): WAL append and durable ApplyBatch latency
-//     per sync policy, and group commit under sync=always.
-//   - scaling (BENCH_scaling.json): engine solves, pipelined store
-//     resolves and group-commit appends at GOMAXPROCS 1/2/4/8. Floor:
+//     per sync policy.
+//   - scaling (BENCH_scaling.json): engine solves and pipelined store
+//     resolves at GOMAXPROCS 1/2/4/8. Floor:
 //     store throughput at 4 cores ≥ 2× 1 core.
 //   - scale (BENCH_scale.json): cold and warm resolve latency of the
 //     sparse and pruned engines at 10k/100k/1M users (memory-mapped

@@ -134,17 +134,6 @@ func TestRunWALFig(t *testing.T) {
 	if !strings.Contains(out.String(), "WAL fsync policies") {
 		t.Error("output missing the WAL table")
 	}
-	for _, want := range []string{
-		"\"group_commit\"", "\"lone_append\"", "\"concurrent_single_append\"",
-		"\"concurrent_group_append\"", "\"records_per_fsync\"", "\"speedup_x\"",
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("BENCH_wal.json missing %q", want)
-		}
-	}
-	if !strings.Contains(out.String(), "group commit (sync=always") {
-		t.Error("output missing the group-commit section")
-	}
 }
 
 func TestRunScalingFig(t *testing.T) {
@@ -170,7 +159,7 @@ func TestRunScalingFig(t *testing.T) {
 	}
 	for i, procs := range []int{1, 2, 4, 8} {
 		pt := rep.Points[i]
-		if pt.GoMaxProcs != procs || pt.EngineSolvesPerSec <= 0 || pt.StoreResolvesPerSec <= 0 || pt.WALAppendsPerSec <= 0 {
+		if pt.GoMaxProcs != procs || pt.EngineSolvesPerSec <= 0 || pt.StoreResolvesPerSec <= 0 {
 			t.Errorf("point %d implausible: %+v", i, pt)
 		}
 	}
@@ -188,12 +177,12 @@ func TestRunScalingFig(t *testing.T) {
 		"no points":     `{"host_cpus": 4, "points": []}`,
 		"bad cpus":      `{"host_cpus": 0, "points": []}`,
 		"wrong procs":   `{"host_cpus": 4, "points": [{"gomaxprocs":1},{"gomaxprocs":3},{"gomaxprocs":4},{"gomaxprocs":8}]}`,
-		"zero figure":   `{"host_cpus": 1, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":0,"wal_appends_per_sec":1},{"gomaxprocs":2},{"gomaxprocs":4},{"gomaxprocs":8}]}`,
+		"zero figure":   `{"host_cpus": 1, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":0},{"gomaxprocs":2},{"gomaxprocs":4},{"gomaxprocs":8}]}`,
 		"invalid json":  `{`,
-		"floor breach":  `{"host_cpus": 8, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1}]}`,
-		"floor ignored": `{"host_cpus": 1, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1}]}`,
+		"floor breach":  `{"host_cpus": 8, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150}]}`,
+		"floor ignored": `{"host_cpus": 1, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150}]}`,
 		// The store floor binds quick runs too.
-		"quick floor breach": `{"host_cpus": 8, "quick": true, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100,"wal_appends_per_sec":1},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150,"wal_appends_per_sec":1}]}`,
+		"quick floor breach": `{"host_cpus": 8, "quick": true, "points": [{"gomaxprocs":1,"engine_solves_per_sec":1,"store_resolves_per_sec":100},{"gomaxprocs":2,"engine_solves_per_sec":1,"store_resolves_per_sec":100},{"gomaxprocs":4,"engine_solves_per_sec":1,"store_resolves_per_sec":150},{"gomaxprocs":8,"engine_solves_per_sec":1,"store_resolves_per_sec":150}]}`,
 	} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {

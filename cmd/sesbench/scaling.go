@@ -10,18 +10,16 @@ import (
 	"ses"
 	"ses/internal/sestest"
 	"ses/internal/tablefmt"
-	"ses/internal/wal"
 )
 
 // scalingPoint is one GOMAXPROCS setting's measured throughput for
-// the three layers the multi-core work targets: the parallel-scoring
-// solve (engine), the pipeline of independent session resolves
-// (store), and concurrent group-commit appenders (wal).
+// the two layers the multi-core work targets: the parallel-scoring
+// solve (engine) and the pipeline of independent session resolves
+// (store).
 type scalingPoint struct {
 	GoMaxProcs          int     `json:"gomaxprocs"`
 	EngineSolvesPerSec  float64 `json:"engine_solves_per_sec"`
 	StoreResolvesPerSec float64 `json:"store_resolves_per_sec"`
-	WALAppendsPerSec    float64 `json:"wal_appends_per_sec"`
 }
 
 // scalingReport is the BENCH_scaling.json document.
@@ -40,7 +38,7 @@ const (
 
 var scalingProcs = []int{1, 2, 4, 8}
 
-// benchScaling measures the engine/store/wal scaling curve over
+// benchScaling measures the engine/store scaling curve over
 // GOMAXPROCS 1/2/4/8. quick shrinks the workload for CI smokes.
 func benchScaling(ctx context.Context, out io.Writer, e env) (*scalingReport, error) {
 	rep := &scalingReport{host: e.host()}
@@ -59,12 +57,9 @@ func benchScaling(ctx context.Context, out io.Writer, e env) (*scalingReport, er
 		if pt.StoreResolvesPerSec, err = scaleStore(ctx, e.seed, e.quick); err != nil {
 			return nil, err
 		}
-		if pt.WALAppendsPerSec, err = scaleWAL(e.quick); err != nil {
-			return nil, err
-		}
 		rep.Points = append(rep.Points, pt)
-		fmt.Fprintf(out, "GOMAXPROCS=%d: engine %.1f solves/s, store %.0f resolves/s, wal %.0f appends/s\n",
-			procs, pt.EngineSolvesPerSec, pt.StoreResolvesPerSec, pt.WALAppendsPerSec)
+		fmt.Fprintf(out, "GOMAXPROCS=%d: engine %.1f solves/s, store %.0f resolves/s\n",
+			procs, pt.EngineSolvesPerSec, pt.StoreResolvesPerSec)
 	}
 	return rep, nil
 }
@@ -85,7 +80,7 @@ func checkScaling(out io.Writer, rep *scalingReport) error {
 		if pt.GoMaxProcs != scalingProcs[i] {
 			return fmt.Errorf("scaling artifact: point %d has gomaxprocs %d, want %d", i, pt.GoMaxProcs, scalingProcs[i])
 		}
-		if pt.EngineSolvesPerSec <= 0 || pt.StoreResolvesPerSec <= 0 || pt.WALAppendsPerSec <= 0 {
+		if pt.EngineSolvesPerSec <= 0 || pt.StoreResolvesPerSec <= 0 {
 			return fmt.Errorf("scaling artifact: point GOMAXPROCS=%d has a non-positive figure: %+v", pt.GoMaxProcs, pt)
 		}
 		byProcs[pt.GoMaxProcs] = pt
@@ -93,14 +88,13 @@ func checkScaling(out io.Writer, rep *scalingReport) error {
 
 	tab := &tablefmt.Table{
 		Title:  "Scaling curve (throughput vs GOMAXPROCS)",
-		Header: []string{"GOMAXPROCS", "engine solves/s", "store resolves/s", "wal appends/s", "store ×1-core"},
+		Header: []string{"GOMAXPROCS", "engine solves/s", "store resolves/s", "store ×1-core"},
 	}
 	base := rep.Points[0]
 	for _, pt := range rep.Points {
 		tab.AddRow(fmt.Sprint(pt.GoMaxProcs),
 			fmt.Sprintf("%.1f", pt.EngineSolvesPerSec),
 			fmt.Sprintf("%.0f", pt.StoreResolvesPerSec),
-			fmt.Sprintf("%.0f", pt.WALAppendsPerSec),
 			fmt.Sprintf("%.2f×", pt.StoreResolvesPerSec/base.StoreResolvesPerSec))
 	}
 	if err := tab.Render(out); err != nil {
@@ -166,18 +160,4 @@ func scaleStore(ctx context.Context, seed uint64, quick bool) (float64, error) {
 		_, err := pipe.ApplyBatch(ctx, names[i], batch)
 		return err
 	})
-}
-
-// scaleWAL times concurrent group-commit appenders under SyncAlways.
-func scaleWAL(quick bool) (float64, error) {
-	appenders, per := 8, 128
-	if quick {
-		per = 48
-	}
-	opts := wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: true}}
-	lat, wall, _, err := appendLoad(opts, appenders, per, make([]byte, 256))
-	if err != nil {
-		return 0, err
-	}
-	return float64(len(lat)) / wall, nil
 }

@@ -54,46 +54,28 @@ type walPolicy struct {
 	Store  latencies `json:"store_batch"`
 }
 
-// walGroupCommit is the group-commit section under SyncAlways.
-type walGroupCommit struct {
-	Appenders        int       `json:"appenders"`
-	AppendsPer       int       `json:"appends_per_appender"`
-	Lone             latencies `json:"lone_append"`
-	ConcurrentSingle latencies `json:"concurrent_single_append"`
-	ConcurrentGroup  latencies `json:"concurrent_group_append"`
-	RecordsPerFsync  float64   `json:"records_per_fsync"`
-	SpeedupX         float64   `json:"speedup_x"`
-}
-
 // walReport is the BENCH_wal.json document.
 type walReport struct {
-	Appends      int            `json:"appends"`
-	PayloadBytes int            `json:"payload_bytes"`
-	Batches      int            `json:"batches"`
-	Policies     []walPolicy    `json:"policies"`
-	GroupCommit  walGroupCommit `json:"group_commit"`
+	Appends      int         `json:"appends"`
+	PayloadBytes int         `json:"payload_bytes"`
+	Batches      int         `json:"batches"`
+	Policies     []walPolicy `json:"policies"`
 }
 
 // walPolicies are the sync policies the figure prices.
 var walPolicies = []ses.SyncPolicy{ses.SyncAlways, ses.SyncInterval, ses.SyncNone}
 
-// benchWAL prices the write-ahead log's fsync policies. Three levels:
+// benchWAL prices the write-ahead log's fsync policies at two levels:
 //
 //   - raw wal.Log appends (fixed-size payloads) — what one record
 //     costs at each policy, isolating fsync from solving;
 //   - durable-store ApplyBatch round trips (mutation + incremental
-//     resolve + logged commit stamp) — what a served write costs;
-//   - group commit under SyncAlways — a lone appender (must keep
-//     single-append latency) and concurrent appenders with and
-//     without group commit (amortized fsyncs must multiply
-//     throughput).
+//     resolve + logged commit stamp) — what a served write costs.
 func benchWAL(ctx context.Context, out io.Writer, e env) (*walReport, error) {
 	const (
 		appends      = 256
 		payloadBytes = 256
 		batches      = 256
-		gcAppenders  = 8
-		gcPerAppend  = 128
 	)
 	rep := &walReport{Appends: appends, PayloadBytes: payloadBytes, Batches: batches}
 
@@ -118,7 +100,7 @@ func benchWAL(ctx context.Context, out io.Writer, e env) (*walReport, error) {
 		res := walPolicy{Sync: pol.String()}
 
 		// Raw append cost.
-		lat, _, _, err := appendLoad(wal.Options{Sync: pol}, 1, appends, payload)
+		lat, err := appendLoad(wal.Options{Sync: pol}, appends, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -165,51 +147,34 @@ func benchWAL(ctx context.Context, out io.Writer, e env) (*walReport, error) {
 		return nil, err
 	}
 
-	// Group commit under SyncAlways: a lone appender must keep
-	// single-append latency, and concurrent appenders must amortize
-	// fsyncs. Concurrent throughput is wall-clock based (per-op
-	// latencies overlap across appenders).
-	gc := &rep.GroupCommit
-	gc.Appenders, gc.AppendsPer = gcAppenders, gcPerAppend
-	grouped := wal.Options{Sync: ses.SyncAlways, GroupCommit: wal.GroupCommit{Enabled: true}}
-	lat, _, _, err := appendLoad(grouped, 1, appends, payload)
-	if err != nil {
-		return nil, err
-	}
-	gc.Lone = summarizeLat(lat)
-
-	concurrent := func(opts wal.Options) (latencies, wal.Stats, error) {
-		lat, wall, st, err := appendLoad(opts, gcAppenders, gcPerAppend, payload)
-		if err != nil {
-			return latencies{}, st, err
-		}
-		res := summarizeLat(lat)
-		res.OpsPerSec = float64(len(lat)) / wall
-		return res, st, nil
-	}
-	var gcStats wal.Stats
-	if gc.ConcurrentSingle, _, err = concurrent(wal.Options{Sync: ses.SyncAlways}); err != nil {
-		return nil, err
-	}
-	if gc.ConcurrentGroup, gcStats, err = concurrent(grouped); err != nil {
-		return nil, err
-	}
-	gc.RecordsPerFsync = gcStats.RecordsPerFsync()
-	if gc.ConcurrentSingle.OpsPerSec > 0 {
-		gc.SpeedupX = gc.ConcurrentGroup.OpsPerSec / gc.ConcurrentSingle.OpsPerSec
-	}
-
-	fmt.Fprintf(out, "\n== group commit (sync=always, %d appenders × %d appends) ==\n\n", gcAppenders, gcPerAppend)
-	fmt.Fprintf(out, "  lone appender      p50 %8.1fµs  p99 %8.1fµs (single-append latency preserved)\n",
-		gc.Lone.P50us, gc.Lone.P99us)
-	fmt.Fprintf(out, "  concurrent single  %8.0f appends/s\n", gc.ConcurrentSingle.OpsPerSec)
-	fmt.Fprintf(out, "  concurrent grouped %8.0f appends/s  (%.1f× , %.1f records/fsync)\n",
-		gc.ConcurrentGroup.OpsPerSec, gc.SpeedupX, gc.RecordsPerFsync)
 	return rep, nil
 }
 
-// checkWAL requires a measured row for every sync policy and a
-// measured group-commit section.
+// appendLoad opens a fresh log with opts, appends payload n times
+// back to back and returns every append's latency in seconds.
+func appendLoad(opts wal.Options, n int, payload []byte) ([]float64, error) {
+	dir, err := os.MkdirTemp("", "sesbench-wal-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	l, err := wal.Open(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	lat := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		t0 := time.Now()
+		if err := l.Append(payload); err != nil {
+			return nil, err
+		}
+		lat = append(lat, time.Since(t0).Seconds())
+	}
+	return lat, nil
+}
+
+// checkWAL requires a measured row for every sync policy.
 func checkWAL(_ io.Writer, rep *walReport) error {
 	for _, pol := range walPolicies {
 		found := false
@@ -221,11 +186,6 @@ func checkWAL(_ io.Writer, rep *walReport) error {
 		if !found {
 			return fmt.Errorf("wal artifact: sync policy %q not measured", pol)
 		}
-	}
-	gc := rep.GroupCommit
-	if gc.Appenders <= 0 || gc.Lone.Count == 0 || gc.ConcurrentSingle.OpsPerSec <= 0 ||
-		gc.ConcurrentGroup.OpsPerSec <= 0 || gc.RecordsPerFsync <= 0 {
-		return fmt.Errorf("wal artifact: group-commit section not measured (%+v)", gc)
 	}
 	return nil
 }

@@ -9,8 +9,7 @@
 //	sesd [-addr :8080] [-workers W]
 //	     [-resolve-workers N] [-resolve-queue N]
 //	     [-data-dir DIR] [-sync always|interval|none]
-//	     [-sync-interval 50ms] [-checkpoint-every 1024]
-//	     [-group-commit] [-drain 5s]
+//	     [-sync-interval 50ms] [-checkpoint-every 1024] [-drain 5s]
 //	     [-node-id ID -peers ID=URL,ID=URL,...] [-lag-bound BYTES]
 //	     [-replicate-ack N] [-replicate-ack-wait 2s]
 //	     [-obs=true] [-trace-ring 512] [-slow-trace 0]
@@ -25,9 +24,9 @@
 // in-flight requests (once -drain expires their contexts are
 // cancelled: those resolves abort without committing and the previous
 // schedules stay current), write a final checkpoint, exit 0. Inspect
-// the log offline with seswal. -group-commit batches concurrent
-// SyncAlways appenders into shared fsyncs (one fsync per commit-queue
-// batch instead of one per append).
+// the log offline with seswal. Each shard's log has one writer at a
+// time, because the shard lock spans the fsync, so there is nothing
+// for a group commit to batch: -group-commit is accepted and ignored.
 //
 // With -node-id and -peers the daemon joins a replicated cluster (see
 // ses/internal/cluster and the README's Cluster section): it ships its
@@ -73,6 +72,11 @@
 // 503 (admission control; queue depth is visible in /v1/metrics).
 // Requests carrying an explicit ?timeout bypass the pipeline so the
 // deadline can flow into their own anytime solve.
+//
+// Create, batch and restore bodies are capped at 64 MiB (413 beyond
+// it), and a create or restore whose instance is charged more than
+// 2^24 score cells is refused with 422 before anything is built for
+// it (see maxScoreCells).
 //
 // API (all bodies JSON; see the README for a curl walkthrough):
 //
@@ -165,7 +169,9 @@ func run(ctx context.Context, args []string) error {
 	syncSpec := fs.String("sync", "always", "WAL sync policy: always, interval or none")
 	syncIvl := fs.Duration("sync-interval", 0, "flush period under -sync interval (0 = 50ms)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint a shard after N records (0 = 1024, <0 disables)")
-	groupCommit := fs.Bool("group-commit", false, "amortize SyncAlways fsyncs across concurrent appenders")
+	// Ignored: the end-to-end benchmark's daemon launcher
+	// (e2ebench/daemon.go) passes -group-commit with every -data-dir.
+	fs.Bool("group-commit", false, "no effect; accepted for compatibility")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	nodeID := fs.String("node-id", "", "this node's cluster identity (requires -peers and -data-dir)")
 	peersSpec := fs.String("peers", "", "cluster membership as ID=URL,ID=URL,... (must include -node-id)")
@@ -212,15 +218,13 @@ func run(ctx context.Context, args []string) error {
 			ses.WithSyncPolicy(pol),
 			ses.WithSyncInterval(*syncIvl),
 			ses.WithCheckpointEvery(*ckptEvery),
-			ses.WithGroupCommit(ses.GroupCommit{Enabled: *groupCommit}),
 			ses.WithWorkers(*workers),
 			ses.WithObservability(o),
 		)
 		if err != nil {
 			return err
 		}
-		log.Printf("sesd: recovered %d sessions from %s (sync=%s group-commit=%v)",
-			d.Len(), *dataDir, pol, *groupCommit)
+		log.Printf("sesd: recovered %d sessions from %s (sync=%s)", d.Len(), *dataDir, pol)
 		durable, st = d, d
 	} else {
 		// Catch a silently-ignored durability flag: an operator who
@@ -229,7 +233,7 @@ func run(ctx context.Context, args []string) error {
 		var stray []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "sync", "sync-interval", "checkpoint-every", "group-commit":
+			case "sync", "sync-interval", "checkpoint-every":
 				stray = append(stray, "-"+f.Name)
 			}
 		})
@@ -397,6 +401,10 @@ type server struct {
 	// backs replica reads for sessions whose primary is a peer.
 	node  *cluster.Node
 	start time.Time
+	// maxCells is the shape admission limit checkShape applies
+	// (maxScoreCells; the fuzz target lowers it so that every input
+	// stays cheap to resolve).
+	maxCells int
 	// shutdown is cancelled when graceful shutdown starts; the
 	// long-lived stream routes end on it (nil outside serve).
 	shutdown context.Context
@@ -417,7 +425,8 @@ type server struct {
 // metric families. walStats and node are nil on a memory-only or
 // unclustered daemon.
 func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, walStats func() ses.WALStats, node *cluster.Node) *server {
-	s := &server{store: st, pipeline: pipe, walStats: walStats, node: node, obs: o, start: time.Now()}
+	s := &server{store: st, pipeline: pipe, walStats: walStats, node: node, obs: o, start: time.Now(),
+		maxCells: maxScoreCells}
 	// One registry either way: under -obs=false a private one that
 	// /v1/metrics reads and no route mounts.
 	reg := obs.NewRegistry()
@@ -529,6 +538,9 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request
+	case errors.As(err, new(*http.MaxBytesError)):
+		// A create, batch or restore body ran past cluster.MaxBodyBytes.
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}
@@ -610,6 +622,31 @@ func (s *server) doBatch(ctx context.Context, name string, muts []ses.Mutation, 
 	return s.pipeline.ApplyBatch(ctx, name, muts)
 }
 
+// maxScoreCells bounds the resolve state a create or restore may ask
+// for. A first resolve keeps about 50 B per score cell (one event at
+// one interval) and about 300 B per interval besides, so an instance
+// is charged |T|·(|E|+intervalCells) cells, and the limit keeps its
+// first resolve under about 1 GB. Bodies are bounded separately
+// (cluster.MaxBodyBytes), but a few bytes can claim any |T|.
+const (
+	maxScoreCells = 1 << 24
+	intervalCells = 8
+)
+
+// checkShape refuses an instance document charged more than
+// s.maxCells score cells (see maxScoreCells). A non-positive |T| is
+// left to instance validation.
+func (s *server) checkShape(doc *dataset.InstanceDoc) error {
+	if doc == nil || doc.NumIntervals <= 0 {
+		return nil
+	}
+	if per := len(doc.Events) + intervalCells; doc.NumIntervals > s.maxCells/per {
+		return fmt.Errorf("instance of %d events × %d intervals is over the admission limit of %d score cells",
+			len(doc.Events), doc.NumIntervals, s.maxCells)
+	}
+	return nil
+}
+
 // createReq is the body of POST /v1/sessions.
 type createReq struct {
 	Name string `json:"name"`
@@ -626,13 +663,18 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusOf(err), err)
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
 	var req createReq
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.writeErr(w, statusOf(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Name == "" || req.Instance == nil {
 		s.writeErr(w, http.StatusBadRequest, errors.New("name and instance are required"))
+		return
+	}
+	if err := s.checkShape(req.Instance); err != nil {
+		s.writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	obj, err := ses.ParseObjective(req.Objective)
@@ -760,9 +802,10 @@ func (s *server) batchSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
 	var req batchReq
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.writeErr(w, statusOf(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	name := r.PathValue("name")
@@ -834,6 +877,7 @@ func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
+	r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
 	var doc *ses.Snapshot
 	var err error
 	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
@@ -843,7 +887,11 @@ func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
 		doc, err = ses.DecodeSnapshot(r.Body)
 	}
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.writeErr(w, statusOf(err), err)
+		return
+	}
+	if err := s.checkShape(doc.Instance); err != nil {
+		s.writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	state, err := doc.State()
@@ -868,7 +916,7 @@ func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // walMetrics is the WAL section of /v1/metrics: the cumulative
-// counters plus the realized fsync amortization.
+// counters plus appends per fsync.
 type walMetrics struct {
 	ses.WALStats
 	RecordsPerFsync float64 `json:"records_per_fsync"`

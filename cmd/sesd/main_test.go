@@ -31,7 +31,7 @@ func testServer(t *testing.T) *httptest.Server {
 }
 
 // instanceDoc builds a serializable instance document.
-func instanceDoc(t *testing.T, seed uint64) *dataset.InstanceDoc {
+func instanceDoc(t testing.TB, seed uint64) *dataset.InstanceDoc {
 	t.Helper()
 	inst := sestest.Random(sestest.Config{Users: 25, Events: 10, Intervals: 4, Competing: 2, Seed: seed})
 	doc, err := dataset.NewInstanceDoc(inst)
@@ -350,30 +350,7 @@ func TestDaemonRejectsOutOfRangeDocuments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	row := func(ids []int32) dataset.MatrixDoc {
-		vals := make([]float64, len(ids))
-		for i := range vals {
-			vals[i] = 0.5
-		}
-		return dataset.MatrixDoc{NumUsers: 3, Rows: []dataset.VectorDoc{{IDs: ids, Vals: vals}}}
-	}
-	docs := map[string]*dataset.InstanceDoc{
-		"negative-user": {
-			NumUsers: 3, NumIntervals: 2, Resources: 10,
-			Events:       []core.Event{{Required: 1}},
-			CandInterest: row([]int32{-7, 1}),
-			CompInterest: dataset.MatrixDoc{NumUsers: 3},
-			Activity:     dataset.ActivityDoc{Type: "table", Table: [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}},
-		},
-		"short-table": {
-			NumUsers: 3, NumIntervals: 1, Resources: 10,
-			Events:       []core.Event{{Required: 1}},
-			CandInterest: row([]int32{2}),
-			CompInterest: dataset.MatrixDoc{NumUsers: 3},
-			Activity:     dataset.ActivityDoc{Type: "table", Table: [][]float64{{0.5}}},
-		},
-	}
-	for name, doc := range docs {
+	for name, doc := range outOfRangeDocs() {
 		body, err := json.Marshal(map[string]any{"name": name, "k": 1, "instance": doc})
 		if err != nil {
 			t.Fatal(err)
@@ -397,6 +374,35 @@ func TestDaemonRejectsOutOfRangeDocuments(t *testing.T) {
 		}
 	}
 	do(t, "POST", srv.URL+"/v1/sessions/ok/resolve", nil, http.StatusOK, nil)
+}
+
+// outOfRangeDocs are two documents whose interest rows name users the
+// σ table does not hold: a negative user id, and a 1×1 table under a
+// row naming user 2.
+func outOfRangeDocs() map[string]*dataset.InstanceDoc {
+	row := func(ids []int32) dataset.MatrixDoc {
+		vals := make([]float64, len(ids))
+		for i := range vals {
+			vals[i] = 0.5
+		}
+		return dataset.MatrixDoc{NumUsers: 3, Rows: []dataset.VectorDoc{{IDs: ids, Vals: vals}}}
+	}
+	return map[string]*dataset.InstanceDoc{
+		"negative-user": {
+			NumUsers: 3, NumIntervals: 2, Resources: 10,
+			Events:       []core.Event{{Required: 1}},
+			CandInterest: row([]int32{-7, 1}),
+			CompInterest: dataset.MatrixDoc{NumUsers: 3},
+			Activity:     dataset.ActivityDoc{Type: "table", Table: [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}},
+		},
+		"short-table": {
+			NumUsers: 3, NumIntervals: 1, Resources: 10,
+			Events:       []core.Event{{Required: 1}},
+			CandInterest: row([]int32{2}),
+			CompInterest: dataset.MatrixDoc{NumUsers: 3},
+			Activity:     dataset.ActivityDoc{Type: "table", Table: [][]float64{{0.5}}},
+		},
+	}
 }
 
 // post sends a JSON body and returns the status code.

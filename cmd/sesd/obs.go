@@ -150,11 +150,7 @@ func (s *server) registerMetrics(reg *obs.Registry) {
 			walc(func(w ses.WALStats) float64 { return float64(w.Appends) }))
 		reg.CollectFunc("ses_wal_fsyncs_total", "WAL fsyncs issued.", "counter", nil,
 			walc(func(w ses.WALStats) float64 { return float64(w.Fsyncs) }))
-		reg.CollectFunc("ses_wal_batches_total", "Group-commit batches flushed.", "counter", nil,
-			walc(func(w ses.WALStats) float64 { return float64(w.Batches) }))
-		reg.CollectFunc("ses_wal_batched_records_total", "Records committed through group-commit batches.", "counter", nil,
-			walc(func(w ses.WALStats) float64 { return float64(w.BatchedRecords) }))
-		reg.CollectFunc("ses_wal_records_per_fsync", "Realized fsync amortization (appends per fsync).", "gauge", nil,
+		reg.CollectFunc("ses_wal_records_per_fsync", "WAL appends per fsync.", "gauge", nil,
 			func(emit func([]string, float64)) { emit(nil, s.walStats().RecordsPerFsync()) })
 	}
 	if s.node != nil {

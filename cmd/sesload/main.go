@@ -9,7 +9,7 @@
 //	sesload [-sessions 128] [-duration 3s] [-users 60] [-events 16]
 //	        [-intervals 5] [-competing 3] [-k 6] [-seed 1]
 //	        [-workers 1] [-resolve-workers 0] [-json BENCH_store.json]
-//	        [-durable DIR] [-sync always|interval|none] [-group-commit]
+//	        [-durable DIR] [-sync always|interval|none]
 //	        [-cluster URL [-ack-file FILE]] | [-check-acks FILE -cluster URL]
 //
 // The run has two phases. Warm-up: every session performs its first
@@ -37,10 +37,9 @@
 // (-sync picks the fsync policy) and every mutation is routed through
 // ApplyBatch so it is logged — single mutations then carry a resolve,
 // which is the price of the durability contract and shows up in the
-// "mutate" latency class. -group-commit turns on WAL group commit so
-// concurrent drivers share fsyncs under -sync always. Kill the
-// process mid-run (the CI smoke does kill -9) and a sesd -data-dir
-// DIR boot recovers every acknowledged session.
+// "mutate" latency class. Kill the process mid-run (the CI smoke does
+// kill -9) and a sesd -data-dir DIR boot recovers every acknowledged
+// session.
 //
 // With -resolve-workers N > 0, resolves and batches are routed
 // through a ses.Pipeline over the store instead of calling it
@@ -126,7 +125,6 @@ type report struct {
 	Sessions       int                       `json:"sessions"`
 	Durable        bool                      `json:"durable,omitempty"`
 	Sync           string                    `json:"sync,omitempty"`
-	GroupCommit    bool                      `json:"group_commit,omitempty"`
 	ResolveWorkers int                       `json:"resolve_workers,omitempty"`
 	WarmupSec      float64                   `json:"warmup_sec"`
 	Warmup         latencySummary            `json:"warmup"`
@@ -173,7 +171,6 @@ func run(args []string, out io.Writer) error {
 	jsonPath := fs.String("json", "", "write the report as JSON to this file")
 	durableDir := fs.String("durable", "", "open a durable store with its write-ahead log under this directory")
 	syncSpec := fs.String("sync", "always", "WAL sync policy with -durable: always, interval or none")
-	groupCommit := fs.Bool("group-commit", false, "enable WAL group commit with -durable -sync always")
 	clusterURL := fs.String("cluster", "", "drive a sesd/sesrouter base URL over HTTP instead of an in-process store")
 	ackFile := fs.String("ack-file", "", "with -cluster: write per-session acknowledged counters to this file")
 	checkAcks := fs.String("check-acks", "", "verify a previous run's ack file against -cluster and exit")
@@ -206,11 +203,8 @@ func run(args []string, out io.Writer) error {
 		// would silently benchmark the memory-only store.
 		strayErr := error(nil)
 		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "sync":
+			if f.Name == "sync" {
 				strayErr = fmt.Errorf("-sync only applies with -durable")
-			case "group-commit":
-				strayErr = fmt.Errorf("-group-commit only applies with -durable")
 			}
 		})
 		if strayErr != nil {
@@ -222,8 +216,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		d, err := ses.OpenStore(ses.WithDurability(*durableDir), ses.WithSyncPolicy(pol), ses.WithWorkers(*workers),
-			ses.WithGroupCommit(ses.GroupCommit{Enabled: *groupCommit}))
+		d, err := ses.OpenStore(ses.WithDurability(*durableDir), ses.WithSyncPolicy(pol), ses.WithWorkers(*workers))
 		if err != nil {
 			return err
 		}
@@ -287,7 +280,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if durable {
 		rep.Sync = *syncSpec
-		rep.GroupCommit = *groupCommit
 	}
 	var merged [numOps][]float64
 	var warm []float64

@@ -87,8 +87,8 @@ func TestRunThroughPipeline(t *testing.T) {
 	}
 }
 
-// TestRunDurableGroupCommit exercises the durable path with WAL group
-// commit on: concurrent drivers share fsyncs and the run must still
+// TestRunDurableGroupCommit exercises the durable path under -sync
+// always: concurrent drivers fsync every write and the run must still
 // close cleanly with a final checkpoint.
 func TestRunDurableGroupCommit(t *testing.T) {
 	dir := t.TempDir()
@@ -96,7 +96,7 @@ func TestRunDurableGroupCommit(t *testing.T) {
 	err := run([]string{
 		"-sessions", "4", "-duration", "150ms",
 		"-users", "15", "-events", "6", "-intervals", "3",
-		"-durable", dir, "-sync", "always", "-group-commit",
+		"-durable", dir, "-sync", "always",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +120,5 @@ func TestRunRejectsSyncWithoutDurable(t *testing.T) {
 	if err := run([]string{"-sessions", "1", "-duration", "10ms", "-sync", "none"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-durable") {
 		t.Errorf("stray -sync: %v", err)
-	}
-	if err := run([]string{"-sessions", "1", "-duration", "10ms", "-group-commit"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "-durable") {
-		t.Errorf("stray -group-commit: %v", err)
 	}
 }

@@ -12,8 +12,8 @@
 // surviving follower whose replication cursor over the dead node is
 // highest — the longest acknowledged prefix — is told to promote
 // (POST /v1/replication/promote) and inherits the dead node's
-// sessions until it returns. Because acks follow the group-commit
-// fsync and followers apply the primary's own WAL records,
+// sessions until it returns. Because acks follow the WAL append and
+// its fsync, and followers apply the primary's own WAL records,
 // acknowledged mutations survive the failover.
 //
 // Each promotion proposes the next promotion epoch (one past the

@@ -10,9 +10,9 @@
 //	seswal stats  [-metrics URL] DIR
 //	                             aggregate record/segment/byte accounting; with
 //	                             -metrics, the live daemon's append/fsync counters
-//	                             (records per fsync — group-commit amortization)
-//	                             and, when the daemon replicates, the replication
-//	                             section (records shipped/applied, follower lag)
+//	                             (records per fsync) and, when the daemon
+//	                             replicates, the replication section (records
+//	                             shipped/applied, follower lag)
 //	seswal tail   [-shard N] [-from SEQ:OFF] [-n N] [-full] DIR
 //	                             follow the log live, printing records as they
 //	                             commit (the same stream a cluster follower
@@ -25,12 +25,10 @@
 // artifacts, not corruption), 1 when a record or checkpoint fails to
 // decode.
 //
-// Fsync counts are process-lifetime counters, not on-disk state (a
-// group-committed log is frame-for-frame identical to a
-// single-append one — that is the durability contract), so seswal
-// stats reports the on-disk shape offline and fetches the live
-// amortization from a running sesd's /v1/metrics when -metrics is
-// given.
+// Fsync counts are process-lifetime counters, not on-disk state (the
+// log's bytes are the same under every sync policy), so seswal stats
+// reports the on-disk shape offline and fetches the live fsync
+// counters from a running sesd's /v1/metrics when -metrics is given.
 package main
 
 import (
@@ -233,8 +231,7 @@ func runVerify(dir string, out io.Writer) error {
 
 // runStats aggregates the on-disk shape of the log (records by kind,
 // segments, bytes, checkpoint weight) and, when metricsURL names a
-// running sesd, the live append/fsync counters that show the
-// group-commit amortization.
+// running sesd, the live append/fsync counters.
 func runStats(dir, metricsURL string, out io.Writer) error {
 	shards, err := shardLogs(dir)
 	if err != nil {
@@ -300,12 +297,6 @@ func runStats(dir, metricsURL string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "live appends: %d over %d fsyncs (%.1f records/fsync)\n",
 		ws.Appends, ws.Fsyncs, ws.RecordsPerFsync)
-	if ws.Batches > 0 {
-		fmt.Fprintf(out, "group commit: %d batches covering %d records (%.1f records/batch)\n",
-			ws.Batches, ws.BatchedRecords, float64(ws.BatchedRecords)/float64(ws.Batches))
-	} else {
-		fmt.Fprintln(out, "group commit: no batches committed (disabled, or no concurrent appenders yet)")
-	}
 	if rep != nil {
 		fmt.Fprintf(out, "replication:  node %s following %s; %d streams out\n",
 			rep.NodeID, strings.Join(rep.Peers, ","), rep.ActiveStreams)
@@ -325,8 +316,6 @@ func runStats(dir, metricsURL string, out io.Writer) error {
 type liveWALMetrics struct {
 	Appends         uint64  `json:"appends"`
 	Fsyncs          uint64  `json:"fsyncs"`
-	Batches         uint64  `json:"batches"`
-	BatchedRecords  uint64  `json:"batched_records"`
 	RecordsPerFsync float64 `json:"records_per_fsync"`
 }
 

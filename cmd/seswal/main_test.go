@@ -244,14 +244,14 @@ func TestSeswalStats(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		io.WriteString(w, `{"wal":{"appends":80,"fsyncs":10,"batches":10,"batched_records":80,"records_per_fsync":8}}`)
+		io.WriteString(w, `{"wal":{"appends":80,"fsyncs":80,"records_per_fsync":1}}`)
 	}))
 	defer srv.Close()
 	out.Reset()
 	if err := run([]string{"stats", "-metrics", srv.URL, img}, &out); err != nil {
 		t.Fatalf("stats -metrics: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"80 over 10 fsyncs", "8.0 records/fsync", "10 batches covering 80 records"} {
+	for _, want := range []string{"80 over 80 fsyncs", "1.0 records/fsync"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats -metrics output missing %q:\n%s", want, out.String())
 		}

@@ -47,8 +47,7 @@
 //     one incremental resolve, Snapshot/Restore move whole sessions
 //     between processes, and Meta reads are lock-free.
 //   - Functional options shared by all three: WithWorkers, WithEngine,
-//     WithSeed, WithProgress. (The older per-algorithm constructors
-//     remain as deprecated wrappers.)
+//     WithSeed, WithProgress.
 //   - the problem model (Instance, Event, CompetingEvent, Schedule)
 //     and utility evaluation (Utility, EventAttendance,
 //     AttendanceProb)
@@ -222,13 +221,11 @@
 // same tagged-union wire form sesd's batch endpoint speaks) paired
 // with a physical commit stamp (schedule, utility, stop reason,
 // cumulative counters) — and fsyncs per the configured sync policy
-// (always / interval / none) before acknowledging. Under SyncAlways,
-// WithGroupCommit amortizes that fsync across concurrent appenders:
-// waiters enqueue on a per-shard commit queue and a leader writes the
-// whole batch under ONE fsync before acknowledging everyone, leaving
-// the on-disk format and the durability guarantee unchanged
-// frame-for-frame while multiplying concurrent append throughput
-// (BENCH_wal.json's group_commit section). Recovery loads
+// (always / interval / none) before acknowledging. The shard lock
+// spans the append and its fsync, so each shard's log has one writer
+// at a time and there is nothing for a group commit to batch: under
+// SyncAlways every write pays its own fsync, and different shards
+// fsync their own files in parallel. Recovery loads
 // each shard's newest checkpoint (full binary snapshots via the snap
 // codec), re-applies the logged mutations and installs the stamped
 // outcomes verbatim, so every acknowledged session State returns

@@ -20,7 +20,7 @@ import (
 // is a stream of newline-delimited cursor messages — one after each
 // apply, holding only the shards that moved. Messages self-batch: while
 // one is being written, every record applied meanwhile folds into the
-// next, the same shape as the WAL group-commit queue.
+// next.
 
 // ErrAckTimeout reports that a synchronous-ack wait expired before
 // enough followers confirmed the write. The write IS committed on the

@@ -35,7 +35,7 @@ func sameShardNames(t *testing.T, n int) []string {
 
 // TestPromotedStateEqualsAcknowledgedPrefixAtEveryCursor is the
 // cluster's crash-safety acceptance test. It drives a randomized
-// workload against a durable primary under SyncAlways group commit,
+// workload against a durable primary under SyncAlways,
 // snapshotting the canonical acknowledged state after every op, then
 // replays the primary's log record by record — each record boundary
 // is a replication cursor a follower could hold when the primary is
@@ -53,7 +53,6 @@ func TestPromotedStateEqualsAcknowledgedPrefixAtEveryCursor(t *testing.T) {
 	d, err := store.OpenDurable(dir, store.DurableOptions{
 		Session:         session.Options{Workers: 1},
 		Sync:            wal.SyncAlways,
-		GroupCommit:     wal.GroupCommit{MaxBatch: 8},
 		SegmentMaxBytes: 8 * 1024, // force rotations mid-matrix
 		CheckpointEvery: -1,       // keep every record on disk for the replay
 	})

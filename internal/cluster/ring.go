@@ -8,8 +8,8 @@
 // whose replication cursor is highest.
 //
 // The replication contract inherits the WAL's durability contract:
-// a primary acknowledges a mutation only after its group-commit
-// fsync, and followers apply the identical records recovery replays,
+// a primary acknowledges a mutation only after its WAL append
+// (and, under SyncAlways, its fsync), and followers apply the identical records recovery replays,
 // so a follower at cursor C holds exactly the state the primary would
 // recover at C. Acknowledged mutations are never lost to a crash —
 // they are in the dead primary's log (recovered on restart) and, up

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -419,12 +420,22 @@ func splitSessionPath(p string) (name, rest string) {
 	return p, ""
 }
 
+// MaxBodyBytes caps a create, batch or restore request body on sesd
+// and a create body on the router, which buffers it to read the
+// session name; a larger body is answered 413. The replication stream
+// and ack bodies are long-lived and not capped.
+const MaxBodyBytes = 64 << 20
+
 // proxyCreate peeks the session name out of the JSON body to place it
 // on its primary, then forwards the buffered body.
 func (rt *Router) proxyCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading body: "+err.Error(), status)
 		return
 	}
 	var peek struct {

@@ -42,7 +42,7 @@ const (
 	// SpanSelect covers the greedy selection loop.
 	SpanSelect = "greedy.select"
 	// SpanWALFsync covers a durable commit's WAL append, including its
-	// (possibly group-commit amortized) fsync wait.
+	// fsync under SyncAlways.
 	SpanWALFsync = "wal.fsync"
 	// SpanReplAck covers a synchronous-replication ack wait.
 	SpanReplAck = "replication.ack"

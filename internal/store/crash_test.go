@@ -296,17 +296,16 @@ func TestCrashMatrixWithCheckpoint(t *testing.T) {
 	runCrashMatrix(t, 2, 40)
 }
 
-// TestCrashMatrixGroupCommit repeats the matrix with group commit
-// enabled under SyncAlways, so every record reaches the segment
-// through the commit-queue write path: acknowledged-prefix recovery
-// must hold frame-for-frame exactly as with single appends.
-func TestCrashMatrixGroupCommit(t *testing.T) {
+// TestCrashMatrixSyncAlways repeats the matrix under SyncAlways, so
+// every record is written and fsynced before its operation returns:
+// acknowledged-prefix recovery must hold frame-for-frame exactly as
+// under SyncNone.
+func TestCrashMatrixSyncAlways(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SyncAlways matrix is fsync-bound")
 	}
 	runCrashMatrixOpts(t, 3, -1, DurableOptions{
 		Sync:            wal.SyncAlways,
 		CheckpointEvery: -1,
-		GroupCommit:     wal.GroupCommit{Enabled: true},
 	})
 }

@@ -39,9 +39,6 @@ type DurableOptions struct {
 	// SegmentMaxBytes rotates log segments beyond this size
 	// (0 = 64 MiB).
 	SegmentMaxBytes int64
-	// GroupCommit batches concurrent SyncAlways appends into shared
-	// fsyncs (see wal.GroupCommit); ignored under other sync policies.
-	GroupCommit wal.GroupCommit
 	// Sink, when set, is installed before recovery so recovered
 	// sessions stream progress too (see Store.SetSink).
 	Sink Sink
@@ -127,8 +124,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	if opts.Sink != nil {
 		d.Store.SetSink(opts.Sink)
 	}
-	walOpts := wal.Options{Sync: opts.Sync, SegmentMaxBytes: opts.SegmentMaxBytes,
-		GroupCommit: opts.GroupCommit}
+	walOpts := wal.Options{Sync: opts.Sync, SegmentMaxBytes: opts.SegmentMaxBytes}
 	for i := range d.logs {
 		l, err := wal.Open(d.shardDir(i), walOpts)
 		if err != nil {
@@ -157,9 +153,8 @@ func (d *Durable) shardDir(i int) string {
 // Dir returns the store's data directory.
 func (d *Durable) Dir() string { return d.dir }
 
-// WALStats sums the append-path counters of every shard log: appends,
-// fsyncs, and the group-commit batch accounting that prices fsync
-// amortization (see wal.Stats.RecordsPerFsync).
+// WALStats sums the append-path counters of every shard log: appends
+// and fsyncs (see wal.Stats.RecordsPerFsync).
 func (d *Durable) WALStats() wal.Stats {
 	var total wal.Stats
 	for _, l := range d.logs {
@@ -219,7 +214,10 @@ func (d *Durable) err() error {
 
 // append writes one record to shard i's log (the caller holds the
 // shard's op mutex) and schedules a background checkpoint when the
-// shard's record budget is spent.
+// shard's record budget is spent. The op mutex spans the fsync, so a
+// shard's log has one writer at a time and no other operation on the
+// shard sees state that is not yet durable; different shards fsync
+// their own files in parallel.
 func (d *Durable) append(i int, payload []byte) error {
 	pos, err := d.logs[i].AppendCursor(payload)
 	if err != nil {

@@ -18,14 +18,14 @@ func replayPayloads(t *testing.T, dir string) [][]byte {
 	return payloads
 }
 
-// TestGroupCommitConcurrentAppenders drives N appenders through the
-// commit queue under -race and checks the full single-append
-// contract survives amortization: every record recovered, each
-// appender's program order preserved on disk, and strictly fewer
-// fsyncs than records (the amortization actually happened).
+// TestGroupCommitConcurrentAppenders drives N appenders through one
+// SyncAlways log at once under -race and checks the single-append
+// contract: every record recovered, each appender's program order
+// preserved on disk, and one fsync per record (the log mutex spans
+// the write and its fsync, so no fsync covers two appends).
 func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncAlways, GroupCommit: GroupCommit{Enabled: true}})
+	l, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,8 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	if st.Appends != appenders*perAppender {
 		t.Fatalf("stats report %d appends, want %d", st.Appends, appenders*perAppender)
 	}
-	if st.Fsyncs >= st.Appends {
-		t.Fatalf("no amortization: %d fsyncs for %d appends", st.Fsyncs, st.Appends)
-	}
-	if st.Batches == 0 || st.BatchedRecords != st.Appends {
-		t.Fatalf("batch accounting off: %d batches covering %d of %d records",
-			st.Batches, st.BatchedRecords, st.Appends)
+	if st.Fsyncs < st.Appends {
+		t.Fatalf("%d fsyncs for %d appends: some append was acknowledged without its own fsync", st.Fsyncs, st.Appends)
 	}
 
 	recovered := replayPayloads(t, dir)
@@ -78,20 +74,18 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFaultInjectedSync fails the shared fsync under N
-// concurrent appenders and checks every waiter of the doomed batches
-// observes the error — no record a failed fsync covered may be
-// acknowledged — and that the log afterwards behaves exactly as it
-// does after a failed single append: not latched, the next append
-// with a healthy disk succeeds.
+// TestGroupCommitFaultInjectedSync fails every fsync under N
+// concurrent appenders and checks each of them observes the error —
+// no record a failed fsync covered may be acknowledged — and that the
+// log is not latched afterwards: the next append with a healthy disk
+// succeeds.
 func TestGroupCommitFaultInjectedSync(t *testing.T) {
 	dir := t.TempDir()
 	syncErr := errors.New("injected fsync failure")
 	var failing atomic.Bool
 	failing.Store(true)
 	opts := Options{
-		Sync:        SyncAlways,
-		GroupCommit: GroupCommit{Enabled: true},
+		Sync: SyncAlways,
 		syncFile: func(f *os.File) error {
 			if failing.Load() {
 				return syncErr
@@ -122,145 +116,11 @@ func TestGroupCommitFaultInjectedSync(t *testing.T) {
 		}
 	}
 
-	// Heal the disk: the log is usable again, like after a failed
-	// single append (poisoning is the durable store's job, not the
-	// log's).
+	// Heal the disk: the log is usable again (poisoning is the durable
+	// store's job, not the log's).
 	failing.Store(false)
 	if err := l.Append([]byte("healed")); err != nil {
 		t.Fatalf("append after healed sync: %v", err)
-	}
-}
-
-// TestGroupCommitLoneAppenderDoesNotWait pins the acceptance bound:
-// with a large MaxDelay configured, a lone appender must still commit
-// at single-append latency — the delay only ever applies when a
-// leader already has company.
-func TestGroupCommitLoneAppenderDoesNotWait(t *testing.T) {
-	dir := t.TempDir()
-	const delay = 300 * time.Millisecond
-	l, err := Open(dir, Options{
-		Sync:        SyncAlways,
-		GroupCommit: GroupCommit{Enabled: true, MaxDelay: delay},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	start := time.Now()
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := l.Append([]byte("lone")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed >= delay {
-		t.Fatalf("%d lone appends took %v — the leader waited MaxDelay (%v) with no company", n, elapsed, delay)
-	}
-	if st := l.Stats(); st.Fsyncs != n {
-		t.Fatalf("lone appends issued %d fsyncs, want %d (one each)", st.Fsyncs, n)
-	}
-}
-
-// TestGroupCommitMaxDelayFillsBatch checks the other side of the
-// MaxDelay contract: a leader with company keeps collecting until the
-// batch fills (or the delay expires), so the straggler that arrives
-// during the wait shares the fsync.
-func TestGroupCommitMaxDelayFillsBatch(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{
-		Sync:        SyncAlways,
-		GroupCommit: GroupCommit{Enabled: true, MaxBatch: 4, MaxDelay: 50 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const appenders = 12
-	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			if err := l.Append(fmt.Appendf(nil, "r%d", a)); err != nil {
-				t.Errorf("append %d: %v", a, err)
-			}
-		}(a)
-	}
-	wg.Wait()
-	st := l.Stats()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Appends != appenders {
-		t.Fatalf("%d appends recorded, want %d", st.Appends, appenders)
-	}
-	for _, b := range []uint64{st.Batches, st.BatchedRecords} {
-		if b == 0 {
-			t.Fatalf("no batches recorded: %+v", st)
-		}
-	}
-	if got := replayPayloads(t, dir); len(got) != appenders {
-		t.Fatalf("recovered %d records, want %d", len(got), appenders)
-	}
-}
-
-// TestGroupCommitRotatesMidBatch makes one batch span a segment
-// rotation and checks nothing tears: tiny segments force rotation
-// inside commitBatch's write loop.
-func TestGroupCommitRotatesMidBatch(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{
-		Sync:            SyncAlways,
-		SegmentMaxBytes: 64, // a couple of records per segment
-		GroupCommit:     GroupCommit{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const appenders, perAppender = 4, 25
-	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for i := 0; i < perAppender; i++ {
-				if err := l.Append(fmt.Appendf(nil, "rot-%d-%d", a, i)); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(a)
-	}
-	wg.Wait()
-	if n := len(l.Segments()); n < 2 {
-		t.Fatalf("expected multiple segments, got %d", n)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := replayPayloads(t, dir); len(got) != appenders*perAppender {
-		t.Fatalf("recovered %d records, want %d", len(got), appenders*perAppender)
-	}
-}
-
-// TestGroupCommitDisabledOffAlwaysPolicy checks the queue only
-// engages under SyncAlways: with SyncInterval the grouped options
-// must still leave appends on the direct path (dirty bytes, no
-// per-append fsync).
-func TestGroupCommitDisabledOffAlwaysPolicy(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncInterval, GroupCommit: GroupCommit{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append([]byte("deferred")); err != nil {
-		t.Fatal(err)
-	}
-	if !l.NeedsSync() {
-		t.Fatal("SyncInterval append should leave the log dirty")
-	}
-	if st := l.Stats(); st.Batches != 0 {
-		t.Fatalf("group path engaged under SyncInterval: %+v", st)
 	}
 }
 
@@ -350,12 +210,10 @@ func TestSyncIntervalClosesFlushed(t *testing.T) {
 	}
 }
 
-// TestAppendCursorMatchesPosition checks AppendCursor on both append
-// paths: every returned cursor is distinct, strictly increasing in
-// Before order when appends are serial, and the final cursor equals
-// Position(). On the group-commit path the leader assigns cursors, so
-// the concurrent half checks the set is duplicate-free and its max is
-// the final position.
+// TestAppendCursorMatchesPosition checks AppendCursor with serial and
+// concurrent appenders: every returned cursor is distinct, strictly
+// increasing in Before order per appender, and the last (serial) or
+// largest (concurrent) cursor equals Position().
 func TestAppendCursorMatchesPosition(t *testing.T) {
 	t.Run("direct", func(t *testing.T) {
 		l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
@@ -379,7 +237,7 @@ func TestAppendCursorMatchesPosition(t *testing.T) {
 		}
 	})
 	t.Run("grouped", func(t *testing.T) {
-		l, err := Open(t.TempDir(), Options{Sync: SyncAlways, GroupCommit: GroupCommit{Enabled: true}})
+		l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func (o TailerOptions) poll() time.Duration {
 //
 // Like recovery, a tailer may deliver a fully-written record an
 // instant before its Append is acknowledged (the frame hits the page
-// cache before the batch fsync returns); it never delivers a partial
+// cache before its fsync returns); it never delivers a partial
 // or reordered one. A caller that must not read past acknowledged
 // records — the cluster shipper — stops at the writer's committed
 // cursor instead of draining to the end of the file. A Tailer is not

@@ -137,29 +137,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// GroupCommit configures fsync amortization across concurrent
-// appenders (see Log.Append). It only changes behavior under
-// SyncAlways — the other policies do not fsync per append, so there
-// is nothing to amortize.
-type GroupCommit struct {
-	// Enabled turns the commit queue on.
-	Enabled bool
-	// MaxBatch caps how many records one fsync may cover (0 = 128).
-	MaxBatch int
-	// MaxDelay is how long a commit leader waits for the batch to fill
-	// once at least one other appender is already queued (0 = commit
-	// immediately). A lone appender never waits: its latency stays that
-	// of a single append + fsync.
-	MaxDelay time.Duration
-}
-
-func (g GroupCommit) maxBatch() int {
-	if g.MaxBatch <= 0 {
-		return 128
-	}
-	return g.MaxBatch
-}
-
 // Options configures a Log; the zero value is usable (SyncAlways,
 // 64 MiB segments).
 type Options struct {
@@ -168,9 +145,6 @@ type Options struct {
 	// SegmentMaxBytes rotates the active segment once it exceeds this
 	// size (0 = 64 MiB). Rotation always fsyncs the outgoing segment.
 	SegmentMaxBytes int64
-	// GroupCommit batches concurrent SyncAlways appenders into shared
-	// fsyncs.
-	GroupCommit GroupCommit
 
 	// syncFile overrides segment fsync in tests (fault injection and
 	// flush counting); nil means (*os.File).Sync.
@@ -229,6 +203,33 @@ type ReplayReport struct {
 	Truncations []Truncation
 }
 
+// Stats counts a log's append-path work since Open, for pricing the
+// fsync cost of a sync policy (see the seswal stats command and sesd
+// /v1/metrics).
+type Stats struct {
+	// Appends counts records written by this process.
+	Appends uint64 `json:"appends"`
+	// Fsyncs counts fsyncs issued on segment files (appends, rotation,
+	// interval flushes and close; checkpoint temp files excluded).
+	Fsyncs uint64 `json:"fsyncs"`
+}
+
+// Add accumulates other into s (for summing per-shard logs).
+func (s *Stats) Add(other Stats) {
+	s.Appends += other.Appends
+	s.Fsyncs += other.Fsyncs
+}
+
+// RecordsPerFsync is appended records per segment fsync (0 when
+// nothing was synced). Under SyncAlways it is at most 1: every append
+// pays its own fsync, and rotation and close add more.
+func (s Stats) RecordsPerFsync() float64 {
+	if s.Fsyncs == 0 {
+		return 0
+	}
+	return float64(s.Appends) / float64(s.Fsyncs)
+}
+
 // Log is one append-only write-ahead log directory. All methods are
 // safe for concurrent use, but replay must finish before the first
 // Append; the store layer serializes that naturally (recovery runs
@@ -248,12 +249,6 @@ type Log struct {
 
 	// stats (guarded by mu).
 	stats Stats
-
-	// group-commit queue (guarded by gcMu, separate from mu so
-	// enqueueing never blocks behind an in-flight fsync).
-	gcMu     sync.Mutex
-	gcQueue  []*gcWaiter
-	gcActive bool // a leader is draining the queue
 
 	// recovered state from Open.
 	ckptData []byte
@@ -351,6 +346,13 @@ func parseSeq(name, prefix, suffix string) (uint64, error) {
 // by Open (nil when the log had none). The slice is owned by the log;
 // callers must not modify it.
 func (l *Log) Checkpoint() []byte { return l.ckptData }
+
+// Stats returns the log's append-path counters since Open.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
 
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
@@ -483,16 +485,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // Append frames payload, writes it to the active segment and — under
 // SyncAlways — fsyncs before returning. The payload is copied into
 // the kernel before Append returns, so the caller may reuse it.
-//
-// With Options.GroupCommit enabled (and SyncAlways), concurrent
-// appenders share fsyncs: each Append enqueues its frame on a commit
-// queue, one appender at a time becomes the leader, drains the queue,
-// writes the whole batch and issues a single fsync before waking
-// every waiter. Acknowledgment order equals write order (the queue is
-// FIFO), every record is still durable before its Append returns, and
-// a batch that fails to write or sync reports the error to every
-// waiter whose frame it covered — exactly the single-append contract,
-// amortized.
+// Concurrent appends to one log serialize on its mutex, which spans
+// the write and the fsync, so acknowledgment order is on-disk order
+// and a failed fsync fails exactly the append that issued it.
 func (l *Log) Append(payload []byte) error {
 	_, err := l.AppendCursor(payload)
 	return err
@@ -503,16 +498,10 @@ func (l *Log) Append(payload []byte) error {
 // and a replica acknowledging a cursor not Before it has applied it.
 // That makes the return value the per-record replication watermark —
 // synchronous-ack callers wait until enough followers ack a cursor at
-// or beyond it. On the group-commit path the cursor is assigned by the
-// batch leader in write order, so it rides the existing leader/waiter
-// structure with no extra locking. The durability contract is
-// identical to Append on both paths.
+// or beyond it. The durability contract is identical to Append's.
 func (l *Log) AppendCursor(payload []byte) (Cursor, error) {
 	if len(payload) > MaxRecordBytes {
 		return Cursor{}, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecordBytes)
-	}
-	if l.opts.GroupCommit.Enabled && l.opts.Sync == SyncAlways {
-		return l.appendGrouped(payload)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -28,7 +28,6 @@ type config struct {
 	syncPolicy      SyncPolicy
 	syncInterval    time.Duration
 	checkpointEvery int
-	groupCommit     wal.GroupCommit
 
 	// pipeline (consumed by NewPipeline).
 	resolveWorkers int
@@ -123,17 +122,23 @@ func WithSyncInterval(d time.Duration) Option { return func(c *config) { c.syncI
 // Checkpoint still write them).
 func WithCheckpointEvery(n int) Option { return func(c *config) { c.checkpointEvery = n } }
 
-// GroupCommit tunes WAL group commit; see WithGroupCommit.
-type GroupCommit = wal.GroupCommit
+// GroupCommit is the argument of WithGroupCommit.
+//
+// Deprecated: the WAL has one append path, so there is nothing to
+// configure. The type remains because the end-to-end benchmark's
+// in-process replay (e2ebench/replay.go) passes
+// ses.WithGroupCommit(ses.GroupCommit{Enabled: true}).
+type GroupCommit struct {
+	Enabled bool
+}
 
-// WithGroupCommit batches concurrent SyncAlways appenders into shared
-// fsyncs: waiters enqueue on a per-shard commit queue and a leader
-// commits up to MaxBatch frames (default 128) under ONE fsync. A lone
-// appender still commits at single-append latency; MaxDelay optionally
-// lets a partially filled batch wait once for stragglers. Durability
-// guarantees are unchanged frame-for-frame. Ignored under
-// SyncInterval/SyncNone, which have no per-append fsync to amortize.
-func WithGroupCommit(g GroupCommit) Option { return func(c *config) { c.groupCommit = g } }
+// WithGroupCommit has no effect. A durable store's shard lock spans
+// its WAL fsync, so each shard's log has one writer at a time and
+// there are never two appends for one fsync to cover.
+//
+// Deprecated: remove the option. It remains for e2ebench/replay.go,
+// which passes it when it opens its durable stores.
+func WithGroupCommit(GroupCommit) Option { return func(*config) {} }
 
 // WithResolveWorkers bounds how many sessions a Pipeline resolves
 // concurrently (0, the default, uses all cores); see NewPipeline.

@@ -118,14 +118,13 @@ func OpenStore(opts ...Option) (*DurableStore, error) {
 		Sync:            c.syncPolicy,
 		SyncInterval:    c.syncInterval,
 		CheckpointEvery: c.checkpointEvery,
-		GroupCommit:     c.groupCommit,
 		Sink:            c.sinkFor(),
 	})
 }
 
 // WALStats are a durable store's cumulative append-path counters
-// (appends, fsyncs, group-commit batches); see DurableStore.WALStats
-// and the seswal stats command.
+// (appends and fsyncs); see DurableStore.WALStats and the seswal stats
+// command.
 type WALStats = wal.Stats
 
 // Pipeline runs mutations and resolves for many sessions on a bounded
