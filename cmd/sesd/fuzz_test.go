@@ -30,8 +30,8 @@ import (
 // it takes the request off the pipeline, as any deadline does, but
 // never fires, so every input replays the same way.
 func FuzzDaemonRequests(f *testing.F) {
-	createBody := func(name string, doc *dataset.InstanceDoc) []byte {
-		b, err := json.Marshal(createReq{Name: name, K: 3, Instance: doc})
+	createBody := func(name string, k int, doc *dataset.InstanceDoc) []byte {
+		b, err := json.Marshal(createReq{Name: name, K: k, Instance: doc})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -57,17 +57,31 @@ func FuzzDaemonRequests(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid := createBody("s", small)
+	valid := createBody("s", 3, small)
 	// create s, resolve, batch, snapshot, restore it as t, delete s.
 	f.Add([]byte{0, 2, 1, 4, 0x80 | 0x20 | 3, 5}, valid, batch, []byte(nil))
 	// The same through the binary snapshot and the ?timeout paths.
 	f.Add([]byte{0, 0x40 | 4, 0x80 | 0x40 | 0x20 | 3, 0x80 | 0x40 | 2, 0x40 | 1}, valid, batch, []byte(nil))
+	// k only bounds how far a resolve selects: a k of 2^40 reached
+	// through create, set_k and restore resolves like any other (a
+	// resolve that allocated per unit of k would take the daemon down).
+	// create s, resolve it twice (the second replays the first), batch
+	// with set_k, restore as t, resolve t.
+	hugeBatch, err := json.Marshal(batchReq{Mutations: []ses.Mutation{ses.UpdateInterestOp(1, 0, 0.8), ses.SetKOp(1<<40 + 1)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	hugeRestore, err := json.Marshal(ses.Snapshot{Version: ses.SnapshotVersion, K: 1 << 40, Objective: "omega", Instance: small})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{0, 2, 2, 1, 0x80 | 3, 0x80 | 2}, createBody("s", 1<<40, small), hugeBatch, hugeRestore)
 	for _, doc := range outOfRangeDocs() {
 		restore, err := json.Marshal(ses.Snapshot{Version: ses.SnapshotVersion, K: 1, Objective: "omega", Instance: doc})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add([]byte{0, 2, 3, 2}, createBody("s", doc), batch, restore)
+		f.Add([]byte{0, 2, 3, 2}, createBody("s", 3, doc), batch, restore)
 	}
 
 	f.Fuzz(func(t *testing.T, script, create, batch, restore []byte) {

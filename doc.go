@@ -132,7 +132,16 @@
 // applied first and cancelled events, pinned events and forbidden
 // pairs left out of the worklist — which is why it matches
 // from-scratch GRD bit for bit (equivalence-tested) at a fraction of
-// the InitialScores and, under Omega, of the score updates.
+// the InitialScores and, under Omega, of the score updates. Under
+// Omega a resolve also replays the prefix of the last commit's greedy
+// steps that the mutations since cannot change: a step is certified
+// while its event and interval are untouched, it is still valid, and
+// no touched pair's fresh initial score (a bound on all its later
+// scores under submodularity) beats the score the step won with. The
+// certified steps are applied like pins, with no score and no pop
+// (Counters.Replayed), and heap mode selects only the rest; a changed
+// pin set replays nothing. The recorded steps live in memory only, so
+// the first resolve after a restore or recovery selects in full.
 //
 // For million-user instances a fourth engine breaks the
 // O(interested users)-per-score coupling: Pruned (exposed as

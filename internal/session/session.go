@@ -35,6 +35,23 @@
 // choice.Patcher engine (Sparse, the default) is patched in place
 // after AddEvent, UpdateInterest and AddCompeting, and any other
 // engine is rebuilt.
+//
+// Under a submodular objective Resolve also skips the part of the
+// selection the mutations cannot have changed. A heap-mode commit
+// keeps its greedy steps after the pins in memory: each pick and the
+// exact score it won with. The next Resolve replays the longest
+// prefix of those steps that from-scratch GRD is certain to pick
+// again. A step is certified while its event and interval are clean,
+// it is still valid and allowed, and no valid dirty pair's fresh
+// initial score beats its winning score; under submodularity a pair's
+// initial score bounds all its later scores, the bound heap mode
+// already relies on. A changed pin set certifies nothing. The
+// certified steps enter SelectGreedy like pins, with no score and no
+// pop, and heap mode runs only for the steps after them. When the
+// whole trail replays, no pin sits at a dirty interval and selection
+// adds nothing, the committed utility is kept instead of refolded.
+// The steps are not session state: the first Resolve after New,
+// FromState or InstallCommit selects in full.
 package session
 
 import (
@@ -68,9 +85,10 @@ type Options struct {
 	// Options.
 	Objective choice.Objective
 	// Progress, when non-nil, receives one notification per
-	// assignment applied during Resolve (pins included), from the
-	// goroutine running Resolve while the session lock is held — the
-	// callback must not call back into the Scheduler.
+	// assignment applied during Resolve (pins and replayed steps
+	// included), from the goroutine running Resolve while the session
+	// lock is held — the callback must not call back into the
+	// Scheduler.
 	Progress func(solver.Progress)
 }
 
@@ -137,6 +155,20 @@ type Scheduler struct {
 	// engine underneath it.
 	matBuf []float64
 	list   solver.Worklist
+
+	// trail is the last commit's greedy steps after the pins, in the
+	// order they were applied, each with the exact score it won with;
+	// nil when no trail describes the committed schedule. Only a
+	// heap-mode resolve records one, and it lives in memory only:
+	// New, FromState and InstallCommit start without it. pinsMoved
+	// and allowed complete the dirty sets as the record certify checks
+	// the trail against: the pin set changed, and the pairs re-allowed,
+	// since the commit.
+	trail     []solver.Step
+	pinsMoved bool
+	allowed   []core.Assignment
+	// certSched is certify's scratch schedule, kept across resolves.
+	certSched *core.Schedule
 
 	cur      []core.Assignment
 	curUtil  float64
@@ -330,7 +362,7 @@ func (s *Scheduler) CancelEvent(e int) error {
 		return fmt.Errorf("session: CancelEvent: %w: %d", core.ErrEventRange, e)
 	}
 	s.cancelled[e] = true
-	delete(s.pins, e)
+	s.unpin(e)
 	return nil
 }
 
@@ -410,6 +442,9 @@ func (s *Scheduler) Pin(e, t int) error {
 	if s.forbidden[e][t] {
 		return fmt.Errorf("session: Pin: assignment (%d,%d) is forbidden", e, t)
 	}
+	if pt, ok := s.pins[e]; !ok || pt != t {
+		s.pinsMoved = true
+	}
 	s.pins[e] = t
 	return nil
 }
@@ -422,8 +457,16 @@ func (s *Scheduler) Unpin(e int) error {
 	if e < 0 || e >= len(s.inst.Events) {
 		return fmt.Errorf("session: Unpin: %w: %d", core.ErrEventRange, e)
 	}
-	delete(s.pins, e)
+	s.unpin(e)
 	return nil
+}
+
+// unpin drops e's pin, if it has one.
+func (s *Scheduler) unpin(e int) {
+	if _, ok := s.pins[e]; ok {
+		delete(s.pins, e)
+		s.pinsMoved = true
+	}
 }
 
 // Forbid excludes assignment (e, t) from every future schedule. No
@@ -454,7 +497,10 @@ func (s *Scheduler) Allow(e, t int) error {
 	if e < 0 || e >= len(s.inst.Events) {
 		return fmt.Errorf("session: Allow: %w: %d", core.ErrEventRange, e)
 	}
-	delete(s.forbidden[e], t)
+	if s.forbidden[e][t] {
+		delete(s.forbidden[e], t)
+		s.allowed = append(s.allowed, core.Assignment{Event: e, Interval: t})
+	}
 	return nil
 }
 
@@ -468,7 +514,11 @@ func (s *Scheduler) workers() int {
 // moved. The schedule and utility are exactly those of from-scratch
 // GRD on the current instance under the session's pins/forbids/
 // cancellations; only the invalidated slice of the initial-score
-// matrix is recomputed (Delta.Counters.InitialScores).
+// matrix is recomputed (Delta.Counters.InitialScores). Under a
+// submodular objective the greedy steps of the last commit that those
+// mutations cannot change are replayed without scoring
+// (Delta.Counters.Replayed; certify has the rule), and selection
+// proper starts after them.
 //
 // Context: cancellation aborts without committing (the previous
 // schedule stays current); a deadline during selection commits the
@@ -481,9 +531,6 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if err := s.inst.Validate(); err != nil {
-		return nil, err
-	}
 	s.ensureEngine()
 	nE, nT := s.inst.NumEvents(), s.inst.NumIntervals
 	var cnt solver.Counters
@@ -513,11 +560,14 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	}
 
 	gctx, gsp := obs.StartSpan(ctx, obs.SpanSelect)
-	s.fillWorklist(mat)
-	stop, err := solver.SelectGreedy(gctx, s.eng, &s.list, s.k, s.sortedPins(), s.obj.Submodular(), &cnt, "session", s.opts.Progress)
+	pins := s.sortedPins()
+	replay, unchanged := s.certify(mat, pins)
+	s.fillWorklist(mat, replay)
+	steps, stop, err := solver.SelectGreedy(gctx, s.eng, &s.list, s.k, pins, replay, s.obj.Submodular(), &cnt, "session", s.opts.Progress)
 	gsp.SetAttr("pops", cnt.Pops)
 	gsp.SetAttr("bound_updates", cnt.BoundUpdates)
 	gsp.SetAttr("score_updates", cnt.ScoreUpdates)
+	gsp.SetAttr("replayed", cnt.Replayed)
 	gsp.End()
 	if err != nil {
 		// Nothing is committed; the engine will be reset on the next
@@ -527,7 +577,15 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	}
 
 	newAssgn := s.eng.Schedule().Assignments()
-	util := s.eng.Utility()
+	// When the whole trail replayed onto unchanged intervals and
+	// selection added nothing, the schedule is the committed one and
+	// every scheduled interval's mass was built from the same rows in
+	// the same order, so the committed utility bits stand; refolding
+	// every interval would only recompute them.
+	util := s.curUtil
+	if !unchanged || len(steps) != len(replay) {
+		util = s.eng.Utility()
+	}
 	delta := s.diff(newAssgn)
 	delta.Utility = util
 	delta.Stopped = stop
@@ -544,6 +602,12 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	s.cacheValid = true
 	clear(s.dirtyEvents)
 	clear(s.dirtyIntervals)
+	s.trail = steps
+	if !s.obj.Submodular() {
+		s.trail = nil // certify's bound needs submodularity
+	}
+	s.pinsMoved = false
+	s.allowed = s.allowed[:0]
 	s.cur = newAssgn
 	s.curUtil = util
 	s.lastStop = stop
@@ -672,14 +736,113 @@ func (s *Scheduler) sortedPins() []core.Assignment {
 	return pins
 }
 
+// certify returns the longest prefix of the last commit's trail that
+// from-scratch GRD is certain to pick again, given the patched initial
+// scores in mat and the pins in the order they apply. unchanged
+// reports that the whole trail is certified and no pin sits at a
+// dirty interval, so every interval the replayed schedule uses is
+// exactly as it was at the commit.
+//
+// A changed pin set certifies nothing. Otherwise step i survives, on
+// a schedule holding the pins and the steps before it, when its event
+// and interval are clean, the pair is neither cancelled nor forbidden
+// and still valid, and no valid dirty pair beats it in the kernel's
+// selection order. Dirty events are those added or given a new
+// interest row; dirty intervals gained competing events or hold a pin
+// whose event is dirty; dirty pairs are every pair of a dirty event,
+// every pair at a dirty interval, and every re-allowed pair. A clean
+// pair's score on that schedule is exactly its score at step i of the
+// commit, where step i beat it. A dirty pair is judged by its fresh
+// initial score, which under a submodular objective bounds every
+// later score of the pair — the bound heap mode already relies on.
+func (s *Scheduler) certify(mat []float64, pins []core.Assignment) (replay []solver.Step, unchanged bool) {
+	if s.trail == nil || s.pinsMoved {
+		return nil, false
+	}
+	nE, nT := s.inst.NumEvents(), s.inst.NumIntervals
+	dirtyT := make([]bool, nT)
+	for t := range s.dirtyIntervals {
+		dirtyT[t] = true
+	}
+	for _, p := range pins {
+		if s.dirtyEvents[p.Event] {
+			dirtyT[p.Interval] = true
+		}
+	}
+	unchanged = !slices.ContainsFunc(pins, func(p core.Assignment) bool { return dirtyT[p.Interval] })
+	// The dirty pairs the worklist holds, best first. A pair listed
+	// twice is harmless.
+	var dirty []solver.Step
+	add := func(e, t int) {
+		if _, pinned := s.pins[e]; pinned || s.cancelled[e] || s.forbidden[e][t] {
+			return
+		}
+		dirty = append(dirty, solver.Step{Event: e, Interval: t, Score: mat[t*nE+e]})
+	}
+	for e := range s.dirtyEvents {
+		for t := 0; t < nT; t++ {
+			add(e, t)
+		}
+	}
+	for t, d := range dirtyT {
+		for e := 0; d && e < nE; e++ {
+			if !s.dirtyEvents[e] {
+				add(e, t)
+			}
+		}
+	}
+	for _, a := range s.allowed {
+		add(a.Event, a.Interval)
+	}
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Beats(dirty[j]) })
+
+	sched := s.certSched
+	if sched == nil {
+		sched = core.NewSchedule(s.inst)
+		s.certSched = sched
+	}
+	sched.Grow()
+	sched.Reset()
+	for _, p := range pins {
+		if sched.Assign(p.Event, p.Interval) != nil {
+			return nil, false // SelectGreedy reports the infeasible pin
+		}
+	}
+	// A pair invalid on this schedule stays invalid as it grows, so the
+	// best valid dirty pair only moves down the sorted list.
+	best, n := 0, 0
+	for ; n < len(s.trail) && sched.Size() < s.k; n++ {
+		st := s.trail[n]
+		if s.dirtyEvents[st.Event] || dirtyT[st.Interval] || s.cancelled[st.Event] || s.forbidden[st.Event][st.Interval] {
+			break
+		}
+		for best < len(dirty) && !sched.IsValid(dirty[best].Event, dirty[best].Interval) {
+			best++
+		}
+		if best < len(dirty) && dirty[best].Beats(st) || sched.Assign(st.Event, st.Interval) != nil {
+			break
+		}
+	}
+	return s.trail[:n], unchanged && n == len(s.trail)
+}
+
 // fillWorklist refills the recycled worklist from mat in GRD's
 // canonical (event, interval) order, minus cancelled events, pinned
-// events and forbidden pairs.
-func (s *Scheduler) fillWorklist(mat []float64) {
+// events, replayed events and forbidden pairs. Heap mode selects
+// nothing once the pins and the replayed steps reach k, so then the
+// list stays empty.
+func (s *Scheduler) fillWorklist(mat []float64, replay []solver.Step) {
 	nE, nT := s.inst.NumEvents(), s.inst.NumIntervals
 	s.list.Reset(nE * nT)
+	if s.obj.Submodular() && len(s.pins)+len(replay) >= s.k {
+		return
+	}
+	replayed := make([]bool, nE)
+	for _, st := range replay {
+		replayed[st.Event] = true
+	}
 	for e := 0; e < nE; e++ {
-		if s.cancelled[e] {
+		if s.cancelled[e] || replayed[e] {
 			continue
 		}
 		if _, ok := s.pins[e]; ok {

@@ -425,16 +425,20 @@ func TestResolveCancelKeepsPreviousSchedule(t *testing.T) {
 	}
 }
 
-// countdownCtx reports DeadlineExceeded after a fixed number of Err
-// checks — a deterministic stand-in for a deadline that expires
-// mid-selection.
+// countdownCtx reports err (DeadlineExceeded when nil) after a fixed
+// number of Err checks — a deterministic stand-in for a deadline that
+// expires, or a cancellation that arrives, mid-selection.
 type countdownCtx struct {
 	context.Context
 	remaining int
+	err       error
 }
 
 func (c *countdownCtx) Err() error {
 	if c.remaining <= 0 {
+		if c.err != nil {
+			return c.err
+		}
 		return context.DeadlineExceeded
 	}
 	c.remaining--

@@ -251,6 +251,9 @@ func (s *Scheduler) InstallCommit(schedule []core.Assignment, utility float64, s
 	s.curUtil = utility
 	s.lastStop = stopped
 	s.totals = totals
+	// The installed schedule was not selected here, so no trail
+	// describes it: the next resolve selects in full.
+	s.trail = nil
 	return nil
 }
 

@@ -55,7 +55,7 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 		}
 		return nil, err
 	}
-	stop, err := SelectGreedy(ctx, eng, wl, k, nil, g.lazy, &res.Counters, g.Name(), g.cfg.Progress)
+	_, stop, err := SelectGreedy(ctx, eng, wl, k, nil, nil, g.lazy, &res.Counters, g.Name(), g.cfg.Progress)
 	if err != nil {
 		return nil, err
 	}
@@ -69,8 +69,9 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 //
 // The pins are applied first, in the given order; they count toward k
 // and are honored even past it. An infeasible pin is an error. The
-// scores in wl assume an empty schedule, so entries at a pinned
-// interval must be rescored before they can be trusted. Then, while
+// replayed steps follow (see below). The scores in wl assume an empty
+// schedule, so entries at an interval a pin or a replayed step went to
+// must be rescored before they can be trusted. Then, while
 // fewer than k events are scheduled, the top assignment (largest
 // score, ties toward the earliest (event, interval)) is taken in one
 // of two modes:
@@ -83,17 +84,17 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 //     ListScans the entries the scans and the updates traversed.
 //   - Heap (lazy true) is CELF lazy re-evaluation over the same list,
 //     heapified in place. Every interval carries a version, bumped on
-//     each apply (pins included), and every entry the version its
-//     score was computed at. A popped entry is dropped if invalid,
-//     rescored and reinserted if stale, resolved to its exact score
-//     and reinserted if approximate (see below), and applied only
-//     when it is exact and current. Under a submodular objective a
-//     stale score can only overstate the current one, so the entry
-//     applied is the scan's argmax and both modes select the same
-//     schedule; under attendance or fairness heap mode is only
-//     greedy-flavored. Pops counts every pop — each invalid entry
-//     dropped one by one, each stale or approximate re-pop — and
-//     ListScans stays 0.
+//     each apply (pins and replayed steps included), and every entry
+//     the version its score was computed at. A popped entry is
+//     dropped if invalid, rescored and reinserted if stale, resolved
+//     to its exact score and reinserted if approximate (see below),
+//     and applied only when it is exact and current. Under a
+//     submodular objective a stale score can only overstate the
+//     current one, so the entry applied is the scan's argmax and both
+//     modes select the same schedule; under attendance or fairness
+//     heap mode is only greedy-flavored. Pops counts every pop — each
+//     invalid entry dropped one by one, each stale or approximate
+//     re-pop — and ListScans stays 0.
 //
 // When eng is a choice.Bounder with valid bounds (the pruned engine
 // under a linear submodular objective), rescores take the O(k)
@@ -106,12 +107,28 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 // modes ScoreUpdates counts exact rescores and BoundUpdates bound
 // rescores.
 //
+// replay lists greedy steps the caller has certified that selection
+// would take next, in order: a session replays the prefix of its last
+// commit's steps that its mutations cannot have changed. They are
+// applied right after the pins and enter the schedule the way pins
+// do, bumping their intervals' versions, with no score and no pop
+// (Counters.Replayed counts them); the caller leaves their events out
+// of wl. Selection proper runs only while the schedule is still short
+// of k.
+//
+// steps lists every step applied after the pins, replayed ones first,
+// each with the exact score it won with: a replayed step keeps the
+// score it was certified with, and a selected one reports its current
+// score, which both modes have resolved exactly when they apply it.
+// It is never nil when err is nil.
+//
 // progress, when non-nil, receives one notification per applied
-// assignment, pins included, under solverName. ctx is checked before
-// every pop: a deadline returns (StoppedDeadline, nil) with the
-// feasible best-so-far applied to eng; cancellation returns ctx.Err().
-func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, pins []core.Assignment,
-	lazy bool, cnt *Counters, solverName string, progress func(Progress)) (stop string, err error) {
+// assignment, pins and replayed steps included, under solverName. ctx
+// is checked before every replayed step and every pop: a deadline
+// returns (steps so far, StoppedDeadline, nil) with the feasible
+// best-so-far applied to eng; cancellation returns ctx.Err().
+func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, pins []core.Assignment, replay []Step,
+	lazy bool, cnt *Counters, solverName string, progress func(Progress)) (steps []Step, stop string, err error) {
 	sched := eng.Schedule()
 	bounder, _ := eng.(choice.Bounder)
 	if bounder != nil && !bounder.BoundsValid() {
@@ -135,30 +152,73 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 	}
 
 	var pinned []bool
-	if len(pins) > 0 {
+	if len(pins)+len(replay) > 0 {
 		pinned = make([]bool, eng.Instance().NumIntervals)
 	}
 	for _, p := range pins {
 		if err := sched.Validity(p.Event, p.Interval); err != nil {
-			return "", fmt.Errorf("solver: pinned assignment (%d,%d) is infeasible: %w", p.Event, p.Interval, err)
+			return nil, "", fmt.Errorf("solver: pinned assignment (%d,%d) is infeasible: %w", p.Event, p.Interval, err)
 		}
 		if err := apply(p.Event, p.Interval); err != nil {
-			return "", err
+			return nil, "", err
 		}
 		pinned[p.Interval] = true
 	}
-	if lazy {
-		// The pins bumped their intervals' versions, so the entries
-		// there are stale until rescored.
-		return selectHeap(ctx, eng, bounder, wl, k, versions, apply, cnt)
+	steps = make([]Step, 0, len(replay))
+	for _, st := range replay {
+		// Replaying is selection too: a deadline stops it as it stops a
+		// pop, with the steps replayed so far as the best-so-far.
+		if stop, err = ctxCheck(ctx, true); err != nil || stop != "" {
+			break
+		}
+		if err := apply(st.Event, st.Interval); err != nil {
+			return nil, "", fmt.Errorf("solver: replayed step (%d,%d): %w", st.Event, st.Interval, err)
+		}
+		pinned[st.Interval] = true
+		steps = append(steps, st)
+		cnt.Replayed++
 	}
-	return selectScan(ctx, eng, bounder, wl, k, pinned, apply, cnt)
+	take := func(a assignment) error {
+		if err := apply(a.event, a.interval); err != nil {
+			return err
+		}
+		steps = append(steps, Step{Event: a.event, Interval: a.interval, Score: a.score})
+		return nil
+	}
+	switch {
+	case err != nil || stop != "":
+	case lazy:
+		// The pins and replayed steps bumped their intervals' versions,
+		// so the entries there are stale until rescored.
+		stop, err = selectHeap(ctx, eng, bounder, wl, k, versions, take, cnt)
+	default:
+		stop, err = selectScan(ctx, eng, bounder, wl, k, pinned, take, cnt)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	return steps, stop, nil
+}
+
+// Step is one greedy step after the pins: the assignment applied and
+// the exact score it won with.
+type Step struct {
+	Event, Interval int
+	Score           float64
+}
+
+// Beats reports whether a outranks b in the order selection takes
+// assignments in: the larger score, ties toward the earlier (event,
+// interval).
+func (a Step) Beats(b Step) bool {
+	return better(assignment{event: a.Event, interval: a.Interval, score: a.Score},
+		assignment{event: b.Event, interval: b.Interval, score: b.Score})
 }
 
 // selectScan is SelectGreedy's scan mode: the paper's list. pinned
-// marks the intervals pins were applied to, if any.
+// marks the intervals pins and replayed steps were applied to, if any.
 func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, wl *Worklist, k int,
-	pinned []bool, apply func(event, t int) error, cnt *Counters) (string, error) {
+	pinned []bool, take func(assignment) error, cnt *Counters) (string, error) {
 	sched := eng.Schedule()
 	if pinned != nil {
 		for i := range wl.list {
@@ -191,7 +251,7 @@ func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 		}
 		// Line 8: insert into the schedule. Validity was checked
 		// above; failure means a bug.
-		if err := apply(top.event, top.interval); err != nil {
+		if err := take(top); err != nil {
 			return "", err
 		}
 
@@ -222,7 +282,7 @@ func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 // A pop that goes back in replaces the top and sifts down, which
 // leaves the heap as a pop followed by a push would.
 func selectHeap(ctx context.Context, eng choice.Engine, bounder choice.Bounder, wl *Worklist, k int,
-	versions []int32, apply func(event, t int) error, cnt *Counters) (string, error) {
+	versions []int32, take func(assignment) error, cnt *Counters) (string, error) {
 	sched := eng.Schedule()
 	wl.heapify()
 	for sched.Size() < k && len(wl.list) > 0 {
@@ -244,8 +304,7 @@ func selectHeap(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 			cnt.ScoreUpdates++
 			wl.down(0)
 		default:
-			a := wl.popHeap()
-			if err := apply(a.event, a.interval); err != nil {
+			if err := take(wl.popHeap()); err != nil {
 				return "", err
 			}
 		}

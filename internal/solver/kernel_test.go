@@ -26,18 +26,20 @@ var kernelEngines = []struct {
 }
 
 // kernelRun is what one SelectGreedy run did: every applied
-// assignment in order (pins first), the final utility and the work.
+// assignment in order (pins first), the steps after the pins with
+// their winning scores, the final utility and the work.
 type kernelRun struct {
 	applied []core.Assignment
+	steps   []Step
 	utility float64
 	cnt     Counters
 }
 
 // runKernel selects up to k events on a fresh engine in one mode,
 // from a worklist built the way the session builds its own: the
-// scored cross product minus cancelled events, pinned events and
-// forbidden pairs.
-func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignment,
+// scored cross product minus cancelled events, pinned events,
+// replayed events and forbidden pairs.
+func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignment, replay []Step,
 	cancelled []bool, forbidden map[core.Assignment]bool, lazy bool) (kernelRun, error) {
 	var run kernelRun
 	eng := f(inst)
@@ -48,6 +50,9 @@ func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignme
 	pinned := make([]bool, inst.NumEvents())
 	for _, p := range pins {
 		pinned[p.Event] = true
+	}
+	for _, st := range replay {
+		pinned[st.Event] = true
 	}
 	nE, nT := inst.NumEvents(), inst.NumIntervals
 	var wl Worklist
@@ -65,7 +70,8 @@ func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignme
 	progress := func(p Progress) {
 		run.applied = append(run.applied, core.Assignment{Event: p.Event, Interval: p.Interval})
 	}
-	stop, err := SelectGreedy(context.Background(), eng, &wl, k, pins, lazy, &run.cnt, "kernel", progress)
+	var stop string
+	run.steps, stop, err = SelectGreedy(context.Background(), eng, &wl, k, pins, replay, lazy, &run.cnt, "kernel", progress)
 	if err != nil {
 		return run, err
 	}
@@ -79,7 +85,9 @@ func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignme
 // checkHeapMatchesScan draws a random instance, pins, cancellations
 // and forbidden pairs from seed and requires SelectGreedy's heap mode
 // to apply exactly the scan mode's assignments, in the same order,
-// to the same utility bits. It returns both runs' counters.
+// with the same winning scores, to the same utility bits. A heap run
+// that replays a prefix of those steps must apply them too. It
+// returns the scan and heap runs' counters.
 func checkHeapMatchesScan(t *testing.T, seed uint64, k int, f EngineFactory) (scan, heap Counters) {
 	t.Helper()
 	inst := sestest.Random(sestest.Config{
@@ -107,30 +115,50 @@ func checkHeapMatchesScan(t *testing.T, seed uint64, k int, f EngineFactory) (sc
 	}
 	slices.SortFunc(pins, func(a, b core.Assignment) int { return cmp.Compare(a.Event, b.Event) })
 
-	s, err := runKernel(inst, f, k, pins, cancelled, forbidden, false)
+	s, err := runKernel(inst, f, k, pins, nil, cancelled, forbidden, false)
 	if err != nil {
 		t.Fatalf("seed %d k %d: scan: %v", seed, k, err)
 	}
-	h, err := runKernel(inst, f, k, pins, cancelled, forbidden, true)
+	h, err := runKernel(inst, f, k, pins, nil, cancelled, forbidden, true)
 	if err != nil {
 		t.Fatalf("seed %d k %d: heap: %v", seed, k, err)
 	}
-	if len(s.applied) != len(h.applied) {
-		t.Fatalf("seed %d k %d: scan applied %v, heap %v", seed, k, s.applied, h.applied)
-	}
-	for i := range s.applied {
-		if s.applied[i] != h.applied[i] {
-			t.Fatalf("seed %d k %d: step %d: scan applied %v, heap %v (scan %v, heap %v)",
-				seed, k, i, s.applied[i], h.applied[i], s.applied, h.applied)
-		}
-	}
-	if math.Float64bits(s.utility) != math.Float64bits(h.utility) {
-		t.Fatalf("seed %d k %d: scan utility %v, heap %v", seed, k, s.utility, h.utility)
-	}
+	sameRuns(t, fmt.Sprintf("seed %d k %d: scan vs heap", seed, k), s, h)
 	if h.cnt.ListScans != 0 {
 		t.Fatalf("seed %d k %d: heap mode scanned %d list entries", seed, k, h.cnt.ListScans)
 	}
+	n := rng.IntN(len(h.steps) + 1)
+	r, err := runKernel(inst, f, k, pins, h.steps[:n], cancelled, forbidden, true)
+	if err != nil {
+		t.Fatalf("seed %d k %d: heap replaying %d steps: %v", seed, k, n, err)
+	}
+	sameRuns(t, fmt.Sprintf("seed %d k %d: heap vs heap replaying %d steps", seed, k, n), h, r)
+	if r.cnt.Replayed != n {
+		t.Fatalf("seed %d k %d: replayed %d of %d steps", seed, k, r.cnt.Replayed, n)
+	}
 	return s.cnt, h.cnt
+}
+
+// sameRuns requires two kernel runs to apply the same assignments in
+// the same order, report the same steps with the same score bits and
+// reach the same utility bits.
+func sameRuns(t *testing.T, what string, a, b kernelRun) {
+	t.Helper()
+	if !slices.Equal(a.applied, b.applied) {
+		t.Fatalf("%s: applied %v and %v", what, a.applied, b.applied)
+	}
+	if len(a.steps) != len(b.steps) {
+		t.Fatalf("%s: steps %v and %v", what, a.steps, b.steps)
+	}
+	for i := range a.steps {
+		x, y := a.steps[i], b.steps[i]
+		if x.Event != y.Event || x.Interval != y.Interval || math.Float64bits(x.Score) != math.Float64bits(y.Score) {
+			t.Fatalf("%s: step %d is %+v and %+v", what, i, x, y)
+		}
+	}
+	if math.Float64bits(a.utility) != math.Float64bits(b.utility) {
+		t.Fatalf("%s: utility %v and %v", what, a.utility, b.utility)
+	}
 }
 
 // TestHeapModeMatchesScanMode: under Omega, SelectGreedy's CELF heap

@@ -89,6 +89,11 @@ type Counters struct {
 	ListScans int
 	// Moves counts accepted local-search/annealing moves.
 	Moves int
+	// Replayed counts greedy steps applied from a session's last
+	// commit without scoring or popping them (SelectGreedy's replay).
+	// Like BoundUpdates it is process-local: snapshots and commit
+	// stamps do not carry it.
+	Replayed int
 }
 
 // Add accumulates o into c; the session layer uses it to keep
@@ -100,6 +105,7 @@ func (c *Counters) Add(o Counters) {
 	c.Pops += o.Pops
 	c.ListScans += o.ListScans
 	c.Moves += o.Moves
+	c.Replayed += o.Replayed
 }
 
 // StoppedDeadline is the Result.Stopped reason reported by anytime

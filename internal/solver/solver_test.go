@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"ses/internal/choice"
@@ -117,6 +118,27 @@ func TestKLargerThanCapacityIsGraceful(t *testing.T) {
 		}
 		if err := res.Schedule.CheckFeasible(); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
+		}
+	}
+}
+
+// TestGRDHugeK: k only bounds how far selection goes, so a k that
+// dwarfs the instance allocates nothing for it and schedules what
+// k = |E| does.
+func TestGRDHugeK(t *testing.T) {
+	inst := sestest.Random(sestest.Config{Seed: 4, Competing: 3})
+	for _, s := range []Solver{NewGRD(Config{}), NewGRDLazy(Config{})} {
+		want, err := s.Solve(context.Background(), inst, inst.NumEvents())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Solve(context.Background(), inst, 1<<40)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if !slices.Equal(got.Schedule.Assignments(), want.Schedule.Assignments()) || got.Utility != want.Utility {
+			t.Fatalf("%s: k=2^40 gave %v (%v), k=|E| %v (%v)", s.Name(),
+				got.Schedule.Assignments(), got.Utility, want.Schedule.Assignments(), want.Utility)
 		}
 	}
 }

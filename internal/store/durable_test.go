@@ -327,6 +327,22 @@ func TestDurableRestoreRecord(t *testing.T) {
 	}
 }
 
+// deadlineAfter reports DeadlineExceeded once its Err has been checked
+// a fixed number of times: a deadline that expires at a chosen point
+// of a resolve, however fast the machine is.
+type deadlineAfter struct {
+	context.Context
+	checks int
+}
+
+func (c *deadlineAfter) Err() error {
+	if c.checks <= 0 {
+		return context.DeadlineExceeded
+	}
+	c.checks--
+	return nil
+}
+
 // TestDurableDeadlineStopInstallsVerbatim forces a deadline-stopped
 // resolve (whose schedule a replayed solver could not reproduce) and
 // checks recovery installs the stamped outcome bit-for-bit.
@@ -341,25 +357,26 @@ func TestDurableDeadlineStopInstallsVerbatim(t *testing.T) {
 	if _, err := d.Resolve(ctx, "dl"); err != nil {
 		t.Fatal(err)
 	}
-	// Retry with varied tiny deadlines until one lands mid-selection
-	// (committing a stopped best-so-far) rather than during scoring.
+	// Let the deadline expire after more and more context checks until
+	// one lands mid-selection with events scheduled (committing a
+	// stopped best-so-far) rather than during scoring.
 	var stopped bool
 	for i := 0; i < 400 && !stopped; i++ {
 		if _, err := d.ApplyBatch(ctx, "dl", []Mutation{UpdateInterest(i%300, i%48, 0.6)}); err != nil {
 			t.Fatal(err)
 		}
-		dctx, cancel := context.WithTimeout(ctx, time.Duration(i%40+1)*5*time.Microsecond)
-		delta, err := d.Resolve(dctx, "dl")
-		cancel()
+		delta, err := d.Resolve(&deadlineAfter{Context: ctx, checks: i}, "dl")
 		if err != nil {
 			continue // deadline hit one-shot scoring; nothing committed
 		}
-		if delta.Stopped != "" {
-			stopped = true
+		m, err := d.Meta("dl")
+		if err != nil {
+			t.Fatal(err)
 		}
+		stopped = delta.Stopped != "" && m.Scheduled > 0
 	}
 	if !stopped {
-		t.Skip("could not provoke a deadline-stopped commit on this machine")
+		t.Fatal("no deadline landed mid-selection")
 	}
 	want := canonicalState(t, d, "dl")
 	crashDir := t.TempDir()
