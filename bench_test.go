@@ -171,8 +171,8 @@ func BenchmarkAblationTOPVariants(b *testing.B) {
 	b.Run("top-fill", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "topfill"), k) })
 }
 
-// BenchmarkAblationRefinement measures what hill climbing and
-// annealing add on top of the constructive solvers.
+// BenchmarkAblationRefinement measures what hill climbing adds on top
+// of the constructive greedy.
 func BenchmarkAblationRefinement(b *testing.B) {
 	const k = 40
 	ds := benchDataset(b)
@@ -184,7 +184,6 @@ func BenchmarkAblationRefinement(b *testing.B) {
 	}
 	b.Run("grd", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "grd"), k) })
 	b.Run("grd+localsearch", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "localsearch"), k) })
-	b.Run("anneal", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "anneal", ses.WithSeed(3)), k) })
 }
 
 // BenchmarkScoreComputation isolates one Eq. 4 evaluation — the unit

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,6 +76,96 @@ func TestDaemonBodyLimit(t *testing.T) {
 		do(t, "POST", srv.URL+"/v1/sessions/"+via.name+"/resolve", nil, http.StatusOK, nil)
 	}
 	do(t, "GET", srv.URL+"/v1/sessions/padded", nil, http.StatusNotFound, nil)
+}
+
+// TestStalledBodyEndsWithinBound sends the headers of create, batch
+// and restore requests that announce a 1000-byte body, then only part
+// of it: an unfinished document, a complete one followed by nothing,
+// or one the handler refuses before reading it (a bad ?timeout). Each
+// request must end, with an error response or a closed connection,
+// within the body read bound (a daemon without one keeps them open),
+// and the daemon keeps serving.
+func TestStalledBodyEndsWithinBound(t *testing.T) {
+	st := ses.NewStore(ses.WithWorkers(1))
+	pipe := ses.NewPipeline(st, ses.WithResolveWorkers(1))
+	defer pipe.Close()
+	s := newServer(st, pipe, nil, nil, nil)
+	s.bodyTimeout = 200 * time.Millisecond
+	srv := httptest.NewServer(s.routes())
+	defer srv.Close()
+	do(t, "POST", srv.URL+"/v1/sessions", createReq{Name: "live", K: 3, Instance: instanceDoc(t, 5)}, http.StatusCreated, nil)
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sessions", `{"name":"stal`},
+		{"/v1/sessions", `{"name":"stalled"}`},
+		{"/v1/sessions/live/batch", `{"mutations":[`},
+		{"/v1/sessions/live/batch", `{"mutations":[]}`},
+		{"/v1/sessions/live/batch?timeout=soon", `{"mutations":[`},
+		{"/v1/sessions/copy/restore", `{"version":`},
+	} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: sesd\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n%s", c.path, c.body)
+		conn.SetReadDeadline(start.Add(s.bodyTimeout + 5*time.Second))
+		resp, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s %s: connection still open after %v: %v", c.path, c.body, time.Since(start).Round(time.Millisecond), err)
+		}
+		if len(resp) > 0 && !strings.HasPrefix(string(resp), "HTTP/1.1 4") {
+			t.Fatalf("%s %s: answered %.200q, want a 4xx or a closed connection", c.path, c.body, resp)
+		}
+	}
+	do(t, "POST", srv.URL+"/v1/sessions/live/resolve", nil, http.StatusOK, nil)
+	do(t, "GET", srv.URL+"/v1/sessions/stalled", nil, http.StatusNotFound, nil)
+}
+
+// TestBodyDeadlineSparesTheResolve holds a batch's resolve, through
+// the store's progress callback, for four body bounds after its body
+// was read. The batch must still answer 200: a body deadline armed
+// under net/http's background read would fire during the resolve and
+// cancel the request's context (a deadline re-armed after readBody
+// answers 499).
+func TestBodyDeadlineSparesTheResolve(t *testing.T) {
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	st := ses.NewStore(ses.WithWorkers(1), ses.WithProgress(func(ses.Progress) {
+		if hold.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}))
+	s := newServer(st, nil, nil, nil, nil)
+	s.bodyTimeout = 50 * time.Millisecond
+	srv := httptest.NewServer(s.routes())
+	defer srv.Close()
+	do(t, "POST", srv.URL+"/v1/sessions", createReq{Name: "held", K: 3, Instance: instanceDoc(t, 5)}, http.StatusCreated, nil)
+
+	hold.Store(true)
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/sessions/held/batch", "application/json", strings.NewReader(`{"mutations":[]}`))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case <-entered:
+	case got := <-status:
+		t.Fatalf("batch answered %d before its resolve reported progress", got)
+	}
+	time.Sleep(4 * s.bodyTimeout) // past the bound, the resolve still held
+	close(release)
+	if got := <-status; got != http.StatusOK {
+		t.Fatalf("held batch answered %d, want 200", got)
+	}
 }
 
 // TestDaemonRejectsOversizedShapes sends small documents that claim

@@ -309,6 +309,12 @@ func tracerOf(o *ses.Observability) *obs.Tracer {
 // the long-lived watch and replication streams.
 const readHeaderTimeout = 5 * time.Second
 
+// bodyReadTimeout bounds how long a create, batch or restore request
+// may take to deliver its body: a body at the 64 MiB cap
+// (cluster.MaxBodyBytes) arrives within it at 3 Mbit/s. The watch,
+// replication and ack streams are not under it.
+const bodyReadTimeout = 3 * time.Minute
+
 // serve runs the HTTP front until ctx is cancelled, then shuts down
 // gracefully: the listener stops accepting, the long-lived streams
 // (watch, replication shipping and acks) end at once, in-flight
@@ -405,6 +411,9 @@ type server struct {
 	// (maxScoreCells; the fuzz target lowers it so that every input
 	// stays cheap to resolve).
 	maxCells int
+	// bodyTimeout is the read deadline create, batch and restore
+	// bodies are read under (bodyReadTimeout; tests lower it).
+	bodyTimeout time.Duration
 	// shutdown is cancelled when graceful shutdown starts; the
 	// long-lived stream routes end on it (nil outside serve).
 	shutdown context.Context
@@ -426,7 +435,7 @@ type server struct {
 // unclustered daemon.
 func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, walStats func() ses.WALStats, node *cluster.Node) *server {
 	s := &server{store: st, pipeline: pipe, walStats: walStats, node: node, obs: o, start: time.Now(),
-		maxCells: maxScoreCells}
+		maxCells: maxScoreCells, bodyTimeout: bodyReadTimeout}
 	// One registry either way: under -obs=false a private one that
 	// /v1/metrics reads and no route mounts.
 	reg := obs.NewRegistry()
@@ -546,6 +555,38 @@ func statusOf(err error) int {
 	}
 }
 
+// setBodyDeadline sets the read deadline of a create, batch or restore
+// request's connection. The handlers arm it first thing, so a request
+// refused before its body is read (a stale epoch, a bad ?timeout) is
+// cut off too, in net/http's discard of the unread body; readBody
+// clears it.
+func setBodyDeadline(w http.ResponseWriter, t time.Time) {
+	// Errors: ErrNotSupported (the fuzz target's ResponseRecorder has
+	// no connection) or a closed connection, which the next read
+	// reports anyway.
+	_ = http.NewResponseController(w).SetReadDeadline(t)
+}
+
+// readBody decodes a create, batch or restore body, capped at
+// cluster.MaxBodyBytes, and reads what follows the document (normally
+// nothing), all under the deadline the handler armed. Then it clears
+// the deadline: armed under net/http's background read, which starts
+// at the body's EOF, it would fire during the resolve or ack wait and
+// cancel the request's context. On an error the deadline stays armed,
+// so net/http's discard of the unread rest fails at once and closes
+// the connection.
+func readBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error) error {
+	body := http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
+	if err := decode(body); err != nil {
+		return err
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
+		return err
+	}
+	setBodyDeadline(w, time.Time{})
+	return nil
+}
+
 // reqContext applies the optional ?timeout=DURATION to the request
 // context; the deadline flows into the anytime resolve. deadline
 // reports whether the client asked for one — such requests bypass the
@@ -659,13 +700,13 @@ type createReq struct {
 }
 
 func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
+	setBodyDeadline(w, time.Now().Add(s.bodyTimeout))
 	if err := s.checkEpoch(r); err != nil {
 		s.writeErr(w, statusOf(err), err)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
 	var req createReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readBody(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(&req) }); err != nil {
 		s.writeErr(w, statusOf(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -792,6 +833,7 @@ type batchReq struct {
 }
 
 func (s *server) batchSession(w http.ResponseWriter, r *http.Request) {
+	setBodyDeadline(w, time.Now().Add(s.bodyTimeout))
 	if err := s.checkEpoch(r); err != nil {
 		s.writeErr(w, statusOf(err), err)
 		return
@@ -802,9 +844,8 @@ func (s *server) batchSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
 	var req batchReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readBody(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(&req) }); err != nil {
 		s.writeErr(w, statusOf(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -872,20 +913,22 @@ func (s *server) getSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
+	setBodyDeadline(w, time.Now().Add(s.bodyTimeout))
 	if err := s.checkEpoch(r); err != nil {
 		s.writeErr(w, statusOf(err), err)
 		return
 	}
 	name := r.PathValue("name")
-	r.Body = http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
 	var doc *ses.Snapshot
-	var err error
 	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mt == "application/octet-stream" {
-		doc, err = ses.DecodeSnapshotBinary(r.Body)
-	} else {
-		doc, err = ses.DecodeSnapshot(r.Body)
-	}
+	err := readBody(w, r, func(body io.Reader) (err error) {
+		if mt == "application/octet-stream" {
+			doc, err = ses.DecodeSnapshotBinary(body)
+		} else {
+			doc, err = ses.DecodeSnapshot(body)
+		}
+		return err
+	})
 	if err != nil {
 		s.writeErr(w, statusOf(err), err)
 		return

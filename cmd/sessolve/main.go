@@ -17,8 +17,8 @@
 // an extra line next to the always-reported Ω.
 //
 // -timeout bounds the solve with a context deadline: anytime
-// algorithms (grd, grdlazy, beam, localsearch, anneal) return their
-// feasible best-so-far schedule when it expires (marked "stopped:
+// algorithms (grd, grdlazy, localsearch) return their feasible
+// best-so-far schedule when it expires (marked "stopped:
 // deadline" in the output); the others abort with an error. Ctrl-C
 // cancels the solve promptly either way.
 package main

@@ -28,14 +28,14 @@
 // The facade has two entry points for solving, plus the model and
 // data machinery around them:
 //
-//   - One-shot solving: New(name, opts...) builds any of the eleven
+//   - One-shot solving: New(name, opts...) builds any of the seven
 //     registered algorithms (SolverNames lists them — the paper's GRD
-//     and its TOP/RAND baselines plus the lazy-greedy, exact,
-//     local-search, annealing, beam, online and spread extensions).
+//     and its TOP/RAND baselines plus the lazy-greedy, TOP-fill,
+//     exact and local-search extensions).
 //     Solve(ctx, inst, k) honors the context: cancellation returns
 //     promptly everywhere, and a deadline makes the anytime
-//     algorithms (grd, grdlazy, beam, localsearch, anneal) return
-//     their feasible best-so-far with Result.Stopped set.
+//     algorithms (grd, grdlazy, localsearch) return their feasible
+//     best-so-far with Result.Stopped set.
 //   - Sessions: NewScheduler(inst, k, opts...) opens a mutable
 //     scheduling session — AddEvent, CancelEvent, UpdateInterest,
 //     AddCompeting, Pin, Forbid — whose Resolve(ctx) repairs the
@@ -105,8 +105,8 @@
 // worker scores whole intervals against its own Fork of the engine
 // and writes to fixed offsets of a preallocated matrix, so schedules,
 // utilities and work counters are byte-identical to the serial run
-// for any Workers value. GRD, GRDLazy, TOP, TOPFill and Spread start
-// from that worklist. Algorithm 1's selection phase (popTopAssgn, the
+// for any Workers value. GRD, GRDLazy, TOP and TOPFill start from
+// that worklist. Algorithm 1's selection phase (popTopAssgn, the
 // validity drop, the same-interval rescore) exists once, as
 // solver.SelectGreedy, in two modes over the same list: the paper's
 // linear scan with eager same-interval rescoring, which grd runs so
@@ -114,8 +114,7 @@
 // rescores an assignment only when it reaches the top after its
 // interval changed, which grdlazy runs. Under a submodular objective
 // (Omega) both select the same schedule. The session layer below runs
-// the kernel on its cached scores. Beam expands its live
-// states concurrently; the experiment harness
+// the kernel on its cached scores. The experiment harness
 // (ses/internal/experiment) additionally runs independent trials and
 // sensitivity points concurrently.
 //

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("mid-size instance: |E|=%d |T|=%d |C|=%d users=%d, k=30\n\n",
 		inst.NumEvents(), inst.NumIntervals, len(inst.Competing), inst.NumUsers)
 	fmt.Printf("%-14s %-12s %-10s %-10s\n", "solver", "utility", "time", "scheduled")
-	for _, name := range []string{"grd", "grdlazy", "top", "topfill", "rand", "localsearch", "anneal"} {
+	for _, name := range []string{"grd", "grdlazy", "top", "topfill", "rand", "localsearch"} {
 		s, err := ses.New(name, ses.WithSeed(9))
 		if err != nil {
 			log.Fatal(err)

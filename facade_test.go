@@ -15,7 +15,7 @@ func TestAllFacadeSolversOnOneInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"grd", "grdlazy", "top", "topfill", "rand", "localsearch", "anneal", "beam", "online", "spread"} {
+	for _, name := range []string{"grd", "grdlazy", "top", "topfill", "rand", "localsearch"} {
 		res, err := mustSolver(t, name, ses.WithSeed(4)).Solve(context.Background(), inst, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -136,8 +136,8 @@ func TestEveryRegisteredSolverThroughTheFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := ses.SolverNames()
-	if len(names) != 11 {
-		t.Fatalf("registry has %d solvers, want 11: %v", len(names), names)
+	if len(names) != 7 {
+		t.Fatalf("registry has %d solvers, want 7: %v", len(names), names)
 	}
 	for _, name := range names {
 		s, err := ses.New(name, ses.WithSeed(7), ses.WithWorkers(2))

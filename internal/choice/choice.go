@@ -99,8 +99,8 @@ type Engine interface {
 	IntervalUtility(t int) float64
 	// Fork returns an independent copy of the engine sharing the
 	// immutable per-instance state (competing mass, interest). Applying
-	// assignments to the fork does not affect the original. Beam-style
-	// solvers rely on cheap forks.
+	// assignments to the fork does not affect the original. Parallel
+	// initial scoring gives each worker its own fork.
 	Fork() Engine
 }
 

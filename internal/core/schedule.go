@@ -152,8 +152,8 @@ func (s *Schedule) Assign(e, t int) error {
 	return nil
 }
 
-// Unassign removes event e from the schedule (used by the local-search
-// and annealing solvers).
+// Unassign removes event e from the schedule (used by the engines'
+// Unapply, which local search and the exact search call).
 func (s *Schedule) Unassign(e int) error {
 	if e < 0 || e >= len(s.byEvent) {
 		return fmt.Errorf("%w: %d", ErrEventRange, e)

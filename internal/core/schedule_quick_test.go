@@ -8,7 +8,7 @@ import (
 // TestScheduleRandomOperationSequences drives a schedule with random
 // Assign/Unassign sequences and checks that the incrementally
 // maintained state always agrees with the from-scratch feasibility
-// audit — the property local search and annealing rely on.
+// audit — the property local search and the exact search rely on.
 func TestScheduleRandomOperationSequences(t *testing.T) {
 	in := tinyInstance()
 	// Widen the instance so sequences are interesting: 8 events over

@@ -18,18 +18,18 @@ type Config struct {
 	// is choice.Omega, the paper's expected attendance — solvers then
 	// behave byte-identically to the pre-objective-layer code. Any
 	// registered objective (choice.ParseObjective) plugs in; the
-	// anytime algorithms (grd, grdlazy, beam, localsearch, anneal)
-	// work for any monotone objective, while grdlazy's equivalence to
-	// grd and exact's branch-and-bound prune additionally require
+	// anytime algorithms (grd, grdlazy, localsearch) work for any
+	// monotone objective, while grdlazy's equivalence to grd and
+	// exact's branch-and-bound prune additionally require
 	// Objective.Submodular() (exact falls back to unpruned search
 	// otherwise).
 	Objective choice.Objective
-	// Workers is the number of goroutines used for initial scoring
-	// (and per-state expansion in Beam). 0 selects GOMAXPROCS; any
-	// other non-positive value runs serially. Schedules, utilities
-	// and counters are byte-identical regardless of Workers: parallel
-	// scoring only changes which goroutine evaluates a score, never
-	// the engine state it is evaluated against.
+	// Workers is the number of goroutines used for initial scoring.
+	// 0 selects GOMAXPROCS; any other non-positive value runs
+	// serially. Schedules, utilities and counters are byte-identical
+	// regardless of Workers: parallel scoring only changes which
+	// goroutine evaluates a score, never the engine state it is
+	// evaluated against.
 	Workers int
 	// Progress, when non-nil, streams one notification per assignment
 	// applied to the solver's main engine (see Progress). It is always

@@ -12,7 +12,7 @@ import (
 // anytimeNames are the solvers that honor the anytime contract: a
 // deadline returns the feasible best-so-far instead of an error.
 func anytimeNames() map[string]bool {
-	return map[string]bool{"grd": true, "grdlazy": true, "beam": true, "localsearch": true, "anneal": true}
+	return map[string]bool{"grd": true, "grdlazy": true, "localsearch": true}
 }
 
 func TestAllSolversReturnPromptlyOnCancel(t *testing.T) {
@@ -37,7 +37,7 @@ func TestCancelObservedInParallelScoringPool(t *testing.T) {
 	inst := sestest.Random(sestest.Config{Seed: 4, Users: 60, Events: 20, Intervals: 8, Competing: 6})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{"grd", "top", "exact", "spread"} {
+	for _, name := range []string{"grd", "top", "exact"} {
 		s, err := NewWith(name, 1, Config{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
@@ -146,26 +146,21 @@ func TestProgressStreamsOnePerSelection(t *testing.T) {
 }
 
 func TestProgressNestedStartSolversDoNotDoubleReport(t *testing.T) {
-	// localsearch and anneal replay their start schedule themselves;
-	// the nested start solver must stay silent or every assignment
-	// appears twice under two names.
+	// localsearch replays its start schedule itself; the nested start
+	// solver must stay silent or every assignment appears twice under
+	// two names.
 	inst := sestest.Random(sestest.Config{Seed: 21, Events: 10, Intervals: 4, Competing: 3})
-	for _, name := range []string{"localsearch", "anneal"} {
-		var got []Progress
-		s, err := NewWith(name, 5, Config{Workers: 1, Progress: func(p Progress) { got = append(got, p) }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Solve(context.Background(), inst, 4); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 {
-			t.Fatalf("%s: no progress reported", name)
-		}
-		for _, p := range got {
-			if p.Solver != name {
-				t.Fatalf("%s: progress from nested solver %q leaked through", name, p.Solver)
-			}
+	var got []Progress
+	s := NewLocalSearch(nil, 0, Config{Workers: 1, Progress: func(p Progress) { got = append(got, p) }})
+	if _, err := s.Solve(context.Background(), inst, 4); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 {
+		t.Fatal("no progress reported")
+	}
+	for _, p := range got {
+		if p.Solver != "localsearch" {
+			t.Fatalf("progress from nested solver %q leaked through", p.Solver)
 		}
 	}
 }

@@ -176,7 +176,7 @@ func TestExactIsOptimalForNonSubmodularObjectives(t *testing.T) {
 func TestAnytimeDeadlineWorksForEveryObjective(t *testing.T) {
 	inst := sestest.Random(sestest.Config{Seed: 9, Competing: 4, Events: 10, Intervals: 4, Users: 30})
 	for _, obj := range choice.Objectives() {
-		for _, name := range []string{"grd", "grdlazy", "beam", "localsearch", "anneal"} {
+		for _, name := range []string{"grd", "grdlazy", "localsearch"} {
 			s, err := NewWith(name, 17, Config{Workers: 1, Objective: obj})
 			if err != nil {
 				t.Fatal(err)

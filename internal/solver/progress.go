@@ -4,13 +4,12 @@ import "ses/internal/choice"
 
 // Progress is one streaming progress notification: an assignment was
 // applied to the solver's main engine. For constructive solvers (grd,
-// grdlazy, top, topfill, spread, online, the session layer) that is
-// exactly one notification per selection; move-based solvers
-// (localsearch, anneal) stream their start schedule's replay and then
-// every move re-application, so consumers should treat the stream as
-// liveness, not a schedule log — read the final schedule from the
-// Result. Beam and exact work entirely on forked/speculative engines
-// and stream nothing.
+// grdlazy, top, topfill, rand, the session layer) that is exactly one
+// notification per selection; localsearch streams its start
+// schedule's replay and then every move re-application, so consumers
+// should treat the stream as liveness, not a schedule log — read the
+// final schedule from the Result. Exact applies and withdraws
+// speculative assignments throughout its search and streams nothing.
 //
 // Callbacks run synchronously on the goroutine driving the solve (for
 // the session layer, while the session lock is held), so they must
@@ -27,12 +26,11 @@ type Progress struct {
 
 // progressEngine decorates an Engine so every successful Apply on the
 // solver's main engine emits a Progress notification. Forks are
-// returned unwrapped: forked engines belong to scoring workers or
-// speculative beam states, and reporting from them would interleave
-// callbacks across goroutines. The decorator embeds only
-// choice.Engine, so it hides optional interfaces such as
-// choice.Bounder; SelectGreedy, which needs the Bounder, reports
-// progress itself instead.
+// returned unwrapped: forked engines belong to scoring workers, and
+// reporting from them would interleave callbacks across goroutines.
+// The decorator embeds only choice.Engine, so it hides optional
+// interfaces such as choice.Bounder; SelectGreedy, which needs the
+// Bounder, reports progress itself instead.
 type progressEngine struct {
 	choice.Engine
 	solver string

@@ -1,5 +1,6 @@
 // Package solver implements the scheduling algorithms of the SES
-// paper and several extensions:
+// paper and the extensions the rest of this repository runs. Each of
+// the seven registered solvers stays for a named reason:
 //
 //   - GRD — the paper's greedy Algorithm 1 (Section III), faithful to
 //     the pseudocode: a flat assignment list, linear-scan popTopAssgn,
@@ -7,27 +8,29 @@
 //     Its selection phase, SelectGreedy, is the one greedy kernel:
 //     the session layer's incremental Resolve runs it too, adding
 //     pins and a constrained worklist.
-//   - TOP — baseline: initial scores only, take the top-k valid
-//     assignments without ever updating a score (Section IV-A).
-//   - RAND — baseline: valid assignments chosen uniformly at random
-//     (Section IV-A).
-//   - GRDLazy — extension: GRD with SelectGreedy in heap mode, a
-//     max-heap with CELF-style lazy re-evaluation that exploits the
-//     per-interval submodularity of the objective; identical output
-//     to GRD under Omega with far fewer score updates.
+//   - GRDLazy — GRD with SelectGreedy in heap mode, a max-heap with
+//     CELF-style lazy re-evaluation that exploits the per-interval
+//     submodularity of the objective; identical output to GRD under
+//     Omega with far fewer score updates. It is the counter twin the
+//     session tests compare a heap-mode Resolve with.
+//   - TOP and RAND — the paper's two baselines (Section IV-A): TOP
+//     takes the top-k valid assignments by initial score without
+//     ever updating a score; RAND picks valid assignments uniformly
+//     at random.
+//   - TOPFill and LocalSearch — sesbench's extended algorithm set:
+//     TOPFill walks TOP's sorted list until k valid picks, and
+//     LocalSearch hill-climbs (relocate + swap moves) on top of any
+//     starting schedule.
 //   - Exact — exhaustive DFS with an admissible upper-bound prune;
-//     tractable only on small instances, used to measure the greedy's
-//     empirical approximation quality.
-//   - LocalSearch — hill climbing (relocate + swap moves) on top of
-//     any starting schedule.
-//   - Anneal — simulated annealing over the same move set.
+//     tractable only on small instances, it is the oracle the
+//     approximation tests measure the greedy against.
 //
-// All solvers are deterministic given their configuration (RAND and
-// Anneal take explicit seeds). Every constructor takes a Config
-// carrying the engine factory and a worker count; initial scoring —
-// the dominant cost of the paper's Fig. 1b/1d time series — runs on a
-// worker pool when Workers > 1, with byte-identical results to the
-// serial run (see worklist.go).
+// All solvers are deterministic given their configuration (RAND takes
+// an explicit seed). Every constructor takes a Config carrying the
+// engine factory and a worker count; initial scoring — the dominant
+// cost of the paper's Fig. 1b/1d time series — runs on a worker pool
+// when Workers > 1, with byte-identical results to the serial run
+// (see worklist.go).
 package solver
 
 import (
@@ -87,7 +90,7 @@ type Counters struct {
 	// mode's popTopAssgn and same-interval update; heap mode scans no
 	// list, so it leaves ListScans at 0.
 	ListScans int
-	// Moves counts accepted local-search/annealing moves.
+	// Moves counts accepted local-search moves.
 	Moves int
 	// Replayed counts greedy steps applied from a session's last
 	// commit without scoring or popping them (SelectGreedy's replay).
@@ -132,9 +135,9 @@ type Result struct {
 	// the paper's native metric. Equal to Utility under Omega.
 	Omega float64
 	// Stopped is empty for a complete run. Anytime solvers (grd,
-	// grdlazy, beam, localsearch, anneal) set it to StoppedDeadline
-	// when the context deadline expired mid-run: the Schedule is then
-	// the feasible best-so-far rather than the full k-selection.
+	// grdlazy, localsearch) set it to StoppedDeadline when the
+	// context deadline expired mid-run: the Schedule is then the
+	// feasible best-so-far rather than the full k-selection.
 	Stopped string
 	// Counters describes the work performed.
 	Counters Counters
@@ -146,10 +149,10 @@ type Result struct {
 // Cancellation contract: every solver observes ctx at its selection
 // and expansion boundaries (and inside the parallel scoring pool). A
 // canceled context makes Solve return ctx.Err() promptly. An expired
-// deadline makes the anytime solvers (grd, grdlazy, beam, localsearch,
-// anneal) return their feasible best-so-far schedule with
-// Result.Stopped = StoppedDeadline instead of discarding the work;
-// one-shot solvers return ctx.Err() for deadlines too.
+// deadline makes the anytime solvers (grd, grdlazy, localsearch)
+// return their feasible best-so-far schedule with Result.Stopped =
+// StoppedDeadline instead of discarding the work; one-shot solvers
+// return ctx.Err() for deadlines too.
 type Solver interface {
 	// Name identifies the algorithm (stable, lowercase).
 	Name() string
@@ -207,8 +210,8 @@ func finish(res *Result, eng choice.Engine, stop string) *Result {
 }
 
 // New returns a solver by name with default configuration; Names
-// lists the registry. Randomized solvers (rand, anneal, online) get
-// the provided seed; others ignore it.
+// lists the registry. The randomized solver (rand) gets the provided
+// seed; the others ignore it.
 func New(name string, seed uint64) (Solver, error) { return NewWith(name, seed, Config{}) }
 
 // NewWith returns a solver by name carrying the given configuration
@@ -229,14 +232,6 @@ func NewWith(name string, seed uint64, cfg Config) (Solver, error) {
 		return NewExact(cfg), nil
 	case "localsearch":
 		return NewLocalSearch(nil, 0, cfg), nil
-	case "anneal":
-		return NewAnneal(seed, 0, cfg), nil
-	case "beam":
-		return NewBeam(0, 0, cfg), nil
-	case "online":
-		return NewOnline(seed, cfg), nil
-	case "spread":
-		return NewSpread(cfg), nil
 	default:
 		return nil, fmt.Errorf("solver: unknown solver %q", name)
 	}
@@ -244,5 +239,5 @@ func NewWith(name string, seed uint64, cfg Config) (Solver, error) {
 
 // Names lists the registered solver names in a stable order.
 func Names() []string {
-	return []string{"grd", "grdlazy", "top", "topfill", "rand", "exact", "localsearch", "anneal", "beam", "online", "spread"}
+	return []string{"grd", "grdlazy", "top", "topfill", "rand", "exact", "localsearch"}
 }

@@ -80,12 +80,6 @@ func forEachIndexState[S any](ctx context.Context, n, workers int, newState func
 	return nil
 }
 
-// forEachIndex is forEachIndexState without per-worker state.
-func forEachIndex(ctx context.Context, n, workers int, fn func(i int)) error {
-	return forEachIndexState(ctx, n, workers, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { fn(i) })
-}
-
 // ScoreIntervals computes the initial (current-engine-state) score of
 // every event at each listed interval into mat[t*nE+e], fanning out
 // across up to `workers` goroutines. Every worker (including the

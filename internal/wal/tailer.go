@@ -118,7 +118,9 @@ func (o TailerOptions) poll() time.Duration {
 //   - the same tear in a segment that already has a successor is a
 //     permanent crash artifact (rotation fsyncs and seals the outgoing
 //     segment, and every Open starts a fresh one), so the tailer skips
-//     to the next segment and records the skip in Skipped;
+//     to the next segment and records the skip in Skipped — after one
+//     re-read, since the frame may have completed between the failed
+//     read and the directory scan that found the successor;
 //   - a cursor below the checkpoint horizon yields ErrTruncated — the
 //     records are gone and the caller must resync from the checkpoint.
 //
@@ -136,6 +138,10 @@ type Tailer struct {
 	f       *os.File
 	buf     []byte
 	skipped []Truncation
+	// missed, when set, runs between a failed frame read and the
+	// successor scan (tests use it to finish an append and rotate
+	// inside that window).
+	missed func()
 }
 
 // NewTailer positions a tailer at from within dir. The directory need
@@ -197,6 +203,9 @@ func (t *Tailer) TryNext() (rec Record, ok bool, err error) {
 		// Incomplete frame at t.cur.Off. If a later segment exists
 		// this segment is sealed and the tail is a permanent tear;
 		// otherwise it may be an append in flight — report nothing yet.
+		if t.missed != nil {
+			t.missed()
+		}
 		next, gap, err := t.successor()
 		if err != nil {
 			return Record{}, false, err
@@ -206,6 +215,14 @@ func (t *Tailer) TryNext() (rec Record, ok bool, err error) {
 		}
 		if !next {
 			return Record{}, false, nil
+		}
+		// The frame may have been in flight at the read above and
+		// completed before the rotation the scan saw. A successor
+		// means every append to this segment has returned (the
+		// writer holds its lock across the write and the rotation),
+		// so this read is final.
+		if rec, ok := t.readRecord(); ok {
+			return rec, true, nil
 		}
 		if t.cur.Off < t.segEnd() {
 			t.skipped = append(t.skipped, Truncation{

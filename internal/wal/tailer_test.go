@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -247,6 +248,60 @@ func TestTailerSkipsSealedTornTail(t *testing.T) {
 	}
 	if sk := tl.Skipped(); len(sk) != 1 || sk[0].Seq != segs[0] {
 		t.Fatalf("Skipped = %+v, want one tear in seg %d", sk, segs[0])
+	}
+}
+
+// TestTailerRereadsFrameCompletedBeforeRotation pins the race where
+// the tailer's read misses a frame whose append is in flight, the
+// append completes, and a later append rotates before the tailer
+// scans the directory. The successor then seals the segment, but the
+// frame is whole: the tailer must deliver it and everything after it,
+// not record a tear and jump to the next segment.
+func TestTailerRereadsFrameCompletedBeforeRotation(t *testing.T) {
+	dir := t.TempDir()
+	// Frames are 8+10 bytes after the 7-byte header: "a" and "b"
+	// leave the segment under 60 bytes, "b2" takes it past, and "c"
+	// rotates.
+	l, err := Open(dir, Options{Sync: SyncNone, SegmentMaxBytes: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll := func(ps ...string) {
+		for _, p := range ps {
+			if err := l.Append([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendAll("a---------")
+
+	tl := NewTailer(dir, Cursor{}, TailerOptions{})
+	defer tl.Close()
+	rec, ok, err := tl.TryNext()
+	if err != nil || !ok || string(rec.Payload) != "a---------" {
+		t.Fatalf("first TryNext = %q, %v, %v", rec.Payload, ok, err)
+	}
+	tl.missed = func() {
+		tl.missed = nil
+		appendAll("b---------", "b2--------", "c---------")
+		if segs := listSegs(t, dir); len(segs) != 2 {
+			t.Fatalf("segments %v, want a rotation to two", segs)
+		}
+	}
+	var got []string
+	for range 3 {
+		rec, ok, err := tl.TryNext()
+		if err != nil || !ok {
+			t.Fatalf("TryNext after %v: ok=%v err=%v", got, ok, err)
+		}
+		got = append(got, string(rec.Payload))
+	}
+	if want := []string{"b---------", "b2--------", "c---------"}; !slices.Equal(got, want) {
+		t.Fatalf("records = %q, want %q", got, want)
+	}
+	if sk := tl.Skipped(); len(sk) != 0 {
+		t.Fatalf("Skipped = %+v in a crash-free run", sk)
 	}
 }
 

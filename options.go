@@ -70,8 +70,8 @@ func WithEngine(f EngineFactory) Option { return func(c *config) { c.engine = f 
 // restore.
 func WithObjective(obj Objective) Option { return func(c *config) { c.objective = obj } }
 
-// WithSeed seeds the randomized algorithms (rand, anneal, online);
-// deterministic algorithms ignore it. The default seed is 0.
+// WithSeed seeds the randomized algorithm (rand); deterministic
+// algorithms ignore it. The default seed is 0.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithProgress streams one Progress notification per assignment

@@ -32,8 +32,8 @@ type (
 	// Solver finds a feasible schedule of up to k events maximizing
 	// expected attendance. Solve takes a context: cancellation is
 	// observed promptly by every algorithm, and a deadline makes the
-	// anytime algorithms (grd, grdlazy, beam, localsearch, anneal)
-	// return their feasible best-so-far with Result.Stopped set.
+	// anytime algorithms (grd, grdlazy, localsearch) return their
+	// feasible best-so-far with Result.Stopped set.
 	Solver = solver.Solver
 	// Result is a solver outcome: schedule, utility, work counters
 	// and the early-stop reason (if any).
@@ -60,8 +60,8 @@ const StoppedDeadline = solver.StoppedDeadline
 //	s, err := ses.New("grd", ses.WithWorkers(8), ses.WithProgress(logFn))
 //	res, err := s.Solve(ctx, inst, k)
 //
-// Randomized algorithms (rand, anneal, online) take their seed from
-// WithSeed; the others ignore it.
+// The randomized algorithm (rand) takes its seed from WithSeed; the
+// others ignore it.
 func New(name string, opts ...Option) (Solver, error) {
 	c := resolve(opts)
 	return solver.NewWith(name, c.seed, c.solverConfig())

@@ -2,6 +2,7 @@ package ses_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -113,8 +114,13 @@ func TestNewSolverNames(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q", name, s.Name())
 		}
 	}
-	if _, err := ses.New("bogus"); err == nil {
-		t.Error("bogus solver name accepted")
+	// The retired solvers must stay unknown: re-registering one is a
+	// change to this list.
+	for _, name := range []string{"bogus", "beam", "online", "spread", "anneal"} {
+		_, err := ses.New(name)
+		if want := fmt.Sprintf("solver: unknown solver %q", name); err == nil || err.Error() != want {
+			t.Errorf("New(%q): got %v, want %q", name, err, want)
+		}
 	}
 }
 
