@@ -87,7 +87,6 @@ var figures = []figure{
 	{name: "resolve", artifact: "BENCH_resolve.json", dataset: true, run: harness(benchResolve, checkResolve)},
 	{name: "wal", artifact: "BENCH_wal.json", run: harness(benchWAL, checkWAL)},
 	{name: "scaling", artifact: "BENCH_scaling.json", quick: true, run: harness(benchScaling, checkScaling)},
-	{name: "scale", artifact: "BENCH_scale.json", quick: true, run: harness(benchScale, checkScale)},
 	{name: "cluster", artifact: "BENCH_cluster.json", quick: true, run: harness(benchCluster, checkCluster)},
 	{name: "obs", artifact: "BENCH_obs.json", quick: true, run: harness(benchObs, checkObs)},
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sesbench [-fig all|1a|1b|1c|1d|sens|engines|objectives|resolve|wal|scaling|scale|cluster|obs]
+//	sesbench [-fig all|1a|1b|1c|1d|sens|engines|objectives|resolve|wal|scaling|cluster|obs]
 //	         [-scale full|medium|small]
 //	         [-reps N] [-seed S] [-algos paper|extended] [-csv dir] [-v]
 //	         [-workers W] [-par P] [-json file] [-quick] [-verify]
@@ -28,10 +28,6 @@
 //   - scaling (BENCH_scaling.json): engine solves and pipelined store
 //     resolves at GOMAXPROCS 1/2/4/8. Floor:
 //     store throughput at 4 cores ≥ 2× 1 core.
-//   - scale (BENCH_scale.json): cold and warm resolve latency of the
-//     sparse and pruned engines at 10k/100k/1M users (memory-mapped
-//     colstore instances). Floors: pruned warm latency grows at most
-//     span/4 over the user span and beats sparse by 1.5× at 1M users.
 //   - cluster (BENCH_cluster.json): replicated in-process nodes —
 //     throughput over 1/2/3 nodes, -replicate-ack 1 against async
 //     replication, and a kill -9 failover timeline with acknowledged
@@ -45,8 +41,8 @@
 // existing artifact instead. A check validates the schema and the
 // figure's invariants, and enforces its floor only where the
 // artifact's header says it is physical: measured on ≥ 4 CPUs, and
-// for scale and obs on a full-size run. -quick shrinks the workload
-// of scaling, scale, cluster and obs for CI smokes.
+// for obs on a full-size run. -quick shrinks the workload of scaling,
+// cluster and obs for CI smokes.
 //
 // -scale full uses the Meetup-California dimensions of the paper
 // (42,444 users); medium (default) and small reduce the user count so

@@ -201,82 +201,6 @@ func TestRunScalingFig(t *testing.T) {
 	}
 }
 
-func TestRunScaleFig(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale measurement is seconds-long")
-	}
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_scale.json")
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-fig", "scale", "-quick", "-json", jsonPath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep scaleReport
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.HostCPUs <= 0 || !rep.Quick || len(rep.Points) != 2 {
-		t.Fatalf("scale report implausible: %+v", rep)
-	}
-	for i, pt := range rep.Points {
-		if pt.Users <= 0 || pt.CandNNZ <= 0 || pt.Utility <= 0 ||
-			pt.SparseColdMs <= 0 || pt.PrunedColdMs <= 0 || pt.SparseWarmMs <= 0 || pt.PrunedWarmMs <= 0 {
-			t.Errorf("point %d implausible: %+v", i, pt)
-		}
-	}
-	if !strings.Contains(out.String(), "Resolve latency vs users") {
-		t.Error("output missing the latency table")
-	}
-
-	// -verify must accept the artifact it just wrote...
-	var vout bytes.Buffer
-	if err := run(context.Background(), []string{"-fig", "scale", "-verify", "-json", jsonPath}, &vout); err != nil {
-		t.Fatalf("verify of fresh artifact: %v", err)
-	}
-	// ...and reject schema-broken or floor-breaching ones.
-	goodPt := `{"users":10000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":10,"pruned_warm_ms":10,"utility":1}`
-	for name, doc := range map[string]string{
-		"no points":    `{"host_cpus": 4, "points": []}`,
-		"bad cpus":     `{"host_cpus": 0, "points": []}`,
-		"one point":    `{"host_cpus": 4, "points": [` + goodPt + `]}`,
-		"not sorted":   `{"host_cpus": 4, "quick": true, "points": [` + goodPt + `,` + goodPt + `]}`,
-		"zero latency": `{"host_cpus": 4, "quick": true, "points": [` + goodPt + `,{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":0,"pruned_warm_ms":10,"utility":1}]}`,
-		"invalid json": `{`,
-		"wrong sizes":  `{"host_cpus": 1, "points": [` + goodPt + `,{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":1,"pruned_warm_ms":1,"utility":1}]}`,
-		// Full-size artifact from an 8-CPU host whose pruned warm
-		// latency grew linearly with users: sublinearity floor breach.
-		"superlinear": `{"host_cpus": 8, "points": [` + goodPt + `,
-			{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":100,"pruned_warm_ms":100,"utility":1},
-			{"users":1000000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":1500,"pruned_warm_ms":1000,"utility":1}]}`,
-		// Same shape, but measured on a 1-CPU host: floor not enforced.
-		"floor ignored": `{"host_cpus": 1, "points": [` + goodPt + `,
-			{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":100,"pruned_warm_ms":100,"utility":1},
-			{"users":1000000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":1500,"pruned_warm_ms":1000,"utility":1}]}`,
-		// Same shape from an 8-CPU host, but a quick run: floors do not
-		// bind quick scale artifacts.
-		"quick superlinear": `{"host_cpus": 8, "quick": true, "points": [` + goodPt + `,
-			{"users":100000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":100,"pruned_warm_ms":100,"utility":1},
-			{"users":1000000,"cand_nnz":1,"sparse_cold_ms":1,"pruned_cold_ms":1,"sparse_warm_ms":1500,"pruned_warm_ms":1000,"utility":1}]}`,
-	} {
-		bad := filepath.Join(dir, "bad.json")
-		if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := run(context.Background(), []string{"-fig", "scale", "-verify", "-json", bad}, &bytes.Buffer{})
-		if name == "floor ignored" || name == "quick superlinear" {
-			if err != nil {
-				t.Errorf("%s: %v, want accepted", name, err)
-			}
-		} else if err == nil {
-			t.Errorf("%s: accepted, want rejected", name)
-		}
-	}
-}
-
 func TestRunParallelFlagsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long")

@@ -309,12 +309,6 @@ func tracerOf(o *ses.Observability) *obs.Tracer {
 // the long-lived watch and replication streams.
 const readHeaderTimeout = 5 * time.Second
 
-// bodyReadTimeout bounds how long a create, batch or restore request
-// may take to deliver its body: a body at the 64 MiB cap
-// (cluster.MaxBodyBytes) arrives within it at 3 Mbit/s. The watch,
-// replication and ack streams are not under it.
-const bodyReadTimeout = 3 * time.Minute
-
 // serve runs the HTTP front until ctx is cancelled, then shuts down
 // gracefully: the listener stops accepting, the long-lived streams
 // (watch, replication shipping and acks) end at once, in-flight
@@ -412,7 +406,7 @@ type server struct {
 	// stays cheap to resolve).
 	maxCells int
 	// bodyTimeout is the read deadline create, batch and restore
-	// bodies are read under (bodyReadTimeout; tests lower it).
+	// bodies are read under (cluster.BodyReadTimeout; tests lower it).
 	bodyTimeout time.Duration
 	// shutdown is cancelled when graceful shutdown starts; the
 	// long-lived stream routes end on it (nil outside serve).
@@ -435,7 +429,7 @@ type server struct {
 // unclustered daemon.
 func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, walStats func() ses.WALStats, node *cluster.Node) *server {
 	s := &server{store: st, pipeline: pipe, walStats: walStats, node: node, obs: o, start: time.Now(),
-		maxCells: maxScoreCells, bodyTimeout: bodyReadTimeout}
+		maxCells: maxScoreCells, bodyTimeout: cluster.BodyReadTimeout}
 	// One registry either way: under -obs=false a private one that
 	// /v1/metrics reads and no route mounts.
 	reg := obs.NewRegistry()

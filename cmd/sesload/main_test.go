@@ -87,10 +87,10 @@ func TestRunThroughPipeline(t *testing.T) {
 	}
 }
 
-// TestRunDurableGroupCommit exercises the durable path under -sync
+// TestRunDurableSyncAlways exercises the durable path under -sync
 // always: concurrent drivers fsync every write and the run must still
 // close cleanly with a final checkpoint.
-func TestRunDurableGroupCommit(t *testing.T) {
+func TestRunDurableSyncAlways(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	err := run([]string{

@@ -22,12 +22,12 @@ func WriteColumnarInstance(path string, inst *Instance) error {
 }
 
 // OpenColumnarInstance opens a columnar instance file written by
-// WriteColumnarInstance or `sesgen -colstore`. Pair it with
-// PrunedEngine via WithEngine for sublinear-in-users resolves:
+// WriteColumnarInstance or `sesgen -colstore`, and any solver or
+// session runs over it as over an in-memory instance:
 //
 //	st, err := ses.OpenColumnarInstance("meetup-1m.sescol")
 //	defer st.Close()
-//	s, err := ses.New("grd", ses.WithEngine(ses.PrunedEngine))
+//	s, err := ses.New("grd")
 //	res, err := s.Solve(ctx, st.Instance(), 100)
 func OpenColumnarInstance(path string) (*ColumnarStore, error) {
 	return colstore.Open(path)

@@ -10,9 +10,8 @@ import (
 )
 
 // TestColumnarFacadeRoundTrip drives the documented flow end to end:
-// write a columnar instance, reopen it, and solve over the mapping
-// with the pruned engine — matching the in-memory sparse solve
-// exactly.
+// write a columnar instance, reopen it, and solve over the mapping —
+// matching the in-memory solve exactly.
 func TestColumnarFacadeRoundTrip(t *testing.T) {
 	inst := sestest.Random(sestest.Config{Seed: 21, Users: 400, Events: 14, Intervals: 5, Competing: 6})
 	path := filepath.Join(t.TempDir(), "inst.sescol")
@@ -25,24 +24,20 @@ func TestColumnarFacadeRoundTrip(t *testing.T) {
 	}
 	defer st.Close()
 
-	base, err := ses.New("grd", ses.WithWorkers(1))
+	s, err := ses.New("grd", ses.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.Solve(context.Background(), inst, 7)
+	want, err := s.Solve(context.Background(), inst, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := ses.New("grd", ses.WithWorkers(1), ses.WithEngine(ses.PrunedEngineK(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pruned.Solve(context.Background(), st.Instance(), 7)
+	got, err := s.Solve(context.Background(), st.Instance(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Utility != want.Utility {
-		t.Fatalf("pruned-over-mapping utility %v, sparse-in-memory %v", got.Utility, want.Utility)
+		t.Fatalf("over-mapping utility %v, in-memory %v", got.Utility, want.Utility)
 	}
 	ga, wa := got.Schedule.Assignments(), want.Schedule.Assignments()
 	if len(ga) != len(wa) {
@@ -52,8 +47,5 @@ func TestColumnarFacadeRoundTrip(t *testing.T) {
 		if ga[i] != wa[i] {
 			t.Fatalf("schedules differ at %d: %+v vs %+v", i, ga[i], wa[i])
 		}
-	}
-	if got.Counters.BoundUpdates == 0 {
-		t.Fatal("pruned engine took no bound rescores through the facade")
 	}
 }

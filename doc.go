@@ -142,24 +142,16 @@
 // pin set replays nothing. The recorded steps live in memory only, so
 // the first resolve after a restore or recovery selects in full.
 //
-// For million-user instances a fourth engine breaks the
-// O(interested users)-per-score coupling: Pruned (exposed as
-// PrunedEngine / PrunedEngineK) wraps Sparse with per-event top-k
-// candidate lists and a cached frozen-tail term, scoring empty
-// intervals exactly in O(k) and loaded intervals with an O(k) upper
-// bound. Engines that can bound advertise it through the choice
-// layer's Bounder interface, and SelectGreedy's argmax becomes a
-// threshold algorithm in either mode: rescores take the bound
-// (counted in Counters.BoundUpdates), and a bound-valued entry is
-// resolved to its exact score only when it reaches the top. Results
-// stay byte-identical to Sparse — enforced by the differential fuzz
-// harness and a metamorphic k=|U| degeneracy test — only the work
-// changes. Pairing the pruned engine with a columnar instance file
-// (WriteColumnarInstance / OpenColumnarInstance, ses/internal/colstore:
-// struct-of-arrays CSR sections, memory-mapped zero-copy rows) keeps
-// both open time and resident memory sublinear in |U|; sesgen
-// -colstore streams power-law instances at any scale and sesbench
-// -fig scale commits the measured latency curve to BENCH_scale.json.
+// Million-user instances run on the same engines. A columnar
+// instance file (WriteColumnarInstance / OpenColumnarInstance,
+// ses/internal/colstore: struct-of-arrays CSR sections, memory-mapped
+// zero-copy rows) opens in milliseconds without copying its interest
+// matrices onto the heap, and Sparse folds straight over the mapping;
+// sesgen -colstore streams power-law instances at any scale. A score
+// costs O(users interested in the event), so a cold solve grows with
+// |U|, while a warm resolve rescores only what heap mode and the
+// replayed prefix leave to select (README, "Scaling to millions of
+// users", has the measured latencies).
 //
 // From this facade, pass WithWorkers(n) or WithObjective(obj) to New
 // or NewScheduler; sessolve and sesbench expose the same knobs as

@@ -104,28 +104,6 @@ type Engine interface {
 	Fork() Engine
 }
 
-// Bounder is implemented by engines that can produce a cheap upper
-// bound on assignment scores — the threshold-algorithm handle that
-// lets GRD-style solvers rescore candidates approximately and fall
-// back to the exact fold only when bounds fail to separate.
-//
-// ScoreUpper(e, t) >= Score(e, t) must hold whenever BoundsValid
-// reports true; when it reports false (the current objective's
-// per-user gains are not non-increasing in the scheduled mass, so no
-// frozen-tail bound is sound) ScoreUpper degrades to the exact Score.
-// On an interval with no scheduled mass ScoreUpper equals Score
-// exactly, so initial scoring sweeps pay the cheap path with no
-// approximation at all.
-type Bounder interface {
-	Engine
-	// BoundsValid reports whether ScoreUpper is a sound upper bound
-	// under the engine's current objective (linear + submodular).
-	BoundsValid() bool
-	// ScoreUpper returns an upper bound on Score(e, t), exact on
-	// intervals with no scheduled mass.
-	ScoreUpper(e, t int) float64
-}
-
 // Reuser is implemented by engines that can return to an empty
 // schedule in place, keeping their allocated storage (schedule
 // backing arrays, mass accumulators, scratch buffers) warm across

@@ -16,8 +16,6 @@ func newEngines(inst *core.Instance) map[string]Engine {
 		"sparse": NewSparse(inst),
 		"dense":  NewDense(inst),
 		"ref":    NewRef(inst),
-		// Small k forces real candidate/tail splits on test instances.
-		"pruned": NewPruned(inst, 3),
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 
 // FuzzEngineOps is the generative differential test: a random
 // Apply/Unapply/Score/ScoreBatch/IntervalUtility/Utility/Fork/Reset
-// sequence decoded from the fuzz bytes drives Sparse, Dense and
-// Pruned in lockstep with the Ref oracle, for every
-// registered objective. Every observable quantity must stay within 1e-9 of the
-// oracle and every mutation must succeed or fail identically — the
-// generative extension of the fixed-case epsilon tests.
+// sequence decoded from the fuzz bytes drives Sparse and Dense in
+// lockstep with the Ref oracle, for every registered objective. Every
+// observable quantity must stay within 1e-9 of the oracle and every
+// mutation must succeed or fail identically — the generative
+// extension of the fixed-case epsilon tests.
 //
 // Caveat on the attendance objective: its Share has a hard threshold
 // at P/(C+P) = θ, so if a user's ratio ever landed within a few ulps
@@ -42,10 +42,6 @@ func FuzzEngineOps(f *testing.F) {
 			engines := map[string]Engine{
 				"sparse": NewSparse(inst),
 				"dense":  NewDense(inst),
-				// k = 4 forces real head/tail splits on the 15-user
-				// instance, so the O(k) fast path and the frozen-tail
-				// cache are both exercised differentially.
-				"pruned": NewPruned(inst, 4),
 			}
 			for _, eng := range engines {
 				eng.SetObjective(obj)

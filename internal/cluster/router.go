@@ -84,6 +84,9 @@ type Router struct {
 	// proxied mutation with X-Ses-Epoch so a node that observed a
 	// newer promotion rejects requests routed on stale placement.
 	epoch atomic.Uint64
+	// bodyTimeout is the read deadline a create body is read under
+	// (BodyReadTimeout; tests lower it).
+	bodyTimeout time.Duration
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -112,15 +115,16 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		fwd[id] = &atomic.Uint64{}
 	}
 	return &Router{
-		opts:      opts,
-		ring:      ring,
-		client:    client,
-		logf:      logf,
-		fails:     make(map[string]int),
-		down:      make(map[string]bool),
-		promoted:  make(map[string]string),
-		statuses:  make(map[string]Status),
-		fwdByNode: fwd,
+		opts:        opts,
+		ring:        ring,
+		client:      client,
+		logf:        logf,
+		fails:       make(map[string]int),
+		down:        make(map[string]bool),
+		promoted:    make(map[string]string),
+		statuses:    make(map[string]Status),
+		fwdByNode:   fwd,
+		bodyTimeout: BodyReadTimeout,
 	}, nil
 }
 
@@ -426,9 +430,23 @@ func splitSessionPath(p string) (name, rest string) {
 // and ack bodies are long-lived and not capped.
 const MaxBodyBytes = 64 << 20
 
+// BodyReadTimeout bounds how long sesd waits for a create, batch or
+// restore body and the router for a create body: a body at the
+// MaxBodyBytes cap arrives within it at 3 Mbit/s. The watch,
+// replication and ack streams are not under it.
+const BodyReadTimeout = 3 * time.Minute
+
 // proxyCreate peeks the session name out of the JSON body to place it
-// on its primary, then forwards the buffered body.
+// on its primary, then forwards the buffered body. The body is read
+// under a read deadline, cleared once it is read so that it cannot
+// fire during the forward and cancel the request's context. On an
+// error it stays armed, so net/http's discard of the unread rest
+// fails at once and closes the connection. A deadline error is
+// ErrNotSupported (a writer with no connection) or a closed
+// connection, which the read reports anyway.
 func (rt *Router) proxyCreate(w http.ResponseWriter, r *http.Request) {
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(rt.bodyTimeout))
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
@@ -438,6 +456,7 @@ func (rt *Router) proxyCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading body: "+err.Error(), status)
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	var peek struct {
 		Name string `json:"name"`
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -389,5 +390,49 @@ func TestRouterFencedPromoteNotRecorded(t *testing.T) {
 	st := rig.router.Status()
 	if st.Promoted["n1"] != "" || st.Failovers != 0 {
 		t.Errorf("fenced promotion was recorded: %+v", st)
+	}
+}
+
+// TestRouterStalledCreateEndsWithinBound sends the headers of creates
+// that announce a 1000-byte body, then only part of it: an unfinished
+// document, or a complete one followed by nothing. The router buffers
+// a create body to read its session name, so each request must end,
+// with a 4xx or a closed connection, within the body read bound (a
+// router without one keeps them open), and reach no node. A normal
+// create still reaches its primary afterwards.
+func TestRouterStalledCreateEndsWithinBound(t *testing.T) {
+	rig := newRouterRig(t)
+	rig.router.bodyTimeout = 200 * time.Millisecond
+	front := httptest.NewServer(rig.router) // started after the write, so it sees it
+	defer front.Close()
+
+	for _, body := range []string{`{"name":"stal`, `{"name":"stalled"}`} {
+		conn, err := net.Dial("tcp", front.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		fmt.Fprintf(conn, "POST /v1/sessions HTTP/1.1\r\nHost: sesrouter\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n%s", body)
+		conn.SetReadDeadline(start.Add(rig.router.bodyTimeout + 5*time.Second))
+		resp, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: connection still open after %v: %v", body, time.Since(start).Round(time.Millisecond), err)
+		}
+		if len(resp) > 0 && !strings.HasPrefix(string(resp), "HTTP/1.1 4") {
+			t.Fatalf("%s: answered %.200q, want a 4xx or a closed connection", body, resp)
+		}
+	}
+
+	name := sessionOwnedBy(t, rig.router.ring, "n2")
+	if out := postJSON(t, front.URL+"/v1/sessions", fmt.Sprintf(`{"name":%q,"k":3}`, name)); out["node"] != "n2" {
+		t.Fatalf("create of %s landed on %v, want n2", name, out["node"])
+	}
+	hits := 0
+	for _, st := range rig.stubs {
+		hits += st.hitCount()
+	}
+	if hits != 1 {
+		t.Fatalf("nodes saw %d proxied requests, want only the normal create", hits)
 	}
 }

@@ -76,34 +76,31 @@ func TestRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestSolveOverStore runs GRD over the columnar instance (the engines
-// fold straight over the mapping) and over the source, expecting the
-// identical schedule and utility — including with the pruned engine.
+// TestSolveOverStore runs GRD over the columnar instance (the engine
+// folds straight over the mapping) and over the source, expecting the
+// identical schedule and utility.
 func TestSolveOverStore(t *testing.T) {
 	inst := sestest.Random(sestest.Config{Seed: 3, Users: 150, Events: 12, Intervals: 5, Competing: 7})
 	st, _ := roundTrip(t, inst)
-	for name, eng := range map[string]solver.EngineFactory{
-		"sparse": nil, "pruned": solver.PrunedEngineK(6),
-	} {
-		base, err := solver.NewGRD(solver.Config{Workers: 1, Engine: eng}).Solve(context.Background(), inst, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := solver.NewGRD(solver.Config{Workers: 1, Engine: eng}).Solve(context.Background(), st.Instance(), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Utility != mapped.Utility {
-			t.Fatalf("%s: utility %v over store, %v over source", name, mapped.Utility, base.Utility)
-		}
-		ba, ma := base.Schedule.Assignments(), mapped.Schedule.Assignments()
-		if len(ba) != len(ma) {
-			t.Fatalf("%s: schedule sizes differ", name)
-		}
-		for i := range ba {
-			if ba[i] != ma[i] {
-				t.Fatalf("%s: schedules differ at %d", name, i)
-			}
+	grd := solver.NewGRD(solver.Config{Workers: 1})
+	base, err := grd.Solve(context.Background(), inst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := grd.Solve(context.Background(), st.Instance(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Utility != mapped.Utility {
+		t.Fatalf("utility %v over store, %v over source", mapped.Utility, base.Utility)
+	}
+	ba, ma := base.Schedule.Assignments(), mapped.Schedule.Assignments()
+	if len(ba) != len(ma) {
+		t.Fatal("schedule sizes differ")
+	}
+	for i := range ba {
+		if ba[i] != ma[i] {
+			t.Fatalf("schedules differ at %d", i)
 		}
 	}
 }

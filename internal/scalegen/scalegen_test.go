@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ses/internal/colstore"
+	"ses/internal/core"
+	"ses/internal/interest"
 	"ses/internal/solver"
 )
 
@@ -80,9 +83,9 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
-// TestGenerateSolves runs GRD over a generated instance with the
-// sparse and the pruned engine and expects identical schedules — the
-// pairing the scale benchmark measures.
+// TestGenerateSolves runs GRD over a generated instance, once over the
+// mapping and once over a heap copy of its rows, and expects a
+// non-empty schedule and identical results.
 func TestGenerateSolves(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "inst.sescol")
 	if _, err := Generate(path, Config{Users: 3000, K: 6, Seed: 3}); err != nil {
@@ -93,20 +96,37 @@ func TestGenerateSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	base, err := solver.NewGRD(solver.Config{Workers: 1}).Solve(context.Background(), store.Instance(), 6)
+	grd := solver.NewGRD(solver.Config{Workers: 1})
+	mapped, err := grd.Solve(context.Background(), store.Instance(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := solver.NewGRD(solver.Config{Workers: 1, Engine: solver.PrunedEngine}).Solve(context.Background(), store.Instance(), 6)
+	heap, err := grd.Solve(context.Background(), heapCopy(store.Instance()), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Utility != pruned.Utility {
-		t.Fatalf("pruned utility %v, sparse %v", pruned.Utility, base.Utility)
+	if mapped.Utility != heap.Utility || !slices.Equal(mapped.Schedule.Assignments(), heap.Schedule.Assignments()) {
+		t.Fatalf("over the mapping: utility %v, %v; over a heap copy: %v, %v",
+			mapped.Utility, mapped.Schedule.Assignments(), heap.Utility, heap.Schedule.Assignments())
 	}
-	if base.Schedule.Size() == 0 {
+	if mapped.Schedule.Size() == 0 {
 		t.Fatal("empty schedule")
 	}
+}
+
+// heapCopy returns inst with every interest row copied off the
+// mapping onto the heap.
+func heapCopy(inst *core.Instance) *core.Instance {
+	rows := func(m *interest.Matrix) *interest.Matrix {
+		cp := interest.NewMatrix(m.NumUsers, m.NumEvents())
+		for e, r := range m.ByEvent {
+			cp.SetRow(e, interest.SparseVector{IDs: slices.Clone(r.IDs), Vals: slices.Clone(r.Vals)})
+		}
+		return cp
+	}
+	cp := *inst
+	cp.CandInterest, cp.CompInterest = rows(inst.CandInterest), rows(inst.CompInterest)
+	return &cp
 }
 
 // allocBudget is the documented generation allocation budget at 100k

@@ -14,7 +14,6 @@ import (
 	"ses/internal/core"
 	"ses/internal/randx"
 	"ses/internal/sestest"
-	"ses/internal/solver"
 )
 
 // Regenerate the committed resolve logs with:
@@ -25,38 +24,28 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // TestGoldenResolveLog locks every Resolve's Delta — added, removed
 // and moved assignments, the utility's exact bits, and the work
 // counters — over one seeded mutation sequence that cycles through
-// all nine mutation kinds, for the sparse and pruned engines under
-// each objective. The equivalence tests compare the session against
-// its own from-scratch resolve and against GRD; this log pins the
-// absolute outcome, so a change to the shared selection loop that
-// moves both sides in step still shows.
+// all nine mutation kinds, under each objective. The equivalence
+// tests compare the session against its own from-scratch resolve and
+// against GRD; this log pins the absolute outcome, so a change to the
+// shared selection loop that moves both sides in step still shows.
 func TestGoldenResolveLog(t *testing.T) {
-	engines := []struct {
-		name string
-		f    solver.EngineFactory
-	}{
-		{"sparse", solver.DefaultEngine},
-		{"pruned", solver.PrunedEngineK(6)},
-	}
-	for _, eng := range engines {
-		for _, obj := range choice.Objectives() {
-			family, _, _ := strings.Cut(obj.Name(), ":")
-			name := fmt.Sprintf("resolve_%s_%s.golden", eng.name, family)
-			t.Run(name, func(t *testing.T) {
-				checkGolden(t, name, goldenResolveLog(t, eng.f, obj))
-			})
-		}
+	for _, obj := range choice.Objectives() {
+		family, _, _ := strings.Cut(obj.Name(), ":")
+		name := fmt.Sprintf("resolve_sparse_%s.golden", family)
+		t.Run(name, func(t *testing.T) {
+			checkGolden(t, name, goldenResolveLog(t, obj))
+		})
 	}
 }
 
 // goldenResolveLog replays the seeded mutation sequence on a fresh
 // session and renders one line per mutation and per resolve.
-func goldenResolveLog(t *testing.T, eng solver.EngineFactory, obj choice.Objective) string {
+func goldenResolveLog(t *testing.T, obj choice.Objective) string {
 	t.Helper()
 	inst := sestest.Random(sestest.Config{
 		Users: 60, Events: 14, Intervals: 5, Competing: 4, Locations: 4, Seed: 2026,
 	})
-	s, err := New(inst, 6, Options{Workers: 1, Engine: eng, Objective: obj})
+	s, err := New(inst, 6, Options{Workers: 1, Objective: obj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,13 @@ import (
 )
 
 // replayEngines are the engines the replay differential runs: the
-// production engine (patched in place), the pruned one with lists
-// short enough that rescores go through bounds (rebuilt after
-// structural mutations), and the dense one (rebuilt every resolve).
+// production engine (patched in place after structural mutations) and
+// the dense one (reset in place, rebuilt after structural mutations).
 var replayEngines = []struct {
 	name string
 	f    solver.EngineFactory
 }{
 	{"sparse", solver.DefaultEngine},
-	{"pruned4", solver.PrunedEngineK(4)},
 	{"dense", solver.DenseEngine},
 }
 

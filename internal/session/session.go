@@ -563,9 +563,9 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	pins := s.sortedPins()
 	replay, unchanged := s.certify(mat, pins)
 	s.fillWorklist(mat, replay)
-	steps, stop, err := solver.SelectGreedy(gctx, s.eng, &s.list, s.k, pins, replay, s.obj.Submodular(), &cnt, "session", s.opts.Progress)
+	eng := solver.Instrument(s.eng, "session", s.opts.Progress)
+	steps, stop, err := solver.SelectGreedy(gctx, eng, &s.list, s.k, pins, replay, s.obj.Submodular(), &cnt)
 	gsp.SetAttr("pops", cnt.Pops)
-	gsp.SetAttr("bound_updates", cnt.BoundUpdates)
 	gsp.SetAttr("score_updates", cnt.ScoreUpdates)
 	gsp.SetAttr("replayed", cnt.Replayed)
 	gsp.End()

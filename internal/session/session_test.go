@@ -635,6 +635,68 @@ func TestProgressStreamsFromResolve(t *testing.T) {
 	}
 }
 
+// TestProgressDoesNotChangeCounters: a progress callback is an
+// observer and must not change the work done. GRD, grdlazy and a
+// session, each with and without Progress, must report the counters
+// of their kernel mode without Progress: GRD's for GRD, grdlazy's for
+// the session's first resolve, which runs heap mode under Omega. The
+// session's warm resolve after a mutation, which replays part of its
+// trail, must not differ either, and the session must keep its bare
+// engine, which the progress decorator would hide from the in-place
+// reuse and patching.
+func TestProgressDoesNotChangeCounters(t *testing.T) {
+	inst := sestest.Random(sestest.Config{Users: 80, Events: 12, Intervals: 5, Seed: 1})
+	const k = 8
+	var wantScan, wantHeap, wantWarm solver.Counters
+	for i, progress := range []func(solver.Progress){nil, func(solver.Progress) {}} {
+		cfg := solver.Config{Workers: 1, Progress: progress}
+		grd, err := solver.NewGRD(cfg).Solve(context.Background(), inst, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := solver.NewGRDLazy(cfg).Solve(context.Background(), inst, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(inst, k, Options{Workers: 1, Progress: progress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateInterest(3, 11, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := s.Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			wantScan, wantHeap, wantWarm = grd.Counters, lazy.Counters, warm.Counters
+			if wantWarm.Replayed == 0 {
+				t.Fatalf("the warm resolve replayed nothing (counters %+v)", wantWarm)
+			}
+		}
+		if grd.Counters != wantScan {
+			t.Errorf("GRD with progress=%v: counters %+v, want %+v", progress != nil, grd.Counters, wantScan)
+		}
+		if lazy.Counters != wantHeap {
+			t.Errorf("grdlazy with progress=%v: counters %+v, want %+v", progress != nil, lazy.Counters, wantHeap)
+		}
+		if d.Counters != wantHeap {
+			t.Errorf("session with progress=%v: counters %+v, want %+v", progress != nil, d.Counters, wantHeap)
+		}
+		if warm.Counters != wantWarm {
+			t.Errorf("warm session resolve with progress=%v: counters %+v, want %+v", progress != nil, warm.Counters, wantWarm)
+		}
+		if _, ok := s.eng.(choice.Patcher); !ok {
+			t.Errorf("session with progress=%v keeps a %T, not a patchable engine", progress != nil, s.eng)
+		}
+	}
+}
+
 func TestConcurrentMutationsAndResolves(t *testing.T) {
 	// Exercised under -race in CI: mutations and resolves from many
 	// goroutines must serialize cleanly.

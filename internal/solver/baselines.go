@@ -35,7 +35,7 @@ func (s *TOP) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 	if err := validate(inst, k); err != nil {
 		return nil, err
 	}
-	eng := s.cfg.instrument(s.Name(), s.cfg.engine()(inst))
+	eng := Instrument(s.cfg.engine()(inst), s.Name(), s.cfg.Progress)
 	res := &Result{Solver: s.Name()}
 
 	wl, err := newWorklist(ctx, eng, s.cfg.workers(), &res.Counters)
@@ -86,7 +86,7 @@ func (s *TOPFill) Solve(ctx context.Context, inst *core.Instance, k int) (*Resul
 	if err := validate(inst, k); err != nil {
 		return nil, err
 	}
-	eng := s.cfg.instrument(s.Name(), s.cfg.engine()(inst))
+	eng := Instrument(s.cfg.engine()(inst), s.Name(), s.cfg.Progress)
 	res := &Result{Solver: s.Name()}
 
 	wl, err := newWorklist(ctx, eng, s.cfg.workers(), &res.Counters)
@@ -138,7 +138,7 @@ func (s *RAND) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, 
 	if err := validate(inst, k); err != nil {
 		return nil, err
 	}
-	eng := s.cfg.instrument(s.Name(), s.cfg.engine()(inst))
+	eng := Instrument(s.cfg.engine()(inst), s.Name(), s.cfg.Progress)
 	res := &Result{Solver: s.Name()}
 	src := randx.NewSource(s.seed)
 	sched := eng.Schedule()

@@ -42,9 +42,7 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 	if err := validate(inst, k); err != nil {
 		return nil, err
 	}
-	// The engine stays unwrapped: SelectGreedy reports progress itself,
-	// and a decorator would hide the choice.Bounder it looks for.
-	eng := g.cfg.engine()(inst)
+	eng := Instrument(g.cfg.engine()(inst), g.Name(), g.cfg.Progress)
 	res := &Result{Solver: g.Name()}
 
 	// Lines 2–4: generate assignments and compute initial scores.
@@ -55,7 +53,7 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 		}
 		return nil, err
 	}
-	_, stop, err := SelectGreedy(ctx, eng, wl, k, nil, nil, g.lazy, &res.Counters, g.Name(), g.cfg.Progress)
+	_, stop, err := SelectGreedy(ctx, eng, wl, k, nil, nil, g.lazy, &res.Counters)
 	if err != nil {
 		return nil, err
 	}
@@ -86,26 +84,15 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 //     heapified in place. Every interval carries a version, bumped on
 //     each apply (pins and replayed steps included), and every entry
 //     the version its score was computed at. A popped entry is
-//     dropped if invalid, rescored and reinserted if stale, resolved
-//     to its exact score and reinserted if approximate (see below),
-//     and applied only when it is exact and current. Under a
-//     submodular objective a stale score can only overstate the
-//     current one, so the entry applied is the scan's argmax and both
-//     modes select the same schedule; under attendance or fairness
-//     heap mode is only greedy-flavored. Pops counts every pop — each
-//     invalid entry dropped one by one, each stale or approximate
-//     re-pop — and ListScans stays 0.
+//     dropped if invalid, rescored and reinserted if stale, and
+//     applied only when it is current. Under a submodular objective a
+//     stale score can only overstate the current one, so the entry
+//     applied is the scan's argmax and both modes select the same
+//     schedule; under attendance or fairness heap mode is only
+//     greedy-flavored. Pops counts every pop — each invalid entry
+//     dropped one by one, each stale re-pop — and ListScans stays 0.
 //
-// When eng is a choice.Bounder with valid bounds (the pruned engine
-// under a linear submodular objective), rescores take the O(k)
-// ScoreUpper instead of the exact fold and mark the entry approximate.
-// An approximate entry that reaches the top is resolved to its exact
-// score and recontends, so only an exact score accepts. Because every
-// bound dominates its exact score, the accepted entry is the true
-// argmax — the threshold-algorithm trade: cheap rescores for an
-// occasional extra exact fold when bounds fail to separate. In both
-// modes ScoreUpdates counts exact rescores and BoundUpdates bound
-// rescores.
+// In both modes ScoreUpdates counts the rescores.
 //
 // replay lists greedy steps the caller has certified that selection
 // would take next, in order: a session replays the prefix of its last
@@ -119,21 +106,17 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 // steps lists every step applied after the pins, replayed ones first,
 // each with the exact score it won with: a replayed step keeps the
 // score it was certified with, and a selected one reports its current
-// score, which both modes have resolved exactly when they apply it.
+// score, which both modes have brought up to date when they apply it.
 // It is never nil when err is nil.
 //
-// progress, when non-nil, receives one notification per applied
-// assignment, pins and replayed steps included, under solverName. ctx
+// Every assignment, pins and replayed steps included, goes through
+// eng.Apply, so an engine wrapped by Instrument reports each one. ctx
 // is checked before every replayed step and every pop: a deadline
 // returns (steps so far, StoppedDeadline, nil) with the feasible
 // best-so-far applied to eng; cancellation returns ctx.Err().
 func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, pins []core.Assignment, replay []Step,
-	lazy bool, cnt *Counters, solverName string, progress func(Progress)) (steps []Step, stop string, err error) {
+	lazy bool, cnt *Counters) (steps []Step, stop string, err error) {
 	sched := eng.Schedule()
-	bounder, _ := eng.(choice.Bounder)
-	if bounder != nil && !bounder.BoundsValid() {
-		bounder = nil
-	}
 	var versions []int32
 	if lazy {
 		versions = make([]int32, eng.Instance().NumIntervals)
@@ -144,9 +127,6 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 		}
 		if versions != nil {
 			versions[t]++
-		}
-		if progress != nil {
-			progress(Progress{Solver: solverName, Event: event, Interval: t, Scheduled: sched.Size()})
 		}
 		return nil
 	}
@@ -190,9 +170,9 @@ func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, p
 	case lazy:
 		// The pins and replayed steps bumped their intervals' versions,
 		// so the entries there are stale until rescored.
-		stop, err = selectHeap(ctx, eng, bounder, wl, k, versions, take, cnt)
+		stop, err = selectHeap(ctx, eng, wl, k, versions, take, cnt)
 	default:
-		stop, err = selectScan(ctx, eng, bounder, wl, k, pinned, take, cnt)
+		stop, err = selectScan(ctx, eng, wl, k, pinned, take, cnt)
 	}
 	if err != nil {
 		return nil, "", err
@@ -217,13 +197,13 @@ func (a Step) Beats(b Step) bool {
 
 // selectScan is SelectGreedy's scan mode: the paper's list. pinned
 // marks the intervals pins and replayed steps were applied to, if any.
-func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, wl *Worklist, k int,
+func selectScan(ctx context.Context, eng choice.Engine, wl *Worklist, k int,
 	pinned []bool, take func(assignment) error, cnt *Counters) (string, error) {
 	sched := eng.Schedule()
 	if pinned != nil {
 		for i := range wl.list {
 			if a := &wl.list[i]; pinned[a.interval] && sched.IsValid(a.event, a.interval) {
-				rescore(eng, bounder, a, cnt)
+				rescore(eng, a, cnt)
 			}
 		}
 	}
@@ -237,16 +217,6 @@ func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 		// Line 7: validity check; invalid pops are simply discarded
 		// and the next top is tried.
 		if !sched.IsValid(top.event, top.interval) {
-			continue
-		}
-		// An approximate (upper-bound) entry that reached the top must
-		// be resolved to its exact score and recontend: only an exact
-		// score that tops every remaining bound is the true argmax.
-		if top.approx {
-			top.score = eng.Score(top.event, top.interval)
-			top.approx = false
-			cnt.ScoreUpdates++
-			wl.list = append(wl.list, top)
 			continue
 		}
 		// Line 8: insert into the schedule. Validity was checked
@@ -264,7 +234,7 @@ func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 				valid := sched.IsValid(a.event, a.interval)
 				switch {
 				case a.interval == top.interval && valid:
-					rescore(eng, bounder, &a, cnt)
+					rescore(eng, &a, cnt)
 					dst = append(dst, a)
 				case !valid:
 					// removed (line 13)
@@ -281,7 +251,7 @@ func selectScan(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 // selectHeap is SelectGreedy's heap mode: CELF over the same list.
 // A pop that goes back in replaces the top and sifts down, which
 // leaves the heap as a pop followed by a push would.
-func selectHeap(ctx context.Context, eng choice.Engine, bounder choice.Bounder, wl *Worklist, k int,
+func selectHeap(ctx context.Context, eng choice.Engine, wl *Worklist, k int,
 	versions []int32, take func(assignment) error, cnt *Counters) (string, error) {
 	sched := eng.Schedule()
 	wl.heapify()
@@ -295,13 +265,8 @@ func selectHeap(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 		case !sched.IsValid(top.event, top.interval):
 			wl.popHeap()
 		case top.version != versions[top.interval]:
-			rescore(eng, bounder, top, cnt)
+			rescore(eng, top, cnt)
 			top.version = versions[top.interval]
-			wl.down(0)
-		case top.approx:
-			top.score = eng.Score(top.event, top.interval)
-			top.approx = false
-			cnt.ScoreUpdates++
 			wl.down(0)
 		default:
 			if err := take(wl.popHeap()); err != nil {
@@ -312,15 +277,8 @@ func selectHeap(ctx context.Context, eng choice.Engine, bounder choice.Bounder, 
 	return "", nil
 }
 
-// rescore refreshes a against eng's current schedule: with the O(k)
-// upper bound when bounder is non-nil, exactly otherwise.
-func rescore(eng choice.Engine, bounder choice.Bounder, a *assignment, cnt *Counters) {
-	if bounder != nil {
-		a.score = bounder.ScoreUpper(a.event, a.interval)
-		a.approx = true
-		cnt.BoundUpdates++
-		return
-	}
+// rescore refreshes a's score against eng's current schedule.
+func rescore(eng choice.Engine, a *assignment, cnt *Counters) {
 	a.score = eng.Score(a.event, a.interval)
 	cnt.ScoreUpdates++
 }

@@ -14,15 +14,13 @@ import (
 )
 
 // kernelEngines are the engines the heap ≡ scan harness runs: the
-// production engine, the paper-faithful dense one, and the pruned one
-// with lists short enough that rescores really go through bounds.
+// production engine and the paper-faithful dense one.
 var kernelEngines = []struct {
 	name string
 	f    EngineFactory
 }{
 	{"sparse", DefaultEngine},
 	{"dense", DenseEngine},
-	{"pruned4", PrunedEngineK(4)},
 }
 
 // kernelRun is what one SelectGreedy run did: every applied
@@ -42,7 +40,9 @@ type kernelRun struct {
 func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignment, replay []Step,
 	cancelled []bool, forbidden map[core.Assignment]bool, lazy bool) (kernelRun, error) {
 	var run kernelRun
-	eng := f(inst)
+	eng := Instrument(f(inst), "kernel", func(p Progress) {
+		run.applied = append(run.applied, core.Assignment{Event: p.Event, Interval: p.Interval})
+	})
 	mat, err := scoreMatrix(context.Background(), eng, 1, &run.cnt)
 	if err != nil {
 		return run, err
@@ -67,11 +67,8 @@ func runKernel(inst *core.Instance, f EngineFactory, k int, pins []core.Assignme
 			}
 		}
 	}
-	progress := func(p Progress) {
-		run.applied = append(run.applied, core.Assignment{Event: p.Event, Interval: p.Interval})
-	}
 	var stop string
-	run.steps, stop, err = SelectGreedy(context.Background(), eng, &wl, k, pins, replay, lazy, &run.cnt, "kernel", progress)
+	run.steps, stop, err = SelectGreedy(context.Background(), eng, &wl, k, pins, replay, lazy, &run.cnt)
 	if err != nil {
 		return run, err
 	}
@@ -168,20 +165,16 @@ func sameRuns(t *testing.T, what string, a, b kernelRun) {
 func TestHeapModeMatchesScanMode(t *testing.T) {
 	for _, eng := range kernelEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			var scanWork, heapWork, bounds int
+			var scanWork, heapWork int
 			for seed := uint64(0); seed < 12; seed++ {
 				for _, k := range []int{1, 3, 6, 10} {
 					s, h := checkHeapMatchesScan(t, seed, k, eng.f)
-					scanWork += s.ScoreUpdates + s.BoundUpdates
-					heapWork += h.ScoreUpdates + h.BoundUpdates
-					bounds += h.BoundUpdates
+					scanWork += s.ScoreUpdates
+					heapWork += h.ScoreUpdates
 				}
 			}
 			if heapWork >= scanWork {
 				t.Errorf("heap mode rescored %d times, scan mode %d", heapWork, scanWork)
-			}
-			if (bounds > 0) != (eng.name == "pruned4") {
-				t.Errorf("heap mode took %d bound rescores", bounds)
 			}
 		})
 	}

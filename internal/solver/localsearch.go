@@ -60,7 +60,7 @@ func (s *LocalSearch) Solve(ctx context.Context, inst *core.Instance, k int) (*R
 		return nil, err
 	}
 	// Replay the starting schedule on a fresh engine we own.
-	eng := s.cfg.instrument(s.Name(), s.cfg.engine()(inst))
+	eng := Instrument(s.cfg.engine()(inst), s.Name(), s.cfg.Progress)
 	for _, a := range startRes.Schedule.Assignments() {
 		if err := eng.Apply(a.Event, a.Interval); err != nil {
 			return nil, err

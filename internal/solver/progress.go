@@ -28,22 +28,23 @@ type Progress struct {
 // solver's main engine emits a Progress notification. Forks are
 // returned unwrapped: forked engines belong to scoring workers, and
 // reporting from them would interleave callbacks across goroutines.
-// The decorator embeds only choice.Engine, so it hides optional
-// interfaces such as choice.Bounder; SelectGreedy, which needs the
-// Bounder, reports progress itself instead.
+// The decorator embeds only choice.Engine, so it hides the optional
+// choice.Reuser and choice.Patcher; wrap per solve, not for keeps.
 type progressEngine struct {
 	choice.Engine
 	solver string
 	fn     func(Progress)
 }
 
-// instrument wraps eng with progress reporting when cfg.Progress is
-// set.
-func (c Config) instrument(solverName string, eng choice.Engine) choice.Engine {
-	if c.Progress == nil {
+// Instrument returns eng wrapped so that each successful Apply
+// reports a Progress under solverName to fn, or eng itself when fn
+// is nil. Every solver and the session layer report progress this
+// way.
+func Instrument(eng choice.Engine, solverName string, fn func(Progress)) choice.Engine {
+	if fn == nil {
 		return eng
 	}
-	return &progressEngine{Engine: eng, solver: solverName, fn: c.Progress}
+	return &progressEngine{Engine: eng, solver: solverName, fn: fn}
 }
 
 // Apply forwards to the wrapped engine and reports the application.

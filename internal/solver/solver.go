@@ -53,19 +53,6 @@ func DefaultEngine(inst *core.Instance) choice.Engine { return choice.NewSparse(
 // DenseEngine builds the dense (paper-faithful O(|U|) score) engine.
 func DenseEngine(inst *core.Instance) choice.Engine { return choice.NewDense(inst) }
 
-// PrunedEngine builds the candidate-list pruned engine with the
-// default list size; GRD's argmax uses its upper bounds for
-// threshold-algorithm rescore pruning on million-user instances.
-func PrunedEngine(inst *core.Instance) choice.Engine {
-	return choice.NewPruned(inst, choice.DefaultPrunedK)
-}
-
-// PrunedEngineK returns a PrunedEngine factory with candidate lists
-// of size k (k <= 0 selects the default).
-func PrunedEngineK(k int) EngineFactory {
-	return func(inst *core.Instance) choice.Engine { return choice.NewPruned(inst, k) }
-}
-
 // Counters records the work a solver performed; the experiment
 // harness reports them next to wall-clock times (Fig. 1b/1d) so the
 // paper's cost model (initial scores vs. update volume) can be checked
@@ -74,17 +61,19 @@ type Counters struct {
 	// InitialScores counts Eq. 4 evaluations during list generation.
 	InitialScores int
 	// ScoreUpdates counts Eq. 4 re-evaluations after selections: the
-	// eager same-interval rescores in SelectGreedy's scan mode, the
-	// stale re-pops in its heap mode, and in both the exact
-	// resolution of a bound-valued entry that reached the top.
+	// eager same-interval rescores in SelectGreedy's scan mode and
+	// the stale re-pops in its heap mode.
 	ScoreUpdates int
-	// BoundUpdates counts O(k) upper-bound rescores (choice.Bounder)
-	// taken in place of exact re-evaluations.
+	// BoundUpdates is always 0.
+	//
+	// Deprecated: it counted the upper-bound rescores of the deleted
+	// choice.Pruned engine. It stays only because the end-to-end
+	// benchmark still reads it and the session goldens print it.
 	BoundUpdates int
 	// Pops counts popTopAssgn calls. In scan mode that is one linear
 	// scan each, invalid pops included; in heap mode it is every heap
-	// pop: each invalid entry dropped one by one, each stale or
-	// bound-valued re-pop and each applied entry.
+	// pop: each invalid entry dropped one by one, each stale re-pop
+	// and each applied entry.
 	Pops int
 	// ListScans counts assignment-list elements traversed by scan
 	// mode's popTopAssgn and same-interval update; heap mode scans no
@@ -94,8 +83,8 @@ type Counters struct {
 	Moves int
 	// Replayed counts greedy steps applied from a session's last
 	// commit without scoring or popping them (SelectGreedy's replay).
-	// Like BoundUpdates it is process-local: snapshots and commit
-	// stamps do not carry it.
+	// It is process-local: snapshots and commit stamps do not carry
+	// it.
 	Replayed int
 }
 
@@ -104,7 +93,6 @@ type Counters struct {
 func (c *Counters) Add(o Counters) {
 	c.InitialScores += o.InitialScores
 	c.ScoreUpdates += o.ScoreUpdates
-	c.BoundUpdates += o.BoundUpdates
 	c.Pops += o.Pops
 	c.ListScans += o.ListScans
 	c.Moves += o.Moves

@@ -21,9 +21,6 @@ import (
 // canonical (event, interval) order afterwards.
 
 // assignment is a scored (event, interval) pair in a solver worklist.
-// approx marks a score that is an upper bound from a choice.Bounder
-// rescore rather than an exact Score; the selection loop must resolve
-// it exactly before accepting it (threshold-algorithm pruning).
 // version is, in SelectGreedy's heap mode, the interval's version the
 // score was computed at; it sits in the struct's padding, so an entry
 // stays 32 bytes.
@@ -32,7 +29,6 @@ type assignment struct {
 	interval int
 	score    float64
 	version  int32
-	approx   bool
 }
 
 // forEachIndexState runs fn(state, i) for every i in [0, n), fanning

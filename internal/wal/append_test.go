@@ -18,12 +18,12 @@ func replayPayloads(t *testing.T, dir string) [][]byte {
 	return payloads
 }
 
-// TestGroupCommitConcurrentAppenders drives N appenders through one
+// TestConcurrentAppendersOneFsyncPerRecord drives N appenders through one
 // SyncAlways log at once under -race and checks the single-append
 // contract: every record recovered, each appender's program order
 // preserved on disk, and one fsync per record (the log mutex spans
 // the write and its fsync, so no fsync covers two appends).
-func TestGroupCommitConcurrentAppenders(t *testing.T) {
+func TestConcurrentAppendersOneFsyncPerRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
@@ -74,12 +74,12 @@ func TestGroupCommitConcurrentAppenders(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFaultInjectedSync fails every fsync under N
+// TestFailedSyncReachesConcurrentAppenders fails every fsync under N
 // concurrent appenders and checks each of them observes the error —
 // no record a failed fsync covered may be acknowledged — and that the
 // log is not latched afterwards: the next append with a healthy disk
 // succeeds.
-func TestGroupCommitFaultInjectedSync(t *testing.T) {
+func TestFailedSyncReachesConcurrentAppenders(t *testing.T) {
 	dir := t.TempDir()
 	syncErr := errors.New("injected fsync failure")
 	var failing atomic.Bool

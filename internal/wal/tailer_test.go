@@ -99,12 +99,12 @@ func TestTailerFollowsLiveAppends(t *testing.T) {
 	}
 }
 
-// TestTailerRotationUnderGroupCommit is the exactly-once contract
+// TestTailerRotationUnderConcurrentAppenders is the exactly-once contract
 // under the worst interleaving: concurrent appenders on one log,
 // segments small enough to rotate every few records, and a tailer
 // racing the appenders across segment boundaries. The tailer must see
 // every record exactly once, in exactly the on-disk order.
-func TestTailerRotationUnderGroupCommit(t *testing.T) {
+func TestTailerRotationUnderConcurrentAppenders(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{
 		Sync:            SyncAlways,

@@ -164,19 +164,6 @@ var SparseEngine EngineFactory = solver.DefaultEngine
 // retained for ablations.
 var DenseEngine EngineFactory = solver.DenseEngine
 
-// PrunedEngine is the candidate-list pruned engine factory for
-// million-user instances: per-event top-k interested-user lists with a
-// cached frozen-tail term make empty-interval scores O(k), and GRD's
-// argmax rescores loaded intervals with O(k) upper bounds, paying the
-// exact full fold only for contenders that reach the top. Results are
-// identical to SparseEngine; only the work changes. See
-// ses/internal/choice.Pruned.
-var PrunedEngine EngineFactory = solver.PrunedEngine
-
-// PrunedEngineK returns a PrunedEngine factory with candidate lists of
-// size k instead of the default (k <= 0 selects the default).
-func PrunedEngineK(k int) EngineFactory { return solver.PrunedEngineK(k) }
-
 // Objective defines what a schedule is worth: an interval-decomposable
 // fold over per-user attendance terms. Select one with WithObjective;
 // see Omega, AttendanceObjective and FairnessObjective.
