@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ses"
@@ -83,6 +85,13 @@ func FuzzDaemonRequests(f *testing.F) {
 		}
 		f.Add([]byte{0, 2, 3, 2}, createBody("s", 3, doc), batch, restore)
 	}
+	// The small instance as a saved file in README's curl envelope,
+	// which decodes in one pass, and with the envelope's keys
+	// reordered, which encoding/json decodes; each is created,
+	// resolved, snapshotted and deleted.
+	canonical := envelope(f, "s", 3, small)
+	f.Add([]byte{0, 2, 4, 5}, canonical, batch, []byte(nil))
+	f.Add([]byte{0, 2, 4, 5}, fmt.Appendf(nil, `{"k":3,"instance":%s,"name":"s"}`, marshal(f, small)), batch, []byte(nil))
 
 	f.Fuzz(func(t *testing.T, script, create, batch, restore []byte) {
 		st := ses.NewStore(ses.WithWorkers(1))
@@ -166,4 +175,70 @@ func checkAnswer(rec *httptest.ResponseRecorder) error {
 		return fmt.Errorf("status %d without a JSON error body: %q", rec.Code, rec.Body.String())
 	}
 	return nil
+}
+
+// FuzzCreateBody is the differential test of the create decoder: for
+// any bytes, decodeCreate must give what encoding/json's Decoder gives
+// on the same bytes, the request deeply equal (nil against empty
+// slices and each row's unknown-key flag included) or the error text
+// identical.
+func FuzzCreateBody(f *testing.F) {
+	doc := sesgenDoc(f, 20, 2, 7)
+	canonical := string(envelope(f, "s", 2, doc))
+	for _, act := range []dataset.ActivityDoc{doc.Activity, tableActivity(doc), {Type: "constant", P: 0.25}} {
+		f.Add(envelope(f, "s", 2, withActivity(doc, act)))
+	}
+	f.Add(marshal(f, createReq{Name: "o", K: 2, Objective: "attendance:0.3", Instance: doc}))
+	row := `{"ids":[0,3],"vals":[0.5,0.25]}`
+	small := `{"num_users":4,"num_intervals":1,"resources":1,"events":[{"Location":0,"Required":1,"Name":"e"}],` +
+		`"competing":null,"cand_interest":{"num_users":4,"rows":[` + row + `]},` +
+		`"comp_interest":{"num_users":4,"rows":[]},"activity":{"type":"uniformhash","seed":3}}`
+	env := func(instance string) string { return `{"name":"s","k":1,"instance":` + instance + `}` }
+	for _, body := range []string{
+		env(small),
+		// Reordered keys: envelope, document, row.
+		`{"k":1,"name":"s","instance":` + small + `}`,
+		env(strings.Replace(small, `"num_users":4,"num_intervals":1`, `"num_intervals":1,"num_users":4`, 1)),
+		env(strings.Replace(small, row, `{"vals":[0.5,0.25],"ids":[0,3]}`, 1)),
+		// Duplicated and case-folded keys.
+		`{"name":"a","name":"s","k":1,"instance":` + small + `}`,
+		`{"Name":"s","k":1,"instance":` + small + `}`,
+		env(strings.Replace(small, `"num_users":4,"num_intervals"`, `"NUM_USERS":4,"num_intervals"`, 1)),
+		env(strings.Replace(small, `"Location"`, `"location"`, 1)),
+		// Escaped, non-ASCII and invalid UTF-8 names.
+		`{"name":"f\u00e9st","k":1,"instance":` + small + `}`,
+		`{"n\u0061me":"s","k":1,"instance":` + small + `}`,
+		`{"name":"fést","k":1,"instance":` + small + `}`,
+		"{\"name\":\"f\xe9st\",\"k\":1,\"instance\":" + small + "}",
+		// Numbers an int field refuses.
+		`{"name":"s","k":1.0,"instance":` + small + `}`,
+		`{"name":"s","k":1e0,"instance":` + small + `}`,
+		`{"name":"s","k":99999999999999999999,"instance":` + small + `}`,
+		env(strings.Replace(small, `"seed":3`, `"seed":-3`, 1)),
+		// null rows, row arrays and instance.
+		env(strings.Replace(small, `"rows":[]`, `"rows":null`, 1)),
+		env(strings.Replace(small, `"rows":[]`, `"rows":[null]`, 1)),
+		env(strings.Replace(small, row, `{"ids":null,"vals":null}`, 1)),
+		`{"name":"s","k":1,"instance":null}`,
+		// Trailing bytes, truncation, comma-filled arrays.
+		env(small) + `garbage`,
+		env(small) + "\n}",
+		env(small)[:len(env(small))/2],
+		canonical[:len(canonical)-1],
+		env(strings.Replace(small, `[0,3]`, `[0,,,,,,,,3]`, 1)),
+		env(strings.Replace(small, `[0.5,0.25]`, `[0.5,,,,,,,,]`, 1)),
+		"", "null", "{}", " \t\n",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, onePass, err := decodeCreate(body)
+		want, wantErr := referenceDecode(body)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%q: decodeCreate error %v (one pass %v), encoding/json %v", body, err, onePass, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decodeCreate (one pass %v) gave %+v, encoding/json %+v", body, onePass, got, want)
+		}
+	})
 }

@@ -109,6 +109,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -693,33 +694,45 @@ type createReq struct {
 	Instance  *dataset.InstanceDoc `json:"instance"`
 }
 
+// decodeCreate decodes a create body. A body in the form json.Marshal
+// writes a createReq, objective present or not, is parsed in one pass
+// (onePass); any other body is decoded by encoding/json from the same
+// bytes, so the request and any error are encoding/json's either way.
+func decodeCreate(body []byte) (req createReq, onePass bool, err error) {
+	if req, ok := parseCreate(body); ok {
+		return req, true, nil
+	}
+	err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, false, err
+}
+
+// parseCreate is decodeCreate's one pass. Like a json.Decoder, it
+// ignores what follows the request object.
+func parseCreate(body []byte) (req createReq, ok bool) {
+	s := dataset.NewScanner(body)
+	if !(s.Token(`{`) && s.Token(`"name"`) && s.Token(`:`) && s.String(&req.Name) &&
+		s.Token(`,`) && s.Token(`"k"`) && s.Token(`:`) && s.Int(&req.K) && s.Token(`,`)) {
+		return req, false
+	}
+	if s.Token(`"objective"`) && !(s.Token(`:`) && s.String(&req.Objective) && s.Token(`,`)) {
+		return req, false
+	}
+	if !(s.Token(`"instance"`) && s.Token(`:`)) {
+		return req, false
+	}
+	req.Instance, ok = s.InstanceDoc()
+	return req, ok && s.Token(`}`)
+}
+
 func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 	setBodyDeadline(w, time.Now().Add(s.bodyTimeout))
 	if err := s.checkEpoch(r); err != nil {
 		s.writeErr(w, statusOf(err), err)
 		return
 	}
-	var req createReq
-	if err := readBody(w, r, func(body io.Reader) error { return json.NewDecoder(body).Decode(&req) }); err != nil {
-		s.writeErr(w, statusOf(err), fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.Name == "" || req.Instance == nil {
-		s.writeErr(w, http.StatusBadRequest, errors.New("name and instance are required"))
-		return
-	}
-	if err := s.checkShape(req.Instance); err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	obj, err := ses.ParseObjective(req.Objective)
+	req, inst, obj, status, err := s.readCreate(w, r)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	inst, err := req.Instance.Instance()
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.writeErr(w, status, err)
 		return
 	}
 	if err := s.store.CreateWithObjective(req.Name, inst, req.K, obj); err != nil {
@@ -735,6 +748,41 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, meta)
+}
+
+// readCreate reads a create body whole, decodes it and builds its
+// instance under a request.decode span. With an error it returns the
+// status to answer.
+func (s *server) readCreate(w http.ResponseWriter, r *http.Request) (req createReq, inst *ses.Instance, obj ses.Objective, status int, err error) {
+	_, sp := obs.StartSpan(r.Context(), obs.SpanDecode)
+	defer sp.End()
+	var body bytes.Buffer
+	err = readBody(w, r, func(rd io.Reader) error {
+		_, err := body.ReadFrom(rd)
+		return err
+	})
+	sp.SetAttr("bytes", body.Len())
+	if err != nil {
+		return req, nil, nil, statusOf(err), fmt.Errorf("decoding request: %w", err)
+	}
+	req, onePass, err := decodeCreate(body.Bytes())
+	sp.SetAttr("one_pass", onePass)
+	if err != nil {
+		return req, nil, nil, statusOf(err), fmt.Errorf("decoding request: %w", err)
+	}
+	if req.Name == "" || req.Instance == nil {
+		return req, nil, nil, http.StatusBadRequest, errors.New("name and instance are required")
+	}
+	if err := s.checkShape(req.Instance); err != nil {
+		return req, nil, nil, http.StatusUnprocessableEntity, err
+	}
+	if obj, err = ses.ParseObjective(req.Objective); err != nil {
+		return req, nil, nil, http.StatusBadRequest, err
+	}
+	if inst, err = req.Instance.Instance(); err != nil {
+		return req, nil, nil, http.StatusBadRequest, err
+	}
+	return req, inst, obj, 0, nil
 }
 
 func (s *server) listSessions(w http.ResponseWriter, r *http.Request) {
@@ -913,27 +961,9 @@ func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	var doc *ses.Snapshot
-	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	err := readBody(w, r, func(body io.Reader) (err error) {
-		if mt == "application/octet-stream" {
-			doc, err = ses.DecodeSnapshotBinary(body)
-		} else {
-			doc, err = ses.DecodeSnapshot(body)
-		}
-		return err
-	})
+	state, status, err := s.readRestore(w, r)
 	if err != nil {
-		s.writeErr(w, statusOf(err), err)
-		return
-	}
-	if err := s.checkShape(doc.Instance); err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	state, err := doc.State()
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.writeErr(w, status, err)
 		return
 	}
 	replace, _ := strconv.ParseBool(r.URL.Query().Get("replace"))
@@ -950,6 +980,52 @@ func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, meta)
+}
+
+// readRestore reads and decodes a restore body, JSON or binary by its
+// Content-Type, and builds the session state it holds, under a
+// request.decode span. With an error it returns the status to answer.
+func (s *server) readRestore(w http.ResponseWriter, r *http.Request) (state *ses.SessionState, status int, err error) {
+	format := "json"
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
+		format = "binary"
+	}
+	_, sp := obs.StartSpan(r.Context(), obs.SpanDecode, obs.A("format", format))
+	defer sp.End()
+	body := &byteCounter{}
+	var doc *ses.Snapshot
+	err = readBody(w, r, func(rd io.Reader) (err error) {
+		body.Reader = rd
+		if format == "binary" {
+			doc, err = ses.DecodeSnapshotBinary(body)
+		} else {
+			doc, err = ses.DecodeSnapshot(body)
+		}
+		return err
+	})
+	sp.SetAttr("bytes", body.n)
+	if err != nil {
+		return nil, statusOf(err), err
+	}
+	if err := s.checkShape(doc.Instance); err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	if state, err = doc.State(); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return state, 0, nil
+}
+
+// byteCounter counts the bytes read through it.
+type byteCounter struct {
+	io.Reader
+	n int
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	n, err := c.Reader.Read(p)
+	c.n += n
+	return n, err
 }
 
 // walMetrics is the WAL section of /v1/metrics: the cumulative

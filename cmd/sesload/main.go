@@ -8,7 +8,7 @@
 //
 //	sesload [-sessions 128] [-duration 3s] [-users 60] [-events 16]
 //	        [-intervals 5] [-competing 3] [-k 6] [-seed 1]
-//	        [-workers 1] [-resolve-workers 0] [-json BENCH_store.json]
+//	        [-workers 1] [-resolve-workers 0] [-json FILE]
 //	        [-durable DIR] [-sync always|interval|none]
 //	        [-cluster URL [-ack-file FILE]] | [-check-acks FILE -cluster URL]
 //
@@ -120,7 +120,7 @@ type resolver interface {
 	ApplyBatch(ctx context.Context, name string, muts []ses.Mutation) (*ses.BatchResult, error)
 }
 
-// report is the BENCH_store.json document.
+// report is the JSON document -json writes.
 type report struct {
 	Sessions       int                       `json:"sessions"`
 	Durable        bool                      `json:"durable,omitempty"`

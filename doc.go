@@ -205,10 +205,16 @@
 // batches through such a pipeline (-resolve-workers, -resolve-queue;
 // saturation maps to 503, pipeline and WAL counters appear under
 // /v1/metrics) while requests carrying an explicit ?timeout= bypass
-// it so their deadline flows into their own anytime resolve; sesload
-// drives N concurrent sessions against a Store with a mixed
-// mutate/resolve/snapshot workload and writes throughput/latency
-// percentiles to BENCH_store.json.
+// it so their deadline flows into their own anytime resolve. sesd
+// reads a create body whole (an over-limit body is always 413) and
+// decodes one whose keys come in json.Marshal's order, as sesgen and
+// SaveInstance write them, in one pass (dataset.ParseInstanceDoc's
+// parser, which shares the interest-row grammar with
+// VectorDoc.UnmarshalJSON); any other body goes to encoding/json
+// unchanged, so the request and every error text are the same either
+// way (fuzz-enforced). sesload drives N concurrent sessions against a
+// Store with a mixed mutate/resolve/snapshot workload and writes its
+// throughput/latency report to the -json path.
 //
 // # Architecture: the durability layer
 //
@@ -287,9 +293,9 @@
 // Observability / NewObservability / WithObservability) threads three
 // zero-dependency instruments through every layer above. A
 // context-carried tracer opens a root span per sesd request and child
-// spans at each stage boundary — pipeline ride, session resolve,
-// incremental scoring, greedy selection, WAL fsync wait, replication
-// ack wait — into a bounded in-memory ring served at /v1/traces;
+// spans at each stage boundary — create or restore body decode,
+// pipeline ride, session resolve, incremental scoring, greedy
+// selection, WAL fsync wait, replication ack wait — into a bounded in-memory ring served at /v1/traces;
 // trace IDs propagate across router and replication hops via the
 // X-Ses-Trace header, and followers record remote replication.apply
 // spans under the primary's IDs, so one ID shows a write's full

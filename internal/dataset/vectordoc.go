@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 )
 
 // vectorDocJSON is VectorDoc without its UnmarshalJSON method: the
@@ -12,17 +13,18 @@ import (
 type vectorDocJSON VectorDoc
 
 // UnmarshalJSON decodes an interest row. The form SaveInstance writes,
-// {"ids":[…],"vals":[…]} with plain number elements and any JSON
-// whitespace between tokens, is parsed directly with one strconv call
-// per element. Any other input (null, escaped or case-folded keys,
-// other key orders, unknown keys, non-numeric or out-of-range
-// elements) is decoded reflectively from the same bytes, so the row
-// and any error are exactly what encoding/json makes of it. One
-// difference remains at the document level: encoding/json treats an
-// error returned by an UnmarshalJSON method as final, so a type error
-// inside a row ends the decode of the surrounding document there
-// (instead of being reported after the rest is decoded), and its
-// message names the enclosing MatrixDoc rather than VectorDoc.
+// {"ids":[…],"vals":[…]} with plain number elements (or null for
+// either array) and any JSON whitespace between tokens, is parsed
+// directly with one strconv call per element. Any other input (a null
+// row, escaped or case-folded keys, other key orders, unknown keys,
+// non-numeric or out-of-range elements) is decoded reflectively from
+// the same bytes, so the row and any error are exactly what
+// encoding/json makes of it. One difference remains at the document
+// level: encoding/json treats an error returned by an UnmarshalJSON
+// method as final, so a type error inside a row ends the decode of
+// the surrounding document there (instead of being reported after the
+// rest is decoded), and its message names the enclosing MatrixDoc
+// rather than VectorDoc.
 //
 // A decoder's DisallowUnknownFields does not reach a type that decodes
 // itself, so a row with an unknown key records it for strict readers
@@ -64,15 +66,30 @@ func (d *InstanceDoc) CheckRowKeys() error {
 	return nil
 }
 
+// rowScanners keeps scanners, with their element buffers, from one
+// parseVectorDoc call to the next: UnmarshalJSON parses one row per
+// call, and a fresh buffer would regrow for every array.
+var rowScanners = sync.Pool{New: func() any { return new(Scanner) }}
+
 // parseVectorDoc parses the canonical row form. It reports ok only for
 // input encoding/json decodes without error into the same row.
 func parseVectorDoc(b []byte) (ids []int32, vals []float64, ok bool) {
-	s := rowScanner{b: b}
-	ok = s.token(`{`) && s.token(`"ids"`) && s.token(`:`) && numbers(&s, &ids, parseID) &&
-		s.token(`,`) && s.token(`"vals"`) && s.token(`:`) && numbers(&s, &vals, parseVal) &&
-		s.token(`}`)
+	s := rowScanners.Get().(*Scanner)
+	s.b, s.i = b, 0
+	ids, vals, ok = s.vector()
 	s.space()
-	return ids, vals, ok && s.i == len(b)
+	ok = ok && s.i == len(b)
+	s.b = nil
+	rowScanners.Put(s)
+	return ids, vals, ok
+}
+
+// vector parses one row in the canonical form at the scanner.
+func (s *Scanner) vector() (ids []int32, vals []float64, ok bool) {
+	ok = s.Token(`{`) && s.Token(`"ids"`) && s.Token(`:`) && numbers(s, &ids, &s.ids, parseID) &&
+		s.Token(`,`) && s.Token(`"vals"`) && s.Token(`:`) && numbers(s, &vals, &s.vals, parseVal) &&
+		s.Token(`}`)
+	return ids, vals, ok
 }
 
 // parseID and parseVal convert a number token as encoding/json does
@@ -85,39 +102,68 @@ func parseID(tok []byte) (int32, error) {
 
 func parseVal(tok []byte) (float64, error) { return strconv.ParseFloat(string(tok), 64) }
 
-// numbers parses a JSON array of number tokens into *out, converting
-// each with parse. The slice is sized to the array up front.
-func numbers[T any](s *rowScanner, out *[]T, parse func([]byte) (T, error)) bool {
-	if !s.token(`[`) {
+// numbers parses a JSON array of number tokens, or null, into *out,
+// converting each with parse. The elements collect in *buf, which the
+// scanner reuses from array to array, and *out gets a copy sized to
+// the elements parsed: the input, which may not be valid JSON, never
+// sizes an allocation.
+func numbers[T any](s *Scanner, out *[]T, buf *[]T, parse func([]byte) (T, error)) bool {
+	if s.Token(`null`) {
+		*out = nil
+		return true
+	}
+	if !s.Token(`[`) {
 		return false
 	}
-	xs := make([]T, 0, s.elems())
-	for more := !s.token(`]`); more; {
-		tok, ok := s.number()
-		if !ok {
-			return false
-		}
-		x, err := parse(tok)
-		if err != nil {
+	xs := (*buf)[:0]
+	for more := !s.Token(`]`); more; {
+		var x T
+		if !value(s, &x, parse) {
 			return false
 		}
 		xs = append(xs, x)
-		if more = s.token(`,`); !more && !s.token(`]`) {
+		if more = s.Token(`,`); !more && !s.Token(`]`) {
 			return false
 		}
 	}
-	*out = xs
+	*buf = xs
+	*out = make([]T, len(xs))
+	copy(*out, xs)
 	return true
 }
 
-// rowScanner walks the bytes of one row.
-type rowScanner struct {
-	b []byte
-	i int
+// value parses one number token into *out, converting it with parse.
+func value[T any](s *Scanner, out *T, parse func([]byte) (T, error)) bool {
+	tok, ok := s.number()
+	if !ok {
+		return false
+	}
+	x, err := parse(tok)
+	*out = x
+	return err == nil
 }
 
+// Scanner reads JSON text in the form json.Marshal writes: the keys
+// of each object in its type's field order, strings without escapes,
+// and any JSON whitespace between tokens. Its methods consume a value
+// and report true only when the bytes hold that value in that form,
+// decoded as encoding/json would decode it. A false from Token leaves
+// the scanner past whitespace only, so it can test for an optional
+// key; after any other false the position is unspecified, and the
+// caller hands the whole input to encoding/json.
+type Scanner struct {
+	b []byte
+	i int
+	// ids and vals are numbers' element buffers.
+	ids  []int32
+	vals []float64
+}
+
+// NewScanner returns a scanner at the start of b.
+func NewScanner(b []byte) *Scanner { return &Scanner{b: b} }
+
 // space skips JSON whitespace.
-func (s *rowScanner) space() {
+func (s *Scanner) space() {
 	for s.i < len(s.b) {
 		switch s.b[s.i] {
 		case ' ', '\t', '\n', '\r':
@@ -128,8 +174,8 @@ func (s *rowScanner) space() {
 	}
 }
 
-// token consumes lit, after whitespace, if it comes next.
-func (s *rowScanner) token(lit string) bool {
+// Token consumes lit, after whitespace, if it comes next.
+func (s *Scanner) Token(lit string) bool {
 	s.space()
 	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
 		return false
@@ -138,20 +184,9 @@ func (s *rowScanner) token(lit string) bool {
 	return true
 }
 
-// elems counts the elements of the array that starts at the scanner,
-// for sizing: numbers hold no commas or brackets, so it is the number
-// of commas before the next ']', plus one.
-func (s *rowScanner) elems() int {
-	rest := s.b[s.i:]
-	if end := bytes.IndexByte(rest, ']'); end >= 0 {
-		rest = rest[:end]
-	}
-	return bytes.Count(rest, []byte{','}) + 1
-}
-
 // number consumes one JSON number token, after whitespace, and returns
 // its bytes: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (s *rowScanner) number() ([]byte, bool) {
+func (s *Scanner) number() ([]byte, bool) {
 	s.space()
 	b, i := s.b, s.i
 	start := i

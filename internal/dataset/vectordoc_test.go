@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"ses/internal/activity"
+	"ses/internal/core"
 	"ses/internal/sestest"
 )
 
@@ -103,6 +105,45 @@ func TestUnmarshalJSONRejectsInvalidJSON(t *testing.T) {
 		var d VectorDoc
 		if err := d.UnmarshalJSON([]byte(in)); err == nil {
 			t.Errorf("UnmarshalJSON(%s) = %+v, want an error", in, d)
+		}
+	}
+}
+
+// TestParseInstanceDoc: a saved instance, trailing newline included,
+// parses in one pass into the document json.Unmarshal decodes, with
+// each σ model; with anything but whitespace after it, which
+// json.Unmarshal refuses, it does not parse.
+func TestParseInstanceDoc(t *testing.T) {
+	inst := sestest.Random(sestest.Config{Users: 40, Events: 12, Intervals: 4, Competing: 6, Seed: 11})
+	table := make([][]float64, inst.NumUsers)
+	for u := range table {
+		table[u] = []float64{0.1, 0.2, 0.3, 0.4}
+	}
+	tab, err := activity.NewTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, act := range []core.Activity{activity.UniformHash{Seed: 3}, activity.Constant(0.25), tab} {
+		inst.Activity = act
+		var b bytes.Buffer
+		if err := SaveInstance(&b, inst); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := ParseInstanceDoc(b.Bytes())
+		if !ok {
+			t.Fatalf("saved instance does not parse in one pass:\n%s", b.Bytes())
+		}
+		var want InstanceDoc
+		if err := json.Unmarshal(b.Bytes(), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("%T: one pass %+v, json.Unmarshal %+v", act, got, want)
+		}
+		trailing := append(b.Bytes(), 'x')
+		_, ok = ParseInstanceDoc(trailing)
+		if err := json.Unmarshal(trailing, new(InstanceDoc)); ok || err == nil {
+			t.Fatalf("trailing byte: one pass took it (%v), json.Unmarshal error %v; want both to refuse", ok, err)
 		}
 	}
 }

@@ -31,6 +31,9 @@ import (
 const (
 	// SpanHandler is the root span the daemon opens per HTTP request.
 	SpanHandler = "handler"
+	// SpanDecode covers reading a create or restore body, decoding it
+	// and building the instance it carries.
+	SpanDecode = "request.decode"
 	// SpanPipeline covers a request's pipeline ride: queue wait plus
 	// the merged backend call it coalesced into.
 	SpanPipeline = "pipeline"
