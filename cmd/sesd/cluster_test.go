@@ -93,7 +93,7 @@ func newDaemonCluster(t *testing.T, n int, tweaks ...func(*cluster.NodeOptions))
 			t.Fatal(err)
 		}
 		pipe := ses.NewPipeline(d, ses.WithResolveWorkers(1))
-		swaps[id].h.Store(newServer(d, pipe, o, d.WALStats, node).routes())
+		swaps[id].h.Store(newServer(d, pipe, o, d, node).routes())
 		node.Start()
 		dc.nodes[id] = node
 		pipes, stores = append(pipes, pipe), append(stores, d)

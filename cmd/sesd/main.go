@@ -19,9 +19,10 @@
 // acknowledged create/delete/batch/resolve/restore is appended to a
 // per-shard write-ahead log under DIR before the response is sent
 // (fsynced per -sync), boot recovers the acknowledged state from the
-// log, and SIGTERM/SIGINT shuts down gracefully — stop accepting, end
-// the long-lived watch and replication streams at once, drain
-// in-flight requests (once -drain expires their contexts are
+// log (the boot line and the ses_recovery_seconds gauge say how long
+// that took), and SIGTERM/SIGINT shuts down gracefully — stop
+// accepting, end the long-lived watch and replication streams at once,
+// drain in-flight requests (once -drain expires their contexts are
 // cancelled: those resolves abort without committing and the previous
 // schedules stay current), write a final checkpoint, exit 0. Inspect
 // the log offline with seswal. Each shard's log has one writer at a
@@ -124,6 +125,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -132,6 +134,7 @@ import (
 	"ses/internal/dataset"
 	"ses/internal/obs"
 	"ses/internal/session"
+	"ses/internal/snap"
 )
 
 func main() {
@@ -225,7 +228,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		log.Printf("sesd: recovered %d sessions from %s (sync=%s)", d.Len(), *dataDir, pol)
+		log.Printf("sesd: recovered %d sessions from %s in %s (sync=%s)", d.Len(), *dataDir, d.Recovery().Round(time.Microsecond), pol)
 		durable, st = d, d
 	} else {
 		// Catch a silently-ignored durability flag: an operator who
@@ -320,11 +323,7 @@ const readHeaderTimeout = 5 * time.Second
 // best-so-far) — the previous schedules stay current and batch
 // mutations stay staged for the next resolve.
 func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline, durable *ses.DurableStore, node *cluster.Node, o *ses.Observability, drain time.Duration) error {
-	var walStats func() ses.WALStats
-	if durable != nil {
-		walStats = durable.WALStats
-	}
-	srv := newServer(st, pipe, o, walStats, node)
+	srv := newServer(st, pipe, o, durable, node)
 	if node != nil {
 		node.Start()
 	}
@@ -397,6 +396,8 @@ type server struct {
 	// walStats reports the durable store's cumulative WAL counters
 	// (nil on a memory-only daemon).
 	walStats func() ses.WALStats
+	// recovery is how long the durable store took to recover at boot.
+	recovery time.Duration
 	// node is the replication layer on a clustered daemon (nil
 	// otherwise): it serves /v1/replication/*, gates /v1/readyz, and
 	// backs replica reads for sessions whose primary is a peer.
@@ -426,11 +427,14 @@ type server struct {
 }
 
 // newServer builds the daemon's handler state and registers its
-// metric families. walStats and node are nil on a memory-only or
+// metric families. durable and node are nil on a memory-only or
 // unclustered daemon.
-func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, walStats func() ses.WALStats, node *cluster.Node) *server {
-	s := &server{store: st, pipeline: pipe, walStats: walStats, node: node, obs: o, start: time.Now(),
+func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, durable *ses.DurableStore, node *cluster.Node) *server {
+	s := &server{store: st, pipeline: pipe, node: node, obs: o, start: time.Now(),
 		maxCells: maxScoreCells, bodyTimeout: cluster.BodyReadTimeout}
+	if durable != nil {
+		s.walStats, s.recovery = durable.WALStats, durable.Recovery()
+	}
 	// One registry either way: under -obs=false a private one that
 	// /v1/metrics reads and no route mounts.
 	reg := obs.NewRegistry()
@@ -580,6 +584,54 @@ func readBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) err
 	}
 	setBodyDeadline(w, time.Time{})
 	return nil
+}
+
+// bodyChunk is the size of the chunks create and restore bodies are
+// read into; bodyChunks pools them (*[bodyChunk]byte), so a daemon
+// under steady create load reads bodies without allocating chunks.
+const bodyChunk = 64 << 10
+
+var bodyChunks = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+
+// maxPooledChunks caps the chunks one request returns to bodyChunks:
+// a body near cluster.MaxBodyBytes leaves at most 8 MiB pooled.
+const maxPooledChunks = 128
+
+// readWhole reads a create or restore body whole through readBody:
+// into pooled chunks, taken as the body's bytes arrive, then one copy
+// of exactly the bytes received. Its size thus follows the body, never
+// the Content-Length a client announces, and the body it returns is
+// the caller's. n counts the bytes read, also on an error.
+func readWhole(w http.ResponseWriter, r *http.Request) (body []byte, n int, err error) {
+	var chunks []*[bodyChunk]byte
+	last := bodyChunk // bytes in the last chunk
+	err = readBody(w, r, func(rd io.Reader) error {
+		for {
+			if last == bodyChunk {
+				chunks = append(chunks, bodyChunks.Get().(*[bodyChunk]byte))
+				last = 0
+			}
+			m, err := rd.Read(chunks[len(chunks)-1][last:])
+			last += m
+			n += m
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+		}
+	})
+	if err == nil {
+		body = make([]byte, n)
+		for i, c := range chunks {
+			copy(body[i*bodyChunk:], c[:])
+		}
+	}
+	for _, c := range chunks[:min(len(chunks), maxPooledChunks)] {
+		bodyChunks.Put(c)
+	}
+	return body, n, err
 }
 
 // reqContext applies the optional ?timeout=DURATION to the request
@@ -756,16 +808,12 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 func (s *server) readCreate(w http.ResponseWriter, r *http.Request) (req createReq, inst *ses.Instance, obj ses.Objective, status int, err error) {
 	_, sp := obs.StartSpan(r.Context(), obs.SpanDecode)
 	defer sp.End()
-	var body bytes.Buffer
-	err = readBody(w, r, func(rd io.Reader) error {
-		_, err := body.ReadFrom(rd)
-		return err
-	})
-	sp.SetAttr("bytes", body.Len())
+	body, n, err := readWhole(w, r)
+	sp.SetAttr("bytes", n)
 	if err != nil {
 		return req, nil, nil, statusOf(err), fmt.Errorf("decoding request: %w", err)
 	}
-	req, onePass, err := decodeCreate(body.Bytes())
+	req, onePass, err := decodeCreate(body)
 	sp.SetAttr("one_pass", onePass)
 	if err != nil {
 		return req, nil, nil, statusOf(err), fmt.Errorf("decoding request: %w", err)
@@ -982,9 +1030,10 @@ func (s *server) restoreSession(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, meta)
 }
 
-// readRestore reads and decodes a restore body, JSON or binary by its
-// Content-Type, and builds the session state it holds, under a
-// request.decode span. With an error it returns the status to answer.
+// readRestore reads a restore body whole and decodes it, JSON or
+// binary by its Content-Type, and builds the session state it holds,
+// under a request.decode span. With an error it returns the status to
+// answer.
 func (s *server) readRestore(w http.ResponseWriter, r *http.Request) (state *ses.SessionState, status int, err error) {
 	format := "json"
 	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "application/octet-stream" {
@@ -992,18 +1041,17 @@ func (s *server) readRestore(w http.ResponseWriter, r *http.Request) (state *ses
 	}
 	_, sp := obs.StartSpan(r.Context(), obs.SpanDecode, obs.A("format", format))
 	defer sp.End()
-	body := &byteCounter{}
+	body, n, err := readWhole(w, r)
+	sp.SetAttr("bytes", n)
 	var doc *ses.Snapshot
-	err = readBody(w, r, func(rd io.Reader) (err error) {
-		body.Reader = rd
-		if format == "binary" {
-			doc, err = ses.DecodeSnapshotBinary(body)
-		} else {
-			doc, err = ses.DecodeSnapshot(body)
-		}
-		return err
-	})
-	sp.SetAttr("bytes", body.n)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("reading snapshot: %w", err)
+	case format == "binary":
+		doc, err = snap.ParseBinary(body)
+	default:
+		doc, err = ses.DecodeSnapshot(bytes.NewReader(body))
+	}
 	if err != nil {
 		return nil, statusOf(err), err
 	}
@@ -1014,18 +1062,6 @@ func (s *server) readRestore(w http.ResponseWriter, r *http.Request) (state *ses
 		return nil, http.StatusBadRequest, err
 	}
 	return state, 0, nil
-}
-
-// byteCounter counts the bytes read through it.
-type byteCounter struct {
-	io.Reader
-	n int
-}
-
-func (c *byteCounter) Read(p []byte) (int, error) {
-	n, err := c.Reader.Read(p)
-	c.n += n
-	return n, err
 }
 
 // walMetrics is the WAL section of /v1/metrics: the cumulative

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,5 +222,46 @@ func TestMetricsViewsAgreeUnderConcurrency(t *testing.T) {
 		if series[name] != resolves {
 			t.Errorf("%s = %v, want %d", name, series[name], resolves)
 		}
+	}
+}
+
+// TestRecoveryGauge: a durable daemon exports how long its store took
+// to recover at boot as ses_recovery_seconds, the value the boot line
+// prints; a memory daemon has no such series.
+func TestRecoveryGauge(t *testing.T) {
+	dir := t.TempDir()
+	d, err := ses.OpenStore(ses.WithDurability(dir), ses.WithSyncPolicy(ses.SyncNone), ses.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		inst, err := instanceDoc(t, uint64(60+i)).Instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Create(fmt.Sprintf("s%d", i), inst, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+
+	o := ses.NewObservability(ses.ObservabilityOptions{})
+	d, err = ses.OpenStore(ses.WithDurability(dir), ses.WithWorkers(1), ses.WithObservability(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Len() != 3 || d.Recovery() <= 0 {
+		t.Fatalf("recovered %d sessions in %v", d.Len(), d.Recovery())
+	}
+	srv := httptest.NewServer(newServer(d, nil, o, d, nil).routes())
+	defer srv.Close()
+	if got, want := scrapeSeries(t, srv.URL)["ses_recovery_seconds"], d.Recovery().Seconds(); got != want {
+		t.Errorf("ses_recovery_seconds = %v, want %v", got, want)
+	}
+
+	mem, _ := obsTestServer(t)
+	if v, ok := scrapeSeries(t, mem.URL)["ses_recovery_seconds"]; ok {
+		t.Errorf("memory daemon exports ses_recovery_seconds = %v", v)
 	}
 }

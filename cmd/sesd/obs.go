@@ -152,6 +152,8 @@ func (s *server) registerMetrics(reg *obs.Registry) {
 			walc(func(w ses.WALStats) float64 { return float64(w.Fsyncs) }))
 		reg.CollectFunc("ses_wal_records_per_fsync", "WAL appends per fsync.", "gauge", nil,
 			func(emit func([]string, float64)) { emit(nil, s.walStats().RecordsPerFsync()) })
+		reg.Gauge("ses_recovery_seconds",
+			"Seconds the durable store took at boot to open its logs and recover every session.").Set(s.recovery.Seconds())
 	}
 	if s.node != nil {
 		reg.CollectFunc("ses_replication", "Replication shipping, apply, lag, and ack counters.", "gauge", []string{"stat"},

@@ -177,11 +177,13 @@
 //
 // Snapshots (ses/internal/snap) serialize a session's full state —
 // instance, cancellations, pins, forbids, committed schedule — behind
-// a format version, as canonical JSON for the wire and a gob-based
-// binary form for disk. restore(snapshot(s)) is byte-identical and
-// malformed input always errors (fuzz-enforced); process-local
-// configuration (engine, workers) deliberately stays outside the
-// snapshot and is re-supplied at restore.
+// a format version, as canonical JSON for the wire and a compact
+// binary form for disk, whose interest matrices are little-endian CSR
+// arrays (the gob form of earlier builds is still read).
+// restore(snapshot(s)) is byte-identical and malformed input always
+// errors (fuzz-enforced); process-local configuration (engine,
+// workers) deliberately stays outside the snapshot and is re-supplied
+// at restore.
 //
 // On real cores the store is driven through a resolve pipeline
 // (NewPipeline over a Store or DurableStore): requests enqueue on

@@ -96,9 +96,11 @@ type MatrixDoc struct {
 }
 
 // InstanceDoc is the serializable document form of a core.Instance:
-// plain exported fields, no interfaces, no maps — safe for JSON and
-// gob alike. SaveInstance/LoadInstance wrap it for standalone files;
-// the snapshot codec (ses/internal/snap) embeds it.
+// plain exported fields, no interfaces, no maps. SaveInstance and
+// LoadInstance wrap it as JSON for standalone files; the snapshot
+// codec (ses/internal/snap) embeds it and writes its own binary
+// layout of these fields, so a field added here must be added there
+// too (its TestFullSnapshotCarriesEveryField fails until it is).
 type InstanceDoc struct {
 	NumUsers     int                   `json:"num_users"`
 	NumIntervals int                   `json:"num_intervals"`

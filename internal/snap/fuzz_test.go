@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"ses/internal/core"
@@ -12,9 +13,10 @@ import (
 
 // FuzzSnapshotRestore drives arbitrary bytes through both snapshot
 // decoders. Contract: malformed input errors and never panics;
-// decodable input re-encodes idempotently; and any snapshot that
-// passes full restore validation round-trips through
-// restore → snapshot byte-identically.
+// decodable input re-encodes idempotently; any snapshot that passes
+// full restore validation round-trips through restore → snapshot
+// byte-identically; and the binary layout decodes every accepted
+// document exactly as gob does.
 func FuzzSnapshotRestore(f *testing.F) {
 	inst := sestest.Random(sestest.Config{Users: 10, Events: 5, Intervals: 3, Competing: 2, Seed: 21})
 	s, err := session.New(inst, 3, session.Options{Workers: 1})
@@ -43,6 +45,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 	}
 	f.Add(jb.Bytes())
 	f.Add(bb.Bytes())
+	f.Add(gobEncode(f, doc))
+	full, err := AppendBinary(nil, fullSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
 	f.Add([]byte(`{"version":1,"k":0,"instance":null,"utility":0,"counters":{}}`))
 	f.Add([]byte(`{"version":2}`))
 	f.Add([]byte("SESSNAP\x01garbage"))
@@ -53,16 +61,56 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		if doc, err := DecodeJSON(bytes.NewReader(data)); err == nil {
 			checkSnapshot(t, doc, "json")
+			checkMatchesGob(t, doc)
 		}
-		if doc, err := DecodeBinary(bytes.NewReader(data)); err == nil {
+		if doc, err := ParseBinary(data); err == nil {
 			checkSnapshot(t, doc, "binary")
+			checkMatchesGob(t, doc)
 		}
 	})
+}
+
+// checkMatchesGob: the binary layout's decode(encode(doc)) is the
+// document gob's decode(encode(doc)) gives, for every document the
+// layout carries; a document it refuses must not restore. Documents
+// holding a NaN, which equals nothing, so that two decodes of one gob
+// payload differ, are skipped.
+func checkMatchesGob(t *testing.T, doc *Snapshot) {
+	t.Helper()
+	raw, err := AppendBinary(nil, doc)
+	if err != nil {
+		if _, serr := doc.State(); serr == nil {
+			t.Fatalf("the binary layout refused a restorable snapshot: %v", err)
+		}
+		return
+	}
+	mine, err := ParseBinary(raw)
+	if err != nil {
+		t.Fatalf("binary layout: encoded snapshot failed to decode: %v", err)
+	}
+	legacy := gobEncode(t, doc)
+	viaGob, err := ParseBinary(legacy)
+	if err != nil {
+		t.Fatalf("gob: encoded snapshot failed to decode: %v", err)
+	}
+	if again, _ := ParseBinary(legacy); !reflect.DeepEqual(viaGob, again) {
+		return
+	}
+	if !reflect.DeepEqual(mine, viaGob) {
+		t.Fatalf("binary layout decodes\n%+v\ngob decodes\n%+v", mine, viaGob)
+	}
 }
 
 // checkSnapshot verifies the codec contract for one accepted snapshot.
 func checkSnapshot(t *testing.T, doc *Snapshot, codec string) {
 	t.Helper()
+	if codec == "binary" {
+		if _, err := BinarySize(doc); err != nil {
+			// Only a gob payload decodes to a document the layout
+			// cannot carry; checkMatchesGob checks it cannot restore.
+			return
+		}
+	}
 	encode := func(d *Snapshot) []byte {
 		var b bytes.Buffer
 		var err error
@@ -82,7 +130,7 @@ func checkSnapshot(t *testing.T, doc *Snapshot, codec string) {
 		if codec == "json" {
 			d, err = DecodeJSON(bytes.NewReader(raw))
 		} else {
-			d, err = DecodeBinary(bytes.NewReader(raw))
+			d, err = ParseBinary(raw)
 		}
 		if err != nil {
 			t.Fatalf("%s: encoded snapshot failed to decode: %v", codec, err)

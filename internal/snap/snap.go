@@ -7,14 +7,38 @@
 //
 //   - JSON (EncodeJSON/DecodeJSON) — the wire format served and
 //     accepted by cmd/sesd; human-inspectable.
-//   - binary (EncodeBinary/DecodeBinary) — a magic header, a version
-//     byte and a gob payload; the compact at-rest format.
+//   - binary (AppendBinary/EncodeBinary, ParseBinary/DecodeBinary) —
+//     the compact at-rest format of WAL records and checkpoints.
+//
+// # Binary layout
+//
+// A binary snapshot is the magic "SESSNAP", one header byte, then the
+// payload. The header byte is 0x80 | the document version, so 0x82
+// for every snapshot this build writes. The payload holds the
+// Snapshot fields in declaration order: integers as varints (zig-zag
+// for signed values, plain for counts and the σ seed), floats as the
+// 8 little-endian bytes of their IEEE bits, strings as a length and
+// their bytes, lists as a count and their elements, and the instance
+// behind a presence byte. Each interest matrix is the CSR triplet
+// ses/internal/colstore lays out: the row and entry counts, rows+1
+// int64 row offsets, then every id as an int32 and every value as a
+// float64, all fixed little-endian; the σ table uses the same offsets
+// over float64 values. The decoder checks every count against the
+// bytes left before it allocates, reads each matrix into one ids and
+// one values slice, and returns nothing that shares memory with its
+// input.
+//
+// A header byte below 0x80 is a gob payload of that version, the
+// binary form of earlier builds. Gob is read-only: such snapshots
+// still decode, so old logs and checkpoints recover, but nothing
+// writes them. Those builds refuse the 0x80 header byte with
+// ErrVersion rather than misread it.
 //
 // # Version policy
 //
 // Every snapshot carries the format version (the Version constant,
-// also the version byte of the binary header). The policy: any change
-// that an existing decoder would misread — removed or re-typed
+// also the low seven bits of the binary header byte). The policy: any
+// change that an existing decoder would misread — removed or re-typed
 // fields, changed semantics, changed canonical ordering — bumps the
 // version; decoders accept exactly the versions they know and reject
 // everything else up front with ErrVersion, never by guessing. Purely
@@ -22,7 +46,8 @@
 // reproduces the old behavior; the JSON decoder still rejects unknown
 // fields (strictness beats silent drift — an unknown field in an
 // accepted version means corruption or a writer newer than the
-// reader, and both must surface).
+// reader, and both must surface). A new binary payload layout for the
+// same document keeps the version and takes a new header byte.
 //
 // Version history:
 //
@@ -36,6 +61,10 @@
 //     policy exists to prevent. Writers always emit version 2; a
 //     document claiming version 1 while carrying an objective is
 //     rejected as corrupt.
+//   - Binary header bytes 0x81 and 0x82 — the hand-written payload
+//     above replaces gob for versions 1 and 2. The JSON format and
+//     its bytes are unchanged; header bytes 1 and 2 (gob) are still
+//     read.
 //
 // Both encoders are canonical: a decoded snapshot re-encodes to
 // byte-identical output, and restore(snapshot(s)) is the identity on
@@ -43,8 +72,6 @@
 package snap
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,7 +93,8 @@ const versionOmegaOnly = 1
 // knownVersion reports whether this build's decoders read v.
 func knownVersion(v int) bool { return v == Version || v == versionOmegaOnly }
 
-// magic prefixes binary snapshots; the byte after it is the version.
+// magic prefixes binary snapshots; the header byte after it names
+// the version and the payload layout.
 const magic = "SESSNAP"
 
 // ErrVersion reports a snapshot whose version this decoder does not
@@ -226,44 +254,6 @@ func DecodeJSON(r io.Reader) (*Snapshot, error) {
 	}
 	if !knownVersion(s.Version) {
 		return nil, fmt.Errorf("%w: %d (this build reads %d and %d)", ErrVersion, s.Version, versionOmegaOnly, Version)
-	}
-	return &s, nil
-}
-
-// EncodeBinary writes the compact at-rest form: the magic header, one
-// version byte, then the gob-encoded document. Gob emits struct fields
-// in declaration order and the document holds no maps, so the encoding
-// is deterministic.
-func EncodeBinary(w io.Writer, s *Snapshot) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{byte(s.Version)}); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// DecodeBinary reads a snapshot written by EncodeBinary, checking the
-// magic header and version before touching the payload.
-func DecodeBinary(r io.Reader) (*Snapshot, error) {
-	head := make([]byte, len(magic)+1)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("snap: reading snapshot header: %w", err)
-	}
-	if !bytes.Equal(head[:len(magic)], []byte(magic)) {
-		return nil, errors.New("snap: not a binary snapshot (bad magic)")
-	}
-	v := int(head[len(magic)])
-	if !knownVersion(v) {
-		return nil, fmt.Errorf("%w: %d (this build reads %d and %d)", ErrVersion, v, versionOmegaOnly, Version)
-	}
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("snap: decoding snapshot payload: %w", err)
-	}
-	if s.Version != v {
-		return nil, fmt.Errorf("snap: header version %d does not match document version %d", v, s.Version)
 	}
 	return &s, nil
 }

@@ -103,6 +103,10 @@ type Durable struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
+	// recovery is how long OpenDurable took to open the shard logs and
+	// recover every session.
+	recovery time.Duration
+
 	closed atomic.Bool
 	// poison latches the first WAL append failure: once the log and
 	// the in-memory state can disagree, every later durable op fails
@@ -114,6 +118,7 @@ type Durable struct {
 // at dir. Recovery replays every shard's checkpoint and log before
 // the store is returned, so the result is ready to serve.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
+	start := time.Now()
 	d := &Durable{
 		Store:  New(opts.Session),
 		dir:    dir,
@@ -137,6 +142,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 			return nil, fmt.Errorf("store: recovering %s: %w", d.shardDir(i), err)
 		}
 	}
+	d.recovery = time.Since(start)
 	if opts.Sync == wal.SyncInterval {
 		d.flusher = wal.NewFlusher(opts.SyncInterval, d.logs[:])
 	}
@@ -152,6 +158,10 @@ func (d *Durable) shardDir(i int) string {
 
 // Dir returns the store's data directory.
 func (d *Durable) Dir() string { return d.dir }
+
+// Recovery returns how long OpenDurable took to open the shard logs
+// and recover every session from its checkpoint and records.
+func (d *Durable) Recovery() time.Duration { return d.recovery }
 
 // WALStats sums the append-path counters of every shard log: appends
 // and fsyncs (see wal.Stats.RecordsPerFsync).

@@ -1,0 +1,201 @@
+package store
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"sort"
+	"testing"
+
+	"ses/internal/choice"
+	"ses/internal/core"
+	"ses/internal/session"
+	"ses/internal/sestest"
+)
+
+// fixtureState is what testdata/gob_era.expected.json records of a
+// store: its promotion epoch, its metas and every session's
+// checkpoint entry (the counters and the full snapshot).
+type fixtureState struct {
+	Epoch   uint64               `json:"epoch"`
+	Metas   []Meta               `json:"metas"`
+	Entries []WALCheckpointEntry `json:"entries"`
+}
+
+// stateOf reads a store's fixtureState, entries sorted by name.
+func stateOf(t testing.TB, s *Store) fixtureState {
+	t.Helper()
+	st := fixtureState{Epoch: s.Epoch(), Metas: s.Metas()}
+	for i := 0; i < numShards; i++ {
+		entries, err := s.ExportShardEntries(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Entries = append(st.Entries, entries...)
+	}
+	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Name < st.Entries[j].Name })
+	return st
+}
+
+// buildFixtureLog drives d through the history behind
+// testdata/gob_era: two sessions of one shard with a batch and a
+// resolve, one checkpoint of that shard, then a batch on top of it, a
+// staged-only batch, a create and resolve of a third session, a
+// restore and an adopt at epoch 3 followed by a batch. The store is
+// left open, as a crash would leave it.
+func buildFixtureLog(t testing.TB, d *Durable) {
+	t.Helper()
+	ctx := context.Background()
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst := func(seed uint64) *core.Instance {
+		return sestest.Random(sestest.Config{Users: 24, Events: 8, Intervals: 4, Competing: 2, Seed: seed})
+	}
+	// beta shares alpha's shard, so the checkpoint is one file.
+	beta := ""
+	for n := 0; beta == ""; n++ {
+		if name := fmt.Sprintf("beta-%d", n); shardIndex(name) == shardIndex("alpha") {
+			beta = name
+		}
+	}
+	att, err := choice.NewAttendance(0.3)
+	check(err)
+	fair, err := choice.NewFairness(0.6)
+	check(err)
+
+	check(d.CreateWithObjective("alpha", inst(41), 4, choice.Omega))
+	check(d.CreateWithObjective(beta, inst(42), 3, att))
+	_, err = d.ApplyBatch(ctx, "alpha", []Mutation{
+		AddEvent(core.Event{Location: 1, Required: 2, Name: "late show"}, map[int]float64{0: 0.75, 5: 0.5, 23: 1}),
+		UpdateInterest(3, 2, 0.875),
+		AddCompeting(core.CompetingEvent{Interval: 2, Name: "rival"}, map[int]float64{1: 0.4}),
+	})
+	check(err)
+	_, err = d.Resolve(ctx, beta)
+	check(err)
+	check(d.Checkpoint())
+
+	sched, err := d.Get("alpha")
+	check(err)
+	first := sched.Schedule()[0]
+	_, err = d.ApplyBatch(ctx, "alpha", []Mutation{Pin(first.Event, first.Interval), Forbid(0, 1), CancelEvent(2), SetK(5)})
+	check(err)
+	// A valid prefix, then an out-of-range pin: the prefix is logged
+	// without a commit stamp.
+	if _, err := d.ApplyBatch(ctx, "alpha", []Mutation{UpdateInterest(7, 1, 0.25), Pin(999, 0)}); err == nil {
+		t.Fatal("out-of-range pin applied")
+	}
+	check(d.CreateWithObjective("gamma", inst(43), 4, fair))
+	_, err = d.Resolve(ctx, "gamma")
+	check(err)
+	st, err := d.Snapshot("alpha")
+	check(err)
+	check(d.Restore("delta", st, false))
+	st, err = d.Snapshot(beta)
+	check(err)
+	check(d.Adopt("epsilon", st, 7, 11, 2, 3))
+	_, err = d.ApplyBatch(ctx, "epsilon", []Mutation{UpdateInterest(2, 1, 0.5), Unpin(0)})
+	check(err)
+}
+
+// fixtureOptions opens the fixture's store: no automatic checkpoint,
+// one scoring worker.
+var fixtureOptions = DurableOptions{CheckpointEvery: -1, Session: session.Options{Workers: 1}}
+
+// recoverCopy recovers a copy of the data directory src.
+func recoverCopy(t *testing.T, src string) *Durable {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDurable(dir, fixtureOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// checkFixtureState compares s with testdata/gob_era.expected.json:
+// every field through the file's bytes, and each utility bit for bit.
+func checkFixtureState(t *testing.T, what string, s *Store) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/gob_era.expected.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := stateOf(t, s)
+	b, err := json.MarshalIndent(got, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(b, '\n'), raw) {
+		t.Fatalf("%s: state differs from testdata/gob_era.expected.json:\n%s", what, b)
+	}
+	var want fixtureState
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range got.Metas {
+		if math.Float64bits(m.Utility) != math.Float64bits(want.Metas[i].Utility) ||
+			math.Float64bits(got.Entries[i].Snapshot.Utility) != math.Float64bits(want.Entries[i].Snapshot.Utility) {
+			t.Fatalf("%s: %s utility %v, want %v", what, m.Name, m.Utility, want.Metas[i].Utility)
+		}
+	}
+}
+
+// TestGobEraDataDirRecovers: testdata/gob_era is a data directory the
+// last build with gob snapshots wrote through buildFixtureLog (create,
+// batch, staged batch, resolve, restore and adopt-epoch records, and
+// one checkpoint of two sessions), left as a crash leaves it. It
+// recovers to the state that build recorded, and so does the
+// directory this build writes through the same history. After a
+// checkpoint in the current layout, both recover once more to the same
+// epoch and session snapshots.
+func TestGobEraDataDirRecovers(t *testing.T) {
+	gobEra := recoverCopy(t, "testdata/gob_era")
+	checkFixtureState(t, "gob-era directory", gobEra.Store)
+	want := stateOf(t, gobEra.Store)
+
+	fresh := t.TempDir()
+	d, err := OpenDurable(fresh, fixtureOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildFixtureLog(t, d)
+	checkFixtureState(t, "live store", d.Store)
+	checkFixtureState(t, "this build's directory", recoverCopy(t, fresh).Store)
+
+	for _, dd := range []*Durable{gobEra, d} {
+		if err := dd.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenDurable(dd.Dir(), fixtureOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only the snapshots: a checkpoint stores the live mutation
+		// counter, which counts the staged batch's mutation, while Meta
+		// and the fixture do not.
+		got := stateOf(t, again.Store)
+		if got.Epoch != want.Epoch || len(got.Entries) != len(want.Entries) {
+			t.Fatalf("after a checkpoint: epoch %d and %d sessions, want %d and %d", got.Epoch, len(got.Entries), want.Epoch, len(want.Entries))
+		}
+		for i, e := range got.Entries {
+			if !reflect.DeepEqual(e.Snapshot, want.Entries[i].Snapshot) {
+				t.Fatalf("after a checkpoint: %s snapshot differs", e.Name)
+			}
+		}
+		if err := again.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

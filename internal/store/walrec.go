@@ -23,6 +23,16 @@ import (
 // Record kinds are part of the WAL format: adding a kind is additive
 // (old readers reject unknown kinds loudly), changing a body's
 // meaning bumps the wal framing version (ses/internal/wal.Version).
+//
+// Binary snapshots carry their own layout in their header byte (see
+// ses/internal/snap), so a new snapshot layout leaves the framing
+// version alone. Snapshots are written in the hand-written layout
+// (header byte 0x82) and read in it or as the gob payloads of earlier
+// builds (header bytes 1 and 2). An earlier build handed a record or
+// checkpoint in the new layout fails it with snap.ErrVersion rather
+// than misreading it, which is why wal.Version stays 1: the frames
+// did not change, and an old reader already refuses what it cannot
+// read.
 const (
 	// recCreate logs a session creation; body = binary snapshot of the
 	// fresh session (name, k, objective, instance, empty schedule).
@@ -120,19 +130,20 @@ type resolveRec struct {
 }
 
 // encodeSnapshotRecord frames a session state as a kind + binary
-// snapshot payload (with an optional flag byte for recRestore).
+// snapshot payload (with flag or counter bytes for recRestore and
+// recAdoptEpoch), in one exactly sized allocation.
 func encodeSnapshotRecord(kind byte, flags []byte, name string, st *session.State) ([]byte, error) {
 	doc, err := snap.FromState(name, st)
 	if err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	b.WriteByte(kind)
-	b.Write(flags)
-	if err := snap.EncodeBinary(&b, doc); err != nil {
+	n, err := snap.BinarySize(doc)
+	if err != nil {
 		return nil, err
 	}
-	return b.Bytes(), nil
+	b := make([]byte, 0, 1+len(flags)+n)
+	b = append(append(b, kind), flags...)
+	return snap.AppendBinary(b, doc)
 }
 
 func encodeCreateRecord(name string, st *session.State) ([]byte, error) {
@@ -216,7 +227,7 @@ func DecodeWALRecord(payload []byte) (*WALRecord, error) {
 	kind, body := payload[0], payload[1:]
 	switch kind {
 	case recCreate:
-		doc, err := snap.DecodeBinary(bytes.NewReader(body))
+		doc, err := snap.ParseBinary(body)
 		if err != nil {
 			return nil, fmt.Errorf("store: create record: %w", err)
 		}
@@ -249,7 +260,7 @@ func DecodeWALRecord(payload []byte) (*WALRecord, error) {
 		if len(body) < 1 {
 			return nil, errors.New("store: restore record without a flag byte")
 		}
-		doc, err := snap.DecodeBinary(bytes.NewReader(body[1:]))
+		doc, err := snap.ParseBinary(body[1:])
 		if err != nil {
 			return nil, fmt.Errorf("store: restore record: %w", err)
 		}
@@ -262,7 +273,7 @@ func DecodeWALRecord(payload []byte) (*WALRecord, error) {
 		if len(body) < head {
 			return nil, errors.New("store: adopt record without its counters")
 		}
-		doc, err := snap.DecodeBinary(bytes.NewReader(body[head:]))
+		doc, err := snap.ParseBinary(body[head:])
 		if err != nil {
 			return nil, fmt.Errorf("store: adopt record: %w", err)
 		}
@@ -313,58 +324,64 @@ type WALCheckpointEntry struct {
 	Snapshot *snap.Snapshot `json:"snapshot,omitempty"`
 }
 
-// encodeCheckpoint serializes the entries.
+// encodeCheckpoint serializes the entries into one exactly sized
+// allocation.
 func encodeCheckpoint(entries []WALCheckpointEntry) ([]byte, error) {
-	var b bytes.Buffer
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(entries)))
-	b.Write(n[:])
-	for _, e := range entries {
-		snapDoc := e.Snapshot
+	metas := make([][]byte, len(entries))
+	sizes := make([]int, len(entries))
+	total := 4
+	for i, e := range entries {
+		doc := e.Snapshot
 		e.Snapshot = nil
 		meta, err := json.Marshal(e)
 		if err != nil {
 			return nil, err
 		}
-		var body bytes.Buffer
-		if err := snap.EncodeBinary(&body, snapDoc); err != nil {
+		n, err := snap.BinarySize(doc)
+		if err != nil {
+			return nil, fmt.Errorf("store: checkpoint entry %q: %w", e.Name, err)
+		}
+		metas[i], sizes[i] = meta, n
+		total += 4 + len(meta) + 4 + n
+	}
+	b := make([]byte, 0, total)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
+	for i, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(metas[i])))
+		b = append(b, metas[i]...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(sizes[i]))
+		var err error
+		if b, err = snap.AppendBinary(b, e.Snapshot); err != nil {
 			return nil, err
 		}
-		binary.LittleEndian.PutUint32(n[:], uint32(len(meta)))
-		b.Write(n[:])
-		b.Write(meta)
-		binary.LittleEndian.PutUint32(n[:], uint32(body.Len()))
-		b.Write(n[:])
-		b.Write(body.Bytes())
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // DecodeWALCheckpoint parses a checkpoint payload back into entries.
+// The entries share no memory with data.
 func DecodeWALCheckpoint(data []byte) ([]WALCheckpointEntry, error) {
-	r := bytes.NewReader(data)
-	var n [4]byte
-	if _, err := r.Read(n[:]); err != nil {
+	if len(data) < 4 {
 		return nil, errors.New("store: checkpoint too short for its count")
 	}
-	count := binary.LittleEndian.Uint32(n[:])
-	if uint64(count) > uint64(len(data)) {
+	count, rest := binary.LittleEndian.Uint32(data), data[4:]
+	// Each entry takes at least its two 4-byte block lengths.
+	if uint64(count) > uint64(len(rest)/8) {
 		return nil, fmt.Errorf("store: checkpoint claims %d sessions in %d bytes", count, len(data))
 	}
 	entries := make([]WALCheckpointEntry, 0, count)
 	readBlock := func() ([]byte, error) {
-		if _, err := r.Read(n[:]); err != nil {
+		if len(rest) < 4 {
 			return nil, errors.New("short block length")
 		}
-		ln := binary.LittleEndian.Uint32(n[:])
-		if uint64(ln) > uint64(r.Len()) {
-			return nil, fmt.Errorf("block length %d exceeds remaining %d bytes", ln, r.Len())
+		ln := binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
+		if uint64(ln) > uint64(len(rest)) {
+			return nil, fmt.Errorf("block length %d exceeds remaining %d bytes", ln, len(rest))
 		}
-		buf := make([]byte, ln)
-		if _, err := r.Read(buf); err != nil && ln > 0 {
-			return nil, err
-		}
-		return buf, nil
+		block := rest[:ln]
+		rest = rest[ln:]
+		return block, nil
 	}
 	for i := uint32(0); i < count; i++ {
 		meta, err := readBlock()
@@ -379,15 +396,15 @@ func DecodeWALCheckpoint(data []byte) ([]WALCheckpointEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: checkpoint entry %d: %v", i, err)
 		}
-		doc, err := snap.DecodeBinary(bytes.NewReader(body))
+		doc, err := snap.ParseBinary(body)
 		if err != nil {
 			return nil, fmt.Errorf("store: checkpoint entry %d snapshot: %w", i, err)
 		}
 		e.Snapshot = doc
 		entries = append(entries, e)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after checkpoint entries", r.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("store: %d trailing bytes after checkpoint entries", len(rest))
 	}
 	return entries, nil
 }

@@ -194,3 +194,68 @@ func TestWALCheckpointDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// TestSnapshotRecordsRejectEveryTruncation: create, restore and adopt
+// records and checkpoints carry the current snapshot layout, are
+// sized exactly, and every proper prefix of one is refused without a
+// panic. A checkpoint whose count claims more entries than its bytes
+// can frame is refused before the entries are allocated.
+func TestSnapshotRecordsRejectEveryTruncation(t *testing.T) {
+	st := walTestState(t, 5)
+	create, err := encodeCreateRecord("alpha", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore, err := encodeRestoreRecord("beta", st, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopt, err := encodeAdoptRecord("gamma", st, 1, 2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string][]byte{"create": create, "restore": restore, "adopt": adopt} {
+		if cap(rec) != len(rec) {
+			t.Errorf("%s record: %d bytes in a buffer of %d", name, len(rec), cap(rec))
+		}
+		at := bytes.Index(rec, []byte("SESSNAP"))
+		if at < 0 || rec[at+len("SESSNAP")] != 0x80|snap.Version {
+			t.Fatalf("%s record does not carry the current snapshot layout", name)
+		}
+		if _, err := DecodeWALRecord(rec); err != nil {
+			t.Fatalf("%s record: %v", name, err)
+		}
+		for n := 0; n < len(rec); n++ {
+			if _, err := DecodeWALRecord(rec[:n]); err == nil {
+				t.Fatalf("a %d-byte prefix of a %d-byte %s record decoded", n, len(rec), name)
+			}
+		}
+	}
+
+	doc1, err := snap.FromState("one", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc2, err := snap.FromState("two", walTestState(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := encodeCheckpoint([]WALCheckpointEntry{{Name: "one", Resolves: 2, Snapshot: doc1}, {Name: "two", Epoch: 1, Snapshot: doc2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(ckpt) != len(ckpt) {
+		t.Errorf("checkpoint: %d bytes in a buffer of %d", len(ckpt), cap(ckpt))
+	}
+	for n := 0; n < len(ckpt); n++ {
+		if _, err := DecodeWALCheckpoint(ckpt[:n]); err == nil {
+			t.Fatalf("a %d-byte prefix of a %d-byte checkpoint decoded", n, len(ckpt))
+		}
+	}
+	if _, err := DecodeWALCheckpoint([]byte{0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("a checkpoint claiming 2^28 entries in 8 bytes decoded")
+	}
+	if _, err := encodeCheckpoint([]WALCheckpointEntry{{Name: "none"}}); err == nil {
+		t.Fatal("a checkpoint entry without a snapshot encoded")
+	}
+}

@@ -205,12 +205,17 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error { return snap.EncodeJSON(w, 
 // unknown versions.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) { return snap.DecodeJSON(r) }
 
-// EncodeSnapshotBinary writes the compact binary at-rest form (magic
-// header, version byte, gob payload).
+// EncodeSnapshotBinary writes the compact binary at-rest form, the
+// one WAL records and checkpoints carry: the magic header, a header
+// byte naming the version and layout, then a hand-written payload
+// whose interest matrices are little-endian CSR arrays. Builds before
+// this layout cannot read it (they answer ErrVersion).
 func EncodeSnapshotBinary(w io.Writer, s *Snapshot) error { return snap.EncodeBinary(w, s) }
 
-// DecodeSnapshotBinary reads a binary snapshot written by
-// EncodeSnapshotBinary.
+// DecodeSnapshotBinary reads r to its end and decodes the binary
+// snapshot it holds: one written by EncodeSnapshotBinary, or the gob
+// payload of an earlier build, which is still read but no longer
+// written.
 func DecodeSnapshotBinary(r io.Reader) (*Snapshot, error) { return snap.DecodeBinary(r) }
 
 // RestoreScheduler rebuilds a standalone Scheduler (outside any
