@@ -330,9 +330,9 @@ func placeSessions(ctx context.Context, nodes []*benchNode, prefix string, n int
 	}
 	ring := nodes[0].node.Ring()
 	primaries := make([]*benchNode, n)
-	names, err := warmSessions(ctx, n, prefix, clusterShape, 4, seed, func(i int, name string) sessionStore {
+	names, err := warmSessions(ctx, n, prefix, clusterShape, 4, seed, func(i int, name string) *ses.Store {
 		primaries[i] = byID[ring.Primary(name)]
-		return primaries[i].store
+		return primaries[i].store.Store
 	})
 	return names, primaries, err
 }

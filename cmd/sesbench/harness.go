@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"ses"
-	"ses/internal/core"
 	"ses/internal/ebsn"
-	"ses/internal/session"
 	"ses/internal/sestest"
 )
 
@@ -167,17 +165,11 @@ func readArtifact(out io.Writer, path string, rep any) error {
 	return nil
 }
 
-// sessionStore is what warmSessions needs of a store.
-type sessionStore interface {
-	Create(name string, inst *core.Instance, k int) error
-	Resolve(ctx context.Context, name string) (*session.Delta, error)
-}
-
 // warmSessions creates n sessions named prefix-i on the store place
 // picks for each, every one a random instance of the given shape
 // seeded seed+i, and runs each opening solve so that load drivers
 // measure incremental commits.
-func warmSessions(ctx context.Context, n int, prefix string, shape sestest.Config, k int, seed uint64, place func(i int, name string) sessionStore) ([]string, error) {
+func warmSessions(ctx context.Context, n int, prefix string, shape sestest.Config, k int, seed uint64, place func(i int, name string) *ses.Store) ([]string, error) {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("%s-%d", prefix, i)

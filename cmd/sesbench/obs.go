@@ -155,7 +155,7 @@ func obsThroughputBench(ctx context.Context, seed uint64, quick bool, cpus int) 
 			tracer = o.Tracer
 		}
 		shape := sestest.Config{Users: 120, Events: 12, Intervals: 4, Competing: 2}
-		names, err := warmSessions(ctx, sessions, "obs", shape, 4, seed, func(int, string) sessionStore { return st })
+		names, err := warmSessions(ctx, sessions, "obs", shape, 4, seed, func(int, string) *ses.Store { return st })
 		if err != nil {
 			return 0, err
 		}

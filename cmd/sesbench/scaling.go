@@ -152,7 +152,7 @@ func scaleStore(ctx context.Context, seed uint64, quick bool) (float64, error) {
 	pipe := ses.NewPipeline(st, ses.WithResolveWorkers(0))
 	defer pipe.Close()
 	shape := sestest.Config{Users: 200, Events: 16, Intervals: 5, Competing: 3}
-	names, err := warmSessions(ctx, sessions, "scale", shape, 6, seed, func(int, string) sessionStore { return st })
+	names, err := warmSessions(ctx, sessions, "scale", shape, 6, seed, func(int, string) *ses.Store { return st })
 	if err != nil {
 		return 0, err
 	}

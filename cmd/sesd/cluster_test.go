@@ -93,7 +93,7 @@ func newDaemonCluster(t *testing.T, n int, tweaks ...func(*cluster.NodeOptions))
 			t.Fatal(err)
 		}
 		pipe := ses.NewPipeline(d, ses.WithResolveWorkers(1))
-		swaps[id].h.Store(newServer(d, pipe, o, d, node).routes())
+		swaps[id].h.Store(newServer(d.Store, pipe, o, d, node).routes())
 		node.Start()
 		dc.nodes[id] = node
 		pipes, stores = append(pipes, pipe), append(stores, d)
@@ -449,7 +449,7 @@ func TestShutdownEndsLongLivedStreams(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- serve(ctx, ln, d1, ses.NewPipeline(d1, ses.WithResolveWorkers(1)), d1, n1, o, 5*time.Second)
+		done <- serve(ctx, ln, d1.Store, ses.NewPipeline(d1, ses.WithResolveWorkers(1)), d1, n1, o, 5*time.Second)
 	}()
 	url := peers["n1"]
 	do(t, "POST", url+"/v1/sessions", createReq{Name: "drain", K: 3, Instance: instanceDoc(t, 61)}, http.StatusCreated, nil)

@@ -17,7 +17,7 @@ import (
 // startServe runs the full serve loop (listener, graceful shutdown,
 // final checkpoint) on an ephemeral port and returns the base URL, a
 // shutdown trigger and the exit channel.
-func startServe(t *testing.T, st storeAPI, durable *ses.DurableStore) (url string, shutdown func(), done chan error) {
+func startServe(t *testing.T, st *ses.Store, durable *ses.DurableStore) (url string, shutdown func(), done chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,7 +40,7 @@ func TestGracefulShutdownDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, shutdown, done := startServe(t, d, d)
+	url, shutdown, done := startServe(t, d.Store, d)
 
 	doc := instanceDoc(t, 51)
 	var meta ses.SessionMeta
@@ -93,7 +93,7 @@ func TestGracefulShutdownDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url2, shutdown2, done2 := startServe(t, d2, d2)
+	url2, shutdown2, done2 := startServe(t, d2.Store, d2)
 	var meta2 ses.SessionMeta
 	do(t, "GET", url2+"/v1/sessions/fest", nil, http.StatusOK, &meta2)
 	if meta2.K != 5 || meta2.Mutations != meta.Mutations+2 {
@@ -162,7 +162,7 @@ func TestShutdownCancelsInFlightResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, shutdown, done := startServe(t, d, d)
+	url, shutdown, done := startServe(t, d.Store, d)
 	doc := instanceDoc(t, 53)
 	do(t, "POST", url+"/v1/sessions", createReq{Name: "busy", K: 4, Instance: doc}, http.StatusCreated, nil)
 

@@ -145,22 +145,6 @@ func main() {
 	}
 }
 
-// storeAPI is the store surface the daemon serves. Both the
-// memory-only *ses.Store and the durable *ses.DurableStore satisfy
-// it, so every handler is durability-agnostic.
-type storeAPI interface {
-	CreateWithObjective(name string, inst *ses.Instance, k int, obj ses.Objective) error
-	Restore(name string, st *ses.SessionState, replace bool) error
-	Delete(name string) error
-	Get(name string) (*ses.Scheduler, error)
-	Meta(name string) (ses.SessionMeta, error)
-	Metas() []ses.SessionMeta
-	Len() int
-	Snapshot(name string) (*ses.SessionState, error)
-	Resolve(ctx context.Context, name string) (*ses.Delta, error)
-	ApplyBatch(ctx context.Context, name string, muts []ses.Mutation) (*ses.BatchResult, error)
-}
-
 // run parses flags, opens the (possibly durable) store, and serves
 // until ctx is cancelled by a signal.
 func run(ctx context.Context, args []string) error {
@@ -210,7 +194,7 @@ func run(ctx context.Context, args []string) error {
 		}()
 	}
 
-	var st storeAPI
+	var st *ses.Store
 	var durable *ses.DurableStore
 	if *dataDir != "" {
 		pol, err := ses.ParseSyncPolicy(*syncSpec)
@@ -229,7 +213,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		log.Printf("sesd: recovered %d sessions from %s in %s (sync=%s)", d.Len(), *dataDir, d.Recovery().Round(time.Microsecond), pol)
-		durable, st = d, d
+		durable, st = d, d.Store
 	} else {
 		// Catch a silently-ignored durability flag: an operator who
 		// tunes -sync but forgets -data-dir must not discover the
@@ -322,7 +306,7 @@ const readHeaderTimeout = 5 * time.Second
 // committing (cancellation, unlike a deadline, never commits a
 // best-so-far) — the previous schedules stay current and batch
 // mutations stay staged for the next resolve.
-func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline, durable *ses.DurableStore, node *cluster.Node, o *ses.Observability, drain time.Duration) error {
+func serve(ctx context.Context, ln net.Listener, st *ses.Store, pipe *ses.Pipeline, durable *ses.DurableStore, node *cluster.Node, o *ses.Observability, drain time.Duration) error {
 	srv := newServer(st, pipe, o, durable, node)
 	if node != nil {
 		node.Start()
@@ -388,7 +372,7 @@ func serve(ctx context.Context, ln net.Listener, st storeAPI, pipe *ses.Pipeline
 // server wires the store to the HTTP surface and keeps the daemon
 // metrics in one registry.
 type server struct {
-	store storeAPI
+	store *ses.Store
 	// pipeline coalesces and parallelizes resolve/batch traffic;
 	// requests with an explicit deadline go straight to the store so
 	// the deadline reaches their own anytime solve.
@@ -429,7 +413,7 @@ type server struct {
 // newServer builds the daemon's handler state and registers its
 // metric families. durable and node are nil on a memory-only or
 // unclustered daemon.
-func newServer(st storeAPI, pipe *ses.Pipeline, o *ses.Observability, durable *ses.DurableStore, node *cluster.Node) *server {
+func newServer(st *ses.Store, pipe *ses.Pipeline, o *ses.Observability, durable *ses.DurableStore, node *cluster.Node) *server {
 	s := &server{store: st, pipeline: pipe, node: node, obs: o, start: time.Now(),
 		maxCells: maxScoreCells, bodyTimeout: cluster.BodyReadTimeout}
 	if durable != nil {
@@ -960,6 +944,13 @@ type scheduleResp struct {
 	Utility     float64          `json:"utility"`
 }
 
+// scheduleOf reads a session's committed schedule and its utility
+// under one lock, so the two always describe the same commit.
+func scheduleOf(sched *ses.Scheduler) scheduleResp {
+	assignments, utility, _, _ := sched.Committed()
+	return scheduleResp{Assignments: assignments, Utility: utility}
+}
+
 func (s *server) getSchedule(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sched, err := s.store.Get(name)
@@ -967,14 +958,14 @@ func (s *server) getSchedule(w http.ResponseWriter, r *http.Request) {
 		if replica, peer, ok := s.replicaFor(name, err); ok {
 			if rs, rerr := replica.Get(name); rerr == nil {
 				w.Header().Set("X-Ses-Replica-Of", peer)
-				s.writeJSON(w, http.StatusOK, scheduleResp{Assignments: rs.Schedule(), Utility: rs.Utility()})
+				s.writeJSON(w, http.StatusOK, scheduleOf(rs))
 				return
 			}
 		}
 		s.writeErr(w, statusOf(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, scheduleResp{Assignments: sched.Schedule(), Utility: sched.Utility()})
+	s.writeJSON(w, http.StatusOK, scheduleOf(sched))
 }
 
 func (s *server) getSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ses"
 	"ses/internal/core"
@@ -481,5 +483,67 @@ func TestDaemonObjectiveSelection(t *testing.T) {
 	}
 	if restored.Objective != "fairness:0.7" {
 		t.Fatalf("restored meta objective = %q", restored.Objective)
+	}
+}
+
+// TestScheduleReadsOneCommit reads /schedule while commits alternate
+// between k=2 and k=3: every response must pair a schedule with the
+// utility of the same commit, never one commit's schedule with the
+// other's utility.
+func TestScheduleReadsOneCommit(t *testing.T) {
+	ctx := context.Background()
+	st := ses.NewStore(ses.WithWorkers(1))
+	h := newServer(st, nil, nil, nil, nil).routes()
+	if err := st.Create("s", sestest.Random(sestest.Config{Users: 25, Events: 10, Intervals: 4, Seed: 3}), 3); err != nil {
+		t.Fatal(err)
+	}
+	// utility[n] is the utility of the n-event schedule k=n commits.
+	utility := map[int]float64{}
+	for _, k := range []int{2, 3} {
+		res, err := st.ApplyBatch(ctx, "s", []ses.Mutation{ses.SetKOp(k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := st.Meta("s"); err != nil || m.Scheduled != k {
+			t.Fatalf("k=%d committed %d events (%v)", k, m.Scheduled, err)
+		}
+		utility[k] = res.Delta.Utility
+	}
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for k := 2; ; k = 5 - k {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := st.ApplyBatch(ctx, "s", []ses.Mutation{ses.SetKOp(k)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Delta.Utility != utility[k] {
+				t.Errorf("k=%d committed utility %v, then %v", k, utility[k], res.Delta.Utility)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-writerDone
+	}()
+	deadline := time.Now().Add(time.Second)
+	for read := 0; read < 20000 && time.Now().Before(deadline); read++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/s/schedule", nil))
+		var resp scheduleResp
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := utility[len(resp.Assignments)]; !ok || resp.Utility != want {
+			t.Fatalf("read %d: %d events with utility %v; the %d-event commit has utility %v", read, len(resp.Assignments), resp.Utility, len(resp.Assignments), want)
+		}
 	}
 }

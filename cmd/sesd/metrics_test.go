@@ -254,7 +254,7 @@ func TestRecoveryGauge(t *testing.T) {
 	if d.Len() != 3 || d.Recovery() <= 0 {
 		t.Fatalf("recovered %d sessions in %v", d.Len(), d.Recovery())
 	}
-	srv := httptest.NewServer(newServer(d, nil, o, d, nil).routes())
+	srv := httptest.NewServer(newServer(d.Store, nil, o, d, nil).routes())
 	defer srv.Close()
 	if got, want := scrapeSeries(t, srv.URL)["ses_recovery_seconds"], d.Recovery().Seconds(); got != want {
 		t.Errorf("ses_recovery_seconds = %v, want %v", got, want)

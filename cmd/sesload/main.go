@@ -103,16 +103,6 @@ type latencySummary struct {
 	MaxUs float64 `json:"max_us"`
 }
 
-// loadStore is the store surface the generator drives; both the
-// memory-only and the durable store satisfy it.
-type loadStore interface {
-	Create(name string, inst *ses.Instance, k int) error
-	Get(name string) (*ses.Scheduler, error)
-	Snapshot(name string) (*ses.SessionState, error)
-	Resolve(ctx context.Context, name string) (*ses.Delta, error)
-	ApplyBatch(ctx context.Context, name string, muts []ses.Mutation) (*ses.BatchResult, error)
-}
-
 // resolver is the mutate/resolve surface a driver commits through —
 // the store itself, or a ses.Pipeline over it with -resolve-workers.
 type resolver interface {
@@ -195,8 +185,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-ack-file only applies with -cluster")
 	}
 
-	var st loadStore
-	var backend ses.PipelineBackend
+	var st *ses.Store
 	durable := *durableDir != ""
 	if !durable {
 		// Same foot-gun guard as sesd: a tuned -sync without -durable
@@ -223,14 +212,13 @@ func run(args []string, out io.Writer) error {
 		// A clean run closes with a final checkpoint; a kill -9 leaves
 		// the log for the next boot to recover, which is the point.
 		defer d.Close()
-		st, backend = d, d
+		st = d.Store
 	} else {
-		s := ses.NewStore(ses.WithWorkers(*workers))
-		st, backend = s, s
+		st = ses.NewStore(ses.WithWorkers(*workers))
 	}
 	var rs resolver = st
 	if *resolveWorkers > 0 {
-		pipe := ses.NewPipeline(backend, ses.WithResolveWorkers(*resolveWorkers))
+		pipe := ses.NewPipeline(st, ses.WithResolveWorkers(*resolveWorkers))
 		defer pipe.Close()
 		rs = pipe
 	}
@@ -356,7 +344,7 @@ type driveResult struct {
 // cancellations can avoid pinned events without races. With durable
 // set, every mutation goes through ApplyBatch so the write-ahead log
 // sees it; otherwise mutations are applied directly to the scheduler.
-func driveSession(st loadStore, rs resolver, name string, idx int, seed uint64, users, intervals int,
+func driveSession(st *ses.Store, rs resolver, name string, idx int, seed uint64, users, intervals int,
 	warmed *sync.WaitGroup, start <-chan struct{}, dur time.Duration, durable bool) (res driveResult) {
 	ctx := context.Background()
 	src := randx.Derive(seed+uint64(idx), "sesload")

@@ -164,16 +164,19 @@
 // The store layer (ses/internal/store, exposed as Store) turns the
 // single-session Scheduler into a multi-organizer service. Sessions
 // live in a registry striped over fixed lock shards keyed by an
-// FNV-1a hash of the session id, so registry operations only contend
-// within one stripe and never behind a running solve. Each session
-// handle additionally publishes an immutable Meta value through an
-// atomic pointer after every commit; Meta/Metas reads load the
-// pointer without taking any session lock, which keeps dashboards and
-// load balancers off the solving hot path. ApplyBatch applies a group
-// of mutations — each one cheap bookkeeping with precise score-cache
+// FNV-1a hash of the session id. Every write holds its shard's op
+// lock from start to finish, so sessions of one shard serialize their
+// commits while different shards commit in parallel, and reads never
+// wait: each session handle publishes an immutable Meta value through
+// an atomic pointer after every write, and Meta/Metas, Get, Snapshot
+// and Names take no op lock, which keeps dashboards and load
+// balancers off the solving hot path. ApplyBatch applies a group of
+// mutations — each one cheap bookkeeping with precise score-cache
 // invalidation — and commits them with a single incremental Resolve,
 // producing exactly the outcome of the same mutations applied
-// one-by-one followed by one Resolve (test-enforced).
+// one-by-one followed by one Resolve (test-enforced); two batches on
+// one session never interleave. A memory store and a durable one run
+// this same write path; the durable store only adds a log to it.
 //
 // Snapshots (ses/internal/snap) serialize a session's full state —
 // instance, cancellations, pins, forbids, committed schedule — behind
@@ -224,29 +227,32 @@
 // ses/internal/store, exposed as DurableStore via OpenStore) makes
 // the serving layer crash-recoverable. Each registry shard owns an
 // append-only write-ahead log of length-prefixed, CRC32-checksummed
-// records; a durable Create/Delete/Restore/ApplyBatch/Resolve applies
-// in memory, then appends one record — the logical mutations (the
-// same tagged-union wire form sesd's batch endpoint speaks) paired
-// with a physical commit stamp (schedule, utility, stop reason,
-// cumulative counters) — and fsyncs per the configured sync policy
-// (always / interval / none) before acknowledging. The shard lock
-// spans the append and its fsync, so each shard's log has one writer
-// at a time and there is nothing for a group commit to batch: under
-// SyncAlways every write pays its own fsync, and different shards
-// fsync their own files in parallel. Recovery loads
-// each shard's newest checkpoint (full binary snapshots via the snap
-// codec), re-applies the logged mutations and installs the stamped
-// outcomes verbatim, so every acknowledged session State returns
-// byte-identical — including deadline-stopped best-so-far schedules a
-// re-run could not reproduce — while a torn log tail loses only the
-// record being written when the process died, which was never
-// acknowledged. Background checkpoints bound both log size and
-// recovery time by truncating the segments they cover; Close drains,
-// checkpoints and leaves a log that replays nothing. The crash matrix
-// in the test suite cuts a 200+-mutation log at every record boundary
-// and at torn offsets and asserts recovery always lands on exactly a
-// committed prefix. The seswal command inspects, verifies and dumps
-// log directories offline.
+// records, and a DurableStore's embedded Store points at those logs:
+// its one write path appends a record for every write and fsyncs per
+// the configured sync policy (always / interval / none) before
+// acknowledging. Create, Restore, Adopt and Delete append their
+// record before they change the registry; ApplyBatch and Resolve run
+// in memory first, then append the logical mutations (the same
+// tagged-union wire form sesd's batch endpoint speaks) paired with a
+// physical commit stamp (schedule, utility, stop reason, cumulative
+// counters). The shard lock spans the append and its fsync, so each
+// shard's log has one writer at a time and there is nothing for a
+// group commit to batch: under SyncAlways every write pays its own
+// fsync, and different shards fsync their own files in parallel.
+// Recovery loads each shard's newest checkpoint (full binary
+// snapshots via the snap codec), then replays the log through the
+// same write path, re-applying the logged mutations and installing
+// the stamped outcomes verbatim, so every acknowledged session State
+// returns byte-identical — including deadline-stopped best-so-far
+// schedules a re-run could not reproduce — while a torn log tail
+// loses only the record being written when the process died, which
+// was never acknowledged. Background checkpoints bound both log size
+// and recovery time by truncating the segments they cover; Close
+// drains, checkpoints and leaves a log that replays nothing. The
+// crash matrix in the test suite cuts a 200+-mutation log at every
+// record boundary and at torn offsets and asserts recovery always
+// lands on exactly a committed prefix. The seswal command inspects,
+// verifies and dumps log directories offline.
 //
 // # Architecture: the replication layer
 //

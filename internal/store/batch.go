@@ -128,26 +128,32 @@ type BatchResult struct {
 // score cache, the batch invalidates the union of those slices once
 // and the one resolve repairs it — the resulting schedule and utility
 // are exactly those of applying the same mutations one-by-one and
-// resolving once, which the test suite enforces.
+// resolving once, which the test suite enforces. The batch holds the
+// shard's op lock throughout, so concurrent batches on one session
+// never interleave.
 //
 // A mutation error aborts the batch before the resolve and is
 // returned; mutations earlier in the group stay applied (they are
-// individually valid) and commit with the session's next resolve. A
-// resolve error (e.g. ctx cancellation) likewise leaves the mutations
-// staged, not lost: the previous schedule stays committed and the
-// next resolve picks the staged work up.
+// individually valid), count in Meta, and commit with the session's
+// next resolve. A resolve error (e.g. ctx cancellation) likewise
+// leaves the mutations staged, not lost: the previous schedule stays
+// committed and the next resolve picks the staged work up. A durable
+// store logs the applied mutations and, when the resolve committed,
+// its outcome before the call returns, so recovery stages exactly the
+// same work.
 func (s *Store) ApplyBatch(ctx context.Context, name string, muts []Mutation) (*BatchResult, error) {
-	h, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	res := &BatchResult{}
+	return s.commit(ctx, name, muts, true, nil)
+}
+
+// apply applies muts in order to h's session, stopping at the first
+// error, and returns how many applied. It collects in res the ids
+// that add mutations assigned.
+func (h *handle) apply(muts []Mutation, res *BatchResult) (int, error) {
 	for i, m := range muts {
 		id, err := m.ApplyTo(h.sched)
 		if err != nil {
-			return nil, fmt.Errorf("store: batch mutation %d (%s): %w", i, m.Op, err)
+			return i, fmt.Errorf("store: batch mutation %d (%s): %w", i, m.Op, err)
 		}
-		h.mutations.Add(1)
 		switch m.Op {
 		case OpAddEvent:
 			res.EventIDs = append(res.EventIDs, id)
@@ -155,14 +161,5 @@ func (s *Store) ApplyBatch(ctx context.Context, name string, muts []Mutation) (*
 			res.CompetingIDs = append(res.CompetingIDs, id)
 		}
 	}
-	d, err := h.sched.Resolve(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res.Delta = d
-	h.resolves.Add(1)
-	h.batches.Add(1)
-	s.refresh(h)
-	s.emitCommit(h, d)
-	return res, nil
+	return len(muts), nil
 }

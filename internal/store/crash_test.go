@@ -260,7 +260,7 @@ func runCrashMatrixOpts(t *testing.T, seed uint64, checkpointAt int, opts Durabl
 			t.Fatal(err)
 		}
 		re, err := OpenDurable(cutRoot, DurableOptions{Sync: wal.SyncNone, CheckpointEvery: -1,
-			Session: d.opts.Session})
+			Session: d.opts})
 		if err != nil {
 			t.Fatalf("cut at %d (torn=%v): recovery failed: %v", cut.offset, cut.torn, err)
 		}

@@ -265,12 +265,12 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	shard := shardIndex("auto")
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if d.logs[shard].CheckpointSeq() > 0 {
+		if d.log.logs[shard].CheckpointSeq() > 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if d.logs[shard].CheckpointSeq() == 0 {
+	if d.log.logs[shard].CheckpointSeq() == 0 {
 		t.Fatal("background checkpoint never ran")
 	}
 	want := canonicalState(t, d, "auto")
@@ -279,8 +279,8 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	// shard's op lock for a whole checkpoint, so copying under it
 	// crashes between two operations, never mid-checkpoint.
 	func() {
-		d.shardMu[shard].Lock()
-		defer d.shardMu[shard].Unlock()
+		d.shards[shard].op.Lock()
+		defer d.shards[shard].op.Unlock()
 		copyTree(t, dir, crashDir)
 	}()
 	d.Close()
@@ -568,7 +568,7 @@ func TestDurablePoisonBlocksCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk full")
-	d.poison.Store(&boom)
+	d.log.poison.Store(&boom)
 	if err := d.Checkpoint(); err == nil {
 		t.Error("Checkpoint ran on a poisoned store")
 	}
@@ -598,7 +598,7 @@ func TestDurableCommitSignal(t *testing.T) {
 	if err := d.Create("sig", testInstance(1), 3); err != nil {
 		t.Fatal(err)
 	}
-	if d.commits.Load() != nil {
+	if d.log.commits.Load() != nil {
 		t.Fatal("an append with no waiter created a commit signal")
 	}
 	ch := d.Commits()

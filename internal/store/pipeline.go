@@ -21,8 +21,8 @@ var (
 	ErrPipelineClosed = errors.New("store: resolve pipeline is closed")
 )
 
-// Backend is the store surface the pipeline drives: both *Store and
-// *Durable satisfy it.
+// Backend is the store surface the pipeline drives: *Store satisfies
+// it, and so does *Durable through its embedded Store.
 type Backend interface {
 	ApplyBatch(ctx context.Context, name string, muts []Mutation) (*BatchResult, error)
 	Resolve(ctx context.Context, name string) (*session.Delta, error)

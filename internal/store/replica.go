@@ -1,19 +1,19 @@
 package store
 
 import (
+	"context"
 	"fmt"
 
-	"ses/internal/snap"
+	"ses/internal/session"
 	"ses/internal/wal"
 )
 
 // Replication hooks: the cluster layer (ses/internal/cluster) ships a
 // primary's per-shard WAL to followers, and followers rebuild the
 // primary's sessions in a plain in-memory Store by applying the same
-// records recovery replays. Everything here is shared with — and
-// refactored out of — the Durable recovery path, so a follower that
-// applied records up to a cursor holds exactly the state a crashed
-// primary would recover at that cursor.
+// records recovery replays, through the same write path, so a
+// follower that applied records up to a cursor holds exactly the
+// state a crashed primary would recover at that cursor.
 
 // NumShards is the registry stripe width: a durable store keeps one
 // WAL per shard, and the replication stream is multiplexed per shard.
@@ -33,7 +33,7 @@ func ShardDir(dir string, i int) string {
 // ShardPosition returns the append position of shard i's log: the
 // cursor a fully-caught-up follower of this store would hold.
 func (d *Durable) ShardPosition(i int) wal.Cursor {
-	return d.logs[i].Position()
+	return d.log.logs[i].Position()
 }
 
 // ShardCommitted returns the cursor just past the last record
@@ -46,7 +46,7 @@ func (d *Durable) ShardPosition(i int) wal.Cursor {
 // recovered log (the checkpoint boundary when no record follows it);
 // it is zero only for a shard with no history at all.
 func (d *Durable) ShardCommitted(i int) wal.Cursor {
-	if c := d.committed[i].Load(); c != nil {
+	if c := d.log.committed[i].Load(); c != nil {
 		return *c
 	}
 	return wal.Cursor{}
@@ -61,11 +61,11 @@ func (d *Durable) ShardCommitted(i int) wal.Cursor {
 // cares about after each wake.
 func (d *Durable) Commits() <-chan struct{} {
 	for {
-		if ch := d.commits.Load(); ch != nil {
+		if ch := d.log.commits.Load(); ch != nil {
 			return *ch
 		}
 		ch := make(chan struct{})
-		if d.commits.CompareAndSwap(nil, &ch) {
+		if d.log.commits.CompareAndSwap(nil, &ch) {
 			return ch
 		}
 	}
@@ -90,36 +90,13 @@ func (s *Store) bumpEpoch(e uint64) {
 // ExportShardEntries snapshots every session in shard i in the
 // checkpoint-entry format, stamped with the store's current epoch.
 // The cluster layer serves these to a promoting peer so it can adopt
-// the freshest surviving replica of each shard, not just its own.
+// the freshest surviving replica of each shard, not just its own. It
+// takes the shard's op lock, so each entry is one commit's state.
 func (s *Store) ExportShardEntries(i int) ([]WALCheckpointEntry, error) {
-	var entries []WALCheckpointEntry
-	epoch := s.Epoch()
-	for _, name := range s.Names() {
-		if shardIndex(name) != i {
-			continue
-		}
-		st, err := s.Snapshot(name)
-		if err != nil {
-			continue // deleted mid-export
-		}
-		m, err := s.Meta(name)
-		if err != nil {
-			continue
-		}
-		doc, err := snap.FromState(name, st)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, WALCheckpointEntry{
-			Name:      name,
-			Resolves:  m.Resolves,
-			Mutations: m.Mutations,
-			Batches:   m.Batches,
-			Epoch:     epoch,
-			Snapshot:  doc,
-		})
-	}
-	return entries, nil
+	sh := &s.shards[i]
+	sh.op.Lock()
+	defer sh.op.Unlock()
+	return s.exportShardLocked(i)
 }
 
 // EncodeWALCheckpoint serializes checkpoint entries into the payload
@@ -129,75 +106,28 @@ func EncodeWALCheckpoint(entries []WALCheckpointEntry) ([]byte, error) {
 	return encodeCheckpoint(entries)
 }
 
-// ApplyWALRecord applies one logged record to the store, mirroring
-// exactly what the live operation did before logging it. It is the
-// shared replay path: crash recovery feeds it the local log, and
-// cluster followers feed it the shipped stream.
+// ApplyWALRecord applies one logged record to the store through the
+// write path the live operation took, installing the record's commit
+// stamp where the live operation resolved. It is the shared replay
+// path: crash recovery feeds it the local log, and cluster followers
+// feed it the shipped stream.
 func (s *Store) ApplyWALRecord(rec *WALRecord) error {
 	switch rec.Kind {
-	case "create":
+	case "create", "restore", "adopt":
 		st, err := rec.Snapshot.State()
 		if err != nil {
 			return err
 		}
-		return s.Restore(rec.Name, st, false)
-	case "restore":
-		st, err := rec.Snapshot.State()
+		sched, err := session.FromState(st, s.optsFor(rec.Name))
 		if err != nil {
 			return err
 		}
-		return s.Restore(rec.Name, st, rec.Replace)
-	case "adopt":
-		st, err := rec.Snapshot.State()
-		if err != nil {
-			return err
-		}
-		s.bumpEpoch(rec.Epoch)
-		if err := s.Restore(rec.Name, st, true); err != nil {
-			return err
-		}
-		h, err := s.lookup(rec.Name)
-		if err != nil {
-			return err
-		}
-		h.resolves.Store(rec.Resolves)
-		h.mutations.Store(rec.Mutations)
-		h.batches.Store(rec.Batches)
-		s.refresh(h)
-		return nil
+		return s.put(rec.Name, sched, rec.Replace, counts{rec.Resolves, rec.Mutations, rec.Batches}, rec.Epoch, nil)
 	case "delete":
-		return s.Delete(rec.Name)
-	case "batch":
-		h, err := s.lookup(rec.Name)
-		if err != nil {
-			return err
-		}
-		for i, m := range rec.Muts {
-			if _, err := m.ApplyTo(h.sched); err != nil {
-				return fmt.Errorf("replaying batch mutation %d (%s): %w", i, m.Op, err)
-			}
-			h.mutations.Add(1)
-		}
-		if rec.Commit != nil {
-			if err := rec.Commit.install(h.sched); err != nil {
-				return err
-			}
-			h.resolves.Add(1)
-			h.batches.Add(1)
-			s.refresh(h)
-		}
-		return nil
-	case "resolve":
-		h, err := s.lookup(rec.Name)
-		if err != nil {
-			return err
-		}
-		if err := rec.Commit.install(h.sched); err != nil {
-			return err
-		}
-		h.resolves.Add(1)
-		s.refresh(h)
-		return nil
+		return s.remove(rec.Name, nil)
+	case "batch", "resolve":
+		_, err := s.commit(context.Background(), rec.Name, rec.Muts, rec.Kind == "batch", rec)
+		return err
 	default:
 		return fmt.Errorf("store: unknown replay kind %q", rec.Kind)
 	}
@@ -207,41 +137,52 @@ func (s *Store) ApplyWALRecord(rec *WALRecord) error {
 // image plus its counters — replacing any existing session of that
 // name.
 func (s *Store) ApplyCheckpointEntry(e WALCheckpointEntry) error {
+	i := shardIndex(e.Name)
+	sh := &s.shards[i]
+	sh.op.Lock()
+	defer sh.op.Unlock()
+	return s.putEntryLocked(i, e)
+}
+
+// putEntryLocked installs checkpoint entry e in shard i, whose op lock
+// the caller holds.
+func (s *Store) putEntryLocked(i int, e WALCheckpointEntry) error {
 	st, err := e.Snapshot.State()
+	var sched *session.Scheduler
+	if err == nil {
+		sched, err = session.FromState(st, s.optsFor(e.Name))
+	}
+	if err == nil {
+		err = s.putLocked(i, e.Name, sched, true, counts{e.Resolves, e.Mutations, e.Batches}, e.Epoch, nil)
+	}
 	if err != nil {
 		return fmt.Errorf("checkpoint session %q: %w", e.Name, err)
 	}
-	s.bumpEpoch(e.Epoch)
-	if err := s.Restore(e.Name, st, true); err != nil {
-		return fmt.Errorf("checkpoint session %q: %w", e.Name, err)
-	}
-	h, err := s.lookup(e.Name)
-	if err != nil {
-		return err
-	}
-	h.resolves.Store(e.Resolves)
-	h.mutations.Store(e.Mutations)
-	h.batches.Store(e.Batches)
-	s.refresh(h)
 	return nil
 }
 
 // SyncShardToCheckpoint makes shard i's contents exactly the
 // checkpoint: every entry is installed and every session the
-// checkpoint does not name is deleted. Followers use it to resync a
-// shard after the primary's checkpoint truncated records their cursor
-// still needed (wal.ErrTruncated).
+// checkpoint does not name is deleted, all under the shard's op lock.
+// Followers use it to resync a shard after the primary's checkpoint
+// truncated records their cursor still needed (wal.ErrTruncated).
 func (s *Store) SyncShardToCheckpoint(i int, entries []WALCheckpointEntry) error {
+	sh := &s.shards[i]
+	sh.op.Lock()
+	defer sh.op.Unlock()
 	keep := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		if err := s.ApplyCheckpointEntry(e); err != nil {
+		if shardIndex(e.Name) != i {
+			return fmt.Errorf("checkpoint session %q does not belong to shard %d", e.Name, i)
+		}
+		if err := s.putEntryLocked(i, e); err != nil {
 			return err
 		}
 		keep[e.Name] = true
 	}
 	for _, h := range s.handlesInShard(i) {
 		if !keep[h.name] {
-			if err := s.Delete(h.name); err != nil && err != ErrNotFound {
+			if err := s.removeLocked(i, h.name, nil); err != nil {
 				return err
 			}
 		}

@@ -3,25 +3,31 @@
 // sessions. It is the piece that turns the single-session
 // ses.Scheduler into a multi-organizer service — many event
 // portfolios scheduled concurrently in one process, each behind its
-// own session lock, with registry operations that never serialize
-// behind a running solve.
+// own session lock, with reads that never wait behind a running
+// solve.
 //
 // Concurrency design:
 //
 //   - Striped locks: sessions are spread over a fixed array of shards
-//     by an FNV-1a hash of the session id. Registry operations
-//     (create, delete, lookup, list) take only their shard's RWMutex,
-//     so registry traffic scales with the shard count and is never
-//     blocked by solving sessions.
+//     by an FNV-1a hash of the session id. Every write (create,
+//     restore, adopt, delete, batch, resolve) holds its shard's op
+//     lock from start to finish, so sessions of one shard serialize
+//     their commits and a batch is atomic; sessions of different
+//     shards commit in parallel. Reads never wait: lookups take the
+//     shard map's read lock, which a write holds only for the instant
+//     it installs or removes a handle.
 //   - Lock-free metadata: each session handle carries an
-//     atomic.Pointer to an immutable Meta value, refreshed after
-//     every committed resolve and batch. Meta reads load the pointer
-//     and never touch the session lock, so dashboards and load
-//     balancers can poll a session that is mid-Resolve without
-//     waiting.
-//   - Session operations (mutations, Resolve, Snapshot) delegate to
-//     the Scheduler's own lock; two sessions never contend with each
-//     other.
+//     atomic.Pointer to an immutable Meta value, replaced by every
+//     write. Meta reads load the pointer and never touch the session
+//     lock, so dashboards and load balancers can poll a session that
+//     is mid-Resolve without waiting.
+//   - One commit path: a memory store and a durable one (Durable) run
+//     the same write code. A durable store's Store also points at its
+//     shard logs; each write then checks the store is neither closed
+//     nor poisoned and appends its record before counters, Meta and
+//     the sink move. Replay (recovery and followers) runs the same
+//     steps, installing each record's commit stamp where a live write
+//     resolves.
 package store
 
 import (
@@ -35,7 +41,9 @@ import (
 
 	"ses/internal/choice"
 	"ses/internal/core"
+	"ses/internal/obs"
 	"ses/internal/session"
+	"ses/internal/snap"
 )
 
 // numShards is the stripe width of the registry. Power of two so the
@@ -82,42 +90,50 @@ type Meta struct {
 	Batches uint64
 }
 
-// handle is one registered session.
+// handle is one registered session. Only a write holding the shard's
+// op lock replaces its Meta, so publications are ordered and each one
+// describes a single commit.
 type handle struct {
 	name  string
 	sched *session.Scheduler
 	meta  atomic.Pointer[Meta]
-	// metaMu serializes post-commit meta publication: the session
-	// summary is read inside it, so the last publisher always wins
-	// with the freshest state and Meta never regresses or mixes
-	// fields from different commits. Readers never take it.
-	metaMu    sync.Mutex
-	resolves  atomic.Uint64
-	mutations atomic.Uint64
-	batches   atomic.Uint64
 }
 
-// refreshMeta publishes a fresh immutable Meta assembled from the
-// given post-commit facts.
-func (h *handle) refreshMeta(users, intervals, events, k, scheduled int, utility float64, stopped, objective string) {
+// counts are a session's store-level counters: Meta's Resolves,
+// Mutations and Batches, which adopt records and checkpoint entries
+// carry because session.State does not.
+type counts struct{ resolves, mutations, batches uint64 }
+
+// counters reads the counters of h's current Meta.
+func (h *handle) counters() counts {
+	m := h.meta.Load()
+	return counts{m.Resolves, m.Mutations, m.Batches}
+}
+
+// publish replaces h's Meta with the session's summary and counters c.
+func (h *handle) publish(c counts) {
+	sum := h.sched.Summary()
 	h.meta.Store(&Meta{
 		Name:      h.name,
-		Users:     users,
-		Intervals: intervals,
-		Events:    events,
-		K:         k,
-		Scheduled: scheduled,
-		Utility:   utility,
-		Stopped:   stopped,
-		Objective: objective,
-		Resolves:  h.resolves.Load(),
-		Mutations: h.mutations.Load(),
-		Batches:   h.batches.Load(),
+		Users:     sum.Users,
+		Intervals: sum.Intervals,
+		Events:    sum.Events,
+		K:         sum.K,
+		Scheduled: sum.Scheduled,
+		Utility:   sum.Utility,
+		Stopped:   sum.Stopped,
+		Objective: sum.Objective,
+		Resolves:  c.resolves,
+		Mutations: c.mutations,
+		Batches:   c.batches,
 	})
 }
 
-// shard is one stripe of the registry.
+// shard is one stripe of the registry. op serializes the shard's
+// writes; mu guards the map, so a lookup waits only while a write
+// installs or removes a handle.
 type shard struct {
+	op       sync.Mutex
 	mu       sync.RWMutex
 	sessions map[string]*handle
 }
@@ -134,6 +150,10 @@ type Store struct {
 	// records and checkpoint entries (see Epoch in replica.go); it
 	// fences stale primaries after a contested failover.
 	epoch atomic.Uint64
+	// log is the write-ahead log of a durable store (see Durable),
+	// which every live write appends its record to; nil for a memory
+	// store and a follower's replica.
+	log *shardLogs
 }
 
 // New returns an empty store. Every session the store creates or
@@ -153,11 +173,6 @@ func shardIndex(name string) int {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	return int(h.Sum32() & (numShards - 1))
-}
-
-// shardOf picks the stripe for a session id.
-func (s *Store) shardOf(name string) *shard {
-	return &s.shards[shardIndex(name)]
 }
 
 // handlesInShard returns stripe i's handles sorted by name, for
@@ -183,11 +198,10 @@ func (s *Store) Create(name string, inst *core.Instance, k int) error {
 
 // CreateWithObjective is Create with a per-session objective override
 // (nil keeps the store's default). The objective becomes part of the
-// session's state and travels in its snapshots.
+// session's state and travels in its snapshots. On a durable store
+// the create record (a full snapshot of the fresh session) reaches the
+// log before the session is installed.
 func (s *Store) CreateWithObjective(name string, inst *core.Instance, k int, obj choice.Objective) error {
-	if name == "" {
-		return errors.New("store: empty session name")
-	}
 	opts := s.optsFor(name)
 	if obj != nil {
 		opts.Objective = obj
@@ -196,47 +210,123 @@ func (s *Store) CreateWithObjective(name string, inst *core.Instance, k int, obj
 	if err != nil {
 		return err
 	}
-	return s.install(name, sched, false)
+	return s.put(name, sched, false, counts{}, 0, func() ([]byte, error) {
+		return encodeCreateRecord(name, sched.ExportState())
+	})
 }
 
 // Restore installs a session rebuilt from a snapshot state under the
 // given name, replacing any existing session with that name (the
 // snapshot is the truth). With replace false it behaves like Create
-// and fails on collision.
+// and fails on collision. A durable store logs the state first, so a
+// state it cannot encode leaves the store untouched.
 func (s *Store) Restore(name string, st *session.State, replace bool) error {
-	if name == "" {
-		return errors.New("store: empty session name")
-	}
 	sched, err := session.FromState(st, s.optsFor(name))
 	if err != nil {
 		return err
 	}
-	return s.install(name, sched, replace)
+	return s.put(name, sched, replace, counts{}, 0, func() ([]byte, error) {
+		return encodeRestoreRecord(name, st, replace)
+	})
 }
 
-// install registers a handle and publishes its first Meta from the
-// session's own summary (one locked read, so creation and restore
-// report the same fields the same way).
-func (s *Store) install(name string, sched *session.Scheduler, replace bool) error {
-	h := &handle{name: name, sched: sched}
-	sum := sched.Summary()
-	h.refreshMeta(sum.Users, sum.Intervals, sum.Events, sum.K,
-		sum.Scheduled, sum.Utility, sum.Stopped, sum.Objective)
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, taken := sh.sessions[name]; taken && !replace {
+// Adopt installs a session taken over from a dead peer's replica: a
+// replacing restore that also sets the session's meta counters, so
+// the promoted copy — and any copy recovered or replicated from its
+// record — is indistinguishable from the acknowledged original, Meta
+// included. epoch is the promotion epoch the takeover happened under;
+// it is logged with the record and raises the store's observed epoch,
+// fencing stale primaries.
+func (s *Store) Adopt(name string, st *session.State, resolves, mutations, batches, epoch uint64) error {
+	sched, err := session.FromState(st, s.optsFor(name))
+	if err != nil {
+		return err
+	}
+	return s.put(name, sched, true, counts{resolves, mutations, batches}, epoch, func() ([]byte, error) {
+		return encodeAdoptRecord(name, st, resolves, mutations, batches, epoch)
+	})
+}
+
+// lockShard takes shard i's op lock for a write and, on a durable
+// store, checks that the store is neither closed nor poisoned. On
+// success the caller unlocks sh.op.
+func (s *Store) lockShard(i int) (*shard, error) {
+	sh := &s.shards[i]
+	sh.op.Lock()
+	if s.log != nil {
+		if err := s.log.err(); err != nil {
+			sh.op.Unlock()
+			return nil, err
+		}
+	}
+	return sh, nil
+}
+
+// put installs sched under name with counters c: the one way a
+// session enters the registry, for creates, restores and adopts and
+// for the replay of their records and of checkpoint entries. On a
+// durable store a live write's record (nil in replay) is appended
+// first, so a record that cannot be encoded or appended leaves the
+// registry as it was. epoch raises the store's promotion epoch.
+func (s *Store) put(name string, sched *session.Scheduler, replace bool, c counts, epoch uint64, record func() ([]byte, error)) error {
+	i := shardIndex(name)
+	sh, err := s.lockShard(i)
+	if err != nil {
+		return err
+	}
+	defer sh.op.Unlock()
+	return s.putLocked(i, name, sched, replace, c, epoch, record)
+}
+
+// putLocked is put for a caller that holds shard i's op lock.
+func (s *Store) putLocked(i int, name string, sched *session.Scheduler, replace bool, c counts, epoch uint64, record func() ([]byte, error)) error {
+	if name == "" {
+		return errors.New("store: empty session name")
+	}
+	if _, err := s.lookup(name); err == nil && !replace {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
+	if err := s.appendRecord(context.Background(), i, false, record); err != nil {
+		return err
+	}
+	s.bumpEpoch(epoch)
+	h := &handle{name: name, sched: sched}
+	h.publish(c)
+	sh := &s.shards[i]
+	sh.mu.Lock()
 	sh.sessions[name] = h
+	sh.mu.Unlock()
 	return nil
+}
+
+// appendRecord appends a live write's record to shard i's log, under
+// a wal.fsync span of ctx's trace; it does nothing on a store without
+// a log or in replay (record nil). applied says the write has already
+// changed the session, so a record that cannot be encoded leaves
+// memory ahead of the log and latches the poison like a failed
+// append.
+func (s *Store) appendRecord(ctx context.Context, i int, applied bool, record func() ([]byte, error)) error {
+	if s.log == nil || record == nil {
+		return nil
+	}
+	payload, err := record()
+	if err != nil {
+		if applied {
+			s.log.poison.CompareAndSwap(nil, &err)
+		}
+		return err
+	}
+	_, sp := obs.StartSpan(ctx, obs.SpanWALFsync, obs.A("shard", i), obs.A("bytes", len(payload)))
+	err = s.log.append(i, payload)
+	sp.End()
+	return err
 }
 
 // Get returns the live Scheduler of a session for direct use. The
 // scheduler stays valid (and safe: it has its own lock) even if the
 // session is deleted concurrently; it is simply no longer reachable
-// through the store. Store counters do not see direct mutations, so
-// prefer ApplyBatch for served traffic.
+// through the store. Store counters and logs do not see direct
+// mutations, so prefer ApplyBatch for served traffic.
 func (s *Store) Get(name string) (*session.Scheduler, error) {
 	h, err := s.lookup(name)
 	if err != nil {
@@ -247,7 +337,7 @@ func (s *Store) Get(name string) (*session.Scheduler, error) {
 
 // lookup finds a handle under the shard read lock.
 func (s *Store) lookup(name string) (*handle, error) {
-	sh := s.shardOf(name)
+	sh := &s.shards[shardIndex(name)]
 	sh.mu.RLock()
 	h, ok := sh.sessions[name]
 	sh.mu.RUnlock()
@@ -257,15 +347,36 @@ func (s *Store) lookup(name string) (*handle, error) {
 	return h, nil
 }
 
-// Delete removes a session from the registry.
+// Delete removes a session from the registry; a durable store logs
+// the deletion first.
 func (s *Store) Delete(name string) error {
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.sessions[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	return s.remove(name, func() ([]byte, error) { return encodeDeleteRecord(name), nil })
+}
+
+// remove deletes name's session: live (a durable store appends record
+// first) or in replay (record nil).
+func (s *Store) remove(name string, record func() ([]byte, error)) error {
+	i := shardIndex(name)
+	sh, err := s.lockShard(i)
+	if err != nil {
+		return err
 	}
+	defer sh.op.Unlock()
+	return s.removeLocked(i, name, record)
+}
+
+// removeLocked is remove for a caller that holds shard i's op lock.
+func (s *Store) removeLocked(i int, name string, record func() ([]byte, error)) error {
+	if _, err := s.lookup(name); err != nil {
+		return err
+	}
+	if err := s.appendRecord(context.Background(), i, false, record); err != nil {
+		return err
+	}
+	sh := &s.shards[i]
+	sh.mu.Lock()
 	delete(sh.sessions, name)
+	sh.mu.Unlock()
 	return nil
 }
 
@@ -321,32 +432,109 @@ func (s *Store) Metas() []Meta {
 }
 
 // Resolve re-solves one session incrementally (see
-// session.Scheduler.Resolve) and refreshes its metadata.
+// session.Scheduler.Resolve) and publishes its metadata. A durable
+// store logs the committed outcome before the call returns.
 func (s *Store) Resolve(ctx context.Context, name string) (*session.Delta, error) {
+	res, err := s.commit(ctx, name, nil, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Delta, nil
+}
+
+// commit is the write path of ApplyBatch (batch set) and Resolve, live
+// and in replay (rec set). Under the shard's op lock it applies muts
+// to the session and commits them: live by resolving under ctx, in
+// replay by installing rec's commit stamp, if it has one. A live write
+// to a durable store then appends the applied prefix and the commit's
+// stamp. Last, the counters advance, Meta is published and the sink
+// hears of a live commit. A mutation or resolve error leaves the valid
+// prefix applied, counted and logged, staged for the next resolve, and
+// is returned.
+func (s *Store) commit(ctx context.Context, name string, muts []Mutation, batch bool, rec *WALRecord) (*BatchResult, error) {
+	i := shardIndex(name)
+	sh, err := s.lockShard(i)
+	if err != nil {
+		return nil, err
+	}
+	defer sh.op.Unlock()
 	h, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	d, err := h.sched.Resolve(ctx)
+	res := &BatchResult{}
+	applied, err := h.apply(muts, res)
+	committed := false
+	if err == nil {
+		if rec == nil {
+			res.Delta, err = h.sched.Resolve(ctx)
+			committed = err == nil
+		} else if rec.Commit != nil {
+			err = rec.Commit.install(h.sched)
+			committed = err == nil
+		}
+	}
+	if applied == 0 && !committed {
+		return nil, err
+	}
+	if rec == nil {
+		aerr := s.appendRecord(ctx, i, true, func() ([]byte, error) {
+			var stamp *commitStamp
+			if committed {
+				stamp = stampOf(h.sched)
+			}
+			if !batch {
+				return encodeResolveRecord(resolveRec{Name: name, Commit: *stamp, Trace: obs.TraceID(ctx)})
+			}
+			return encodeBatchRecord(batchRec{Name: name, Muts: muts[:applied], Commit: stamp, Trace: obs.TraceID(ctx)})
+		})
+		if aerr != nil {
+			return nil, aerr
+		}
+	}
+	c := h.counters()
+	c.mutations += uint64(applied)
+	if committed {
+		c.resolves++
+		if batch {
+			c.batches++
+		}
+	}
+	h.publish(c)
+	if res.Delta != nil {
+		s.emitCommit(h, res.Delta)
+	}
 	if err != nil {
 		return nil, err
 	}
-	h.resolves.Add(1)
-	s.refresh(h)
-	s.emitCommit(h, d)
-	return d, nil
+	return res, nil
 }
 
-// refresh publishes post-commit metadata from a single locked summary
-// read of the session, taken inside metaMu so concurrent commits
-// cannot publish out of order or interleave fields of different
-// commits.
-func (s *Store) refresh(h *handle) {
-	h.metaMu.Lock()
-	defer h.metaMu.Unlock()
-	sum := h.sched.Summary()
-	h.refreshMeta(sum.Users, sum.Intervals, sum.Events, sum.K,
-		sum.Scheduled, sum.Utility, sum.Stopped, sum.Objective)
+// exportShardLocked snapshots every session of shard i as checkpoint
+// entries, sorted by name and stamped with the store's epoch: the
+// payload of a durable store's checkpoint and of the replica transfer
+// a promoting peer pulls. The caller holds the shard's op lock, so
+// each entry's counters and snapshot come from the same commit.
+func (s *Store) exportShardLocked(i int) ([]WALCheckpointEntry, error) {
+	handles := s.handlesInShard(i)
+	entries := make([]WALCheckpointEntry, 0, len(handles))
+	epoch := s.Epoch()
+	for _, h := range handles {
+		doc, err := snap.FromState(h.name, h.sched.ExportState())
+		if err != nil {
+			return nil, err
+		}
+		c := h.counters()
+		entries = append(entries, WALCheckpointEntry{
+			Name:      h.name,
+			Resolves:  c.resolves,
+			Mutations: c.mutations,
+			Batches:   c.batches,
+			Epoch:     epoch,
+			Snapshot:  doc,
+		})
+	}
+	return entries, nil
 }
 
 // Snapshot exports the full state of one session (instance,

@@ -5,20 +5,35 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ses/internal/core"
 	"ses/internal/randx"
 	"ses/internal/session"
 	"ses/internal/sestest"
+	"ses/internal/wal"
 )
 
 func testInstance(seed uint64) *core.Instance {
 	return sestest.Random(sestest.Config{Users: 25, Events: 10, Intervals: 4, Competing: 2, Seed: seed})
 }
 
-func TestRegistryLifecycle(t *testing.T) {
-	s := New(session.Options{Workers: 1})
+// onEachKind runs f as a subtest on a fresh store of each kind: a
+// memory store, and a durable store in a fresh directory that the
+// test closes when it ends.
+func onEachKind(t *testing.T, f func(t *testing.T, s *Store)) {
+	t.Run("memory", func(t *testing.T) { f(t, New(session.Options{Workers: 1})) })
+	t.Run("durable", func(t *testing.T) {
+		d := openDurable(t, t.TempDir(), DurableOptions{Sync: wal.SyncNone})
+		t.Cleanup(func() { d.Close() })
+		f(t, d.Store)
+	})
+}
+
+func TestRegistryLifecycle(t *testing.T) { onEachKind(t, testRegistryLifecycle) }
+
+func testRegistryLifecycle(t *testing.T, s *Store) {
 	if err := s.Create("a", testInstance(1), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +66,9 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-func TestMetaTracksCommits(t *testing.T) {
-	s := New(session.Options{Workers: 1})
+func TestMetaTracksCommits(t *testing.T) { onEachKind(t, testMetaTracksCommits) }
+
+func testMetaTracksCommits(t *testing.T, s *Store) {
 	inst := testInstance(4)
 	if err := s.Create("m", inst, 4); err != nil {
 		t.Fatal(err)
@@ -99,7 +115,11 @@ func TestMetaTracksCommits(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreAcrossStores(t *testing.T) {
+// TestSnapshotRestoreAcrossStores restores a memory store's snapshot
+// into a store of each kind.
+func TestSnapshotRestoreAcrossStores(t *testing.T) { onEachKind(t, testSnapshotRestoreAcrossStores) }
+
+func testSnapshotRestoreAcrossStores(t *testing.T, dst *Store) {
 	src := New(session.Options{Workers: 1})
 	if err := src.Create("s", testInstance(5), 4); err != nil {
 		t.Fatal(err)
@@ -115,7 +135,6 @@ func TestSnapshotRestoreAcrossStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := New(session.Options{Workers: 1})
 	if err := dst.Restore("s", st, false); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +182,10 @@ func TestSnapshotRestoreAcrossStores(t *testing.T) {
 }
 
 func TestBatchMutationErrorAbortsBeforeResolve(t *testing.T) {
-	s := New(session.Options{Workers: 1})
+	onEachKind(t, testBatchMutationErrorAbortsBeforeResolve)
+}
+
+func testBatchMutationErrorAbortsBeforeResolve(t *testing.T, s *Store) {
 	if err := s.Create("e", testInstance(6), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +209,9 @@ func TestBatchMutationErrorAbortsBeforeResolve(t *testing.T) {
 	}
 }
 
-func TestUnknownOpRejected(t *testing.T) {
-	s := New(session.Options{Workers: 1})
+func TestUnknownOpRejected(t *testing.T) { onEachKind(t, testUnknownOpRejected) }
+
+func testUnknownOpRejected(t *testing.T, s *Store) {
 	if err := s.Create("u", testInstance(7), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -272,65 +295,159 @@ func genMutations(src *randx.Source, inst *core.Instance, sched []core.Assignmen
 }
 
 // TestApplyBatchEqualsSequential is the batch-equivalence property:
-// for random instances and random mutation groups, ApplyBatch produces
-// exactly the schedule, utility and resolve counters of the same
-// mutations applied one-by-one followed by a single Resolve.
+// for random instances and random mutation groups, ApplyBatch on a
+// store of each kind produces exactly the schedule, utility and
+// resolve counters of the same mutations applied one-by-one followed
+// by a single Resolve.
 func TestApplyBatchEqualsSequential(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inst := sestest.Random(sestest.Config{
-				Users: 30, Events: 12, Intervals: 5, Competing: 3, Seed: seed,
+			onEachKind(t, func(t *testing.T, batched *Store) {
+				testApplyBatchEqualsSequential(t, seed, batched)
 			})
-			batched := New(session.Options{Workers: 1})
-			oneByOne := New(session.Options{Workers: 1})
-			for _, s := range []*Store{batched, oneByOne} {
-				if err := s.Create("x", inst, 5); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.Resolve(context.Background(), "x"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			base, err := batched.Get("x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			muts := genMutations(randx.Derive(seed, "batch-equiv"), inst, base.Schedule(), 20)
-
-			br, err := batched.ApplyBatch(context.Background(), "x", muts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			seq, err := oneByOne.Get("x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range muts {
-				if _, err := m.ApplyTo(seq); err != nil {
-					t.Fatalf("sequential mutation %d (%s): %v", i, m.Op, err)
-				}
-			}
-			sd, err := oneByOne.Resolve(context.Background(), "x")
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if br.Delta.Utility != sd.Utility {
-				t.Errorf("utility: batch %v != sequential %v", br.Delta.Utility, sd.Utility)
-			}
-			if !reflect.DeepEqual(base.Schedule(), seq.Schedule()) {
-				t.Errorf("schedules diverge:\nbatch:      %v\nsequential: %v", base.Schedule(), seq.Schedule())
-			}
-			if !reflect.DeepEqual(br.Delta.Counters, sd.Counters) {
-				t.Errorf("resolve counters diverge: batch %+v != sequential %+v", br.Delta.Counters, sd.Counters)
-			}
-			if !reflect.DeepEqual(br.Delta.Added, sd.Added) ||
-				!reflect.DeepEqual(br.Delta.Removed, sd.Removed) ||
-				!reflect.DeepEqual(br.Delta.Moved, sd.Moved) {
-				t.Errorf("deltas diverge:\nbatch:      %+v\nsequential: %+v", br.Delta, sd)
-			}
 		})
 	}
+}
+
+func testApplyBatchEqualsSequential(t *testing.T, seed uint64, batched *Store) {
+	inst := sestest.Random(sestest.Config{
+		Users: 30, Events: 12, Intervals: 5, Competing: 3, Seed: seed,
+	})
+	oneByOne := New(session.Options{Workers: 1})
+	for _, s := range []*Store{batched, oneByOne} {
+		if err := s.Create("x", inst, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resolve(context.Background(), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := batched.Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := genMutations(randx.Derive(seed, "batch-equiv"), inst, base.Schedule(), 20)
+
+	br, err := batched.ApplyBatch(context.Background(), "x", muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seq, err := oneByOne.Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range muts {
+		if _, err := m.ApplyTo(seq); err != nil {
+			t.Fatalf("sequential mutation %d (%s): %v", i, m.Op, err)
+		}
+	}
+	sd, err := oneByOne.Resolve(context.Background(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if br.Delta.Utility != sd.Utility {
+		t.Errorf("utility: batch %v != sequential %v", br.Delta.Utility, sd.Utility)
+	}
+	if !reflect.DeepEqual(base.Schedule(), seq.Schedule()) {
+		t.Errorf("schedules diverge:\nbatch:      %v\nsequential: %v", base.Schedule(), seq.Schedule())
+	}
+	if !reflect.DeepEqual(br.Delta.Counters, sd.Counters) {
+		t.Errorf("resolve counters diverge: batch %+v != sequential %+v", br.Delta.Counters, sd.Counters)
+	}
+	if !reflect.DeepEqual(br.Delta.Added, sd.Added) ||
+		!reflect.DeepEqual(br.Delta.Removed, sd.Removed) ||
+		!reflect.DeepEqual(br.Delta.Moved, sd.Moved) {
+		t.Errorf("deltas diverge:\nbatch:      %+v\nsequential: %+v", br.Delta, sd)
+	}
+}
+
+// TestFailedBatchPublishesMeta: a batch whose second mutation fails
+// leaves its first applied, staged and counted. Meta says so at once,
+// and the shard export a promoting peer pulls carries the same
+// counters. On a durable store a recovery from the log alone and one
+// through a checkpoint read the same Meta again.
+func TestFailedBatchPublishesMeta(t *testing.T) {
+	failBatch := func(t *testing.T, s *Store) Meta {
+		ctx := context.Background()
+		if err := s.Create("f", testInstance(8), 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resolve(ctx, "f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ApplyBatch(ctx, "f", []Mutation{UpdateInterest(0, 1, 0.5), CancelEvent(999)}); err == nil {
+			t.Fatal("out-of-range cancel applied")
+		}
+		m, err := s.Meta("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Mutations != 1 || m.Resolves != 1 || m.Batches != 0 {
+			t.Fatalf("Meta after the failed batch: %+v, want 1 mutation, 1 resolve, 0 batches", m)
+		}
+		entries, err := s.ExportShardEntries(ShardOf("f"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Resolves != m.Resolves || entries[0].Mutations != m.Mutations || entries[0].Batches != m.Batches {
+			t.Fatalf("shard export %+v disagrees with Meta %+v", entries, m)
+		}
+		return m
+	}
+	t.Run("memory", func(t *testing.T) { failBatch(t, New(session.Options{Workers: 1})) })
+	t.Run("durable", func(t *testing.T) {
+		dir, logOnly := t.TempDir(), t.TempDir()
+		opts := DurableOptions{Sync: wal.SyncNone, CheckpointEvery: -1}
+		d := openDurable(t, dir, opts)
+		want := failBatch(t, d.Store)
+		copyTree(t, dir, logOnly)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{logOnly, dir} {
+			re := openDurable(t, src, opts)
+			if got, err := re.Meta("f"); err != nil || got != want {
+				t.Errorf("recovered from %s: Meta %+v (%v), want %+v", src, got, err, want)
+			}
+			re.Close()
+		}
+	})
+}
+
+// TestConcurrentBatchesDoNotInterleave races a batch forbidding three
+// pairs against one allowing them again, round after round. Batches
+// are atomic, so after each round either all three pairs are
+// forbidden or none is.
+func TestConcurrentBatchesDoNotInterleave(t *testing.T) {
+	onEachKind(t, func(t *testing.T, s *Store) {
+		ctx := context.Background()
+		inst := sestest.Random(sestest.Config{Users: 6, Events: 3, Intervals: 2, Seed: 5})
+		if err := s.Create("a", inst, 2); err != nil {
+			t.Fatal(err)
+		}
+		forbid := []Mutation{Forbid(0, 0), Forbid(1, 0), Forbid(2, 0)}
+		allow := []Mutation{Allow(0, 0), Allow(1, 0), Allow(2, 0)}
+		for round := 0; round < 3000; round++ {
+			var wg sync.WaitGroup
+			for _, muts := range [][]Mutation{forbid, allow} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := s.ApplyBatch(ctx, "a", muts); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			st, err := s.Snapshot("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(st.Forbidden); n != 0 && n != 3 {
+				t.Fatalf("round %d: %d of 3 pairs forbidden, which no serial order of the two batches leaves", round, n)
+			}
+		}
+	})
 }

@@ -12,9 +12,9 @@ import (
 
 // Store is a sharded, thread-safe registry of named scheduling
 // sessions — the in-process serving layer behind cmd/sesd. Sessions
-// are spread over striped locks, so registry traffic (create, lookup,
-// metadata) never serializes behind a running solve, and metadata
-// reads are lock-free.
+// are spread over striped locks: sessions of one shard serialize
+// their commits, a batch is atomic, and reads (lookup, metadata,
+// snapshots) never wait behind a running solve.
 //
 //	st := ses.NewStore(ses.WithWorkers(4))
 //	st.Create("fest", inst, 20)
@@ -82,9 +82,10 @@ func NewStore(opts ...Option) *Store {
 // DurableStore is a Store whose acknowledged state changes are
 // recorded in a per-shard write-ahead log before each call returns,
 // and which recovers them exactly — schedule, utility, objective,
-// counters — after a crash. Open one with OpenStore; it serves the
-// full Store API plus Checkpoint (truncate the logs now) and Close
-// (final checkpoint + shutdown).
+// counters — after a crash. Open one with OpenStore. Its embedded
+// *Store (st.Store) is the whole Store API, writing through to the
+// log, and goes wherever a *Store does; DurableStore adds Checkpoint
+// (truncate the logs now) and Close (final checkpoint + shutdown).
 //
 //	st, _ := ses.OpenStore(ses.WithDurability("/var/lib/sesd"),
 //		ses.WithSyncPolicy(ses.SyncInterval))
@@ -139,8 +140,8 @@ type WALStats = wal.Stats
 //	res, err := p.ApplyBatch(ctx, "fest", muts) // may share a resolve
 type Pipeline = store.Pipeline
 
-// PipelineBackend is the store surface a Pipeline drives; *Store and
-// *DurableStore both satisfy it.
+// PipelineBackend is the store surface a Pipeline drives; *Store
+// satisfies it, and so does *DurableStore through its embedded Store.
 type PipelineBackend = store.Backend
 
 // PipelineMetrics is a point-in-time pipeline load snapshot (queue
