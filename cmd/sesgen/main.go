@@ -8,19 +8,10 @@
 //	       [-groups N] [-seed S]
 //	sesgen -dataset dataset.json -instance inst.json [-k K] [-T N]
 //	       [-E N] [-seed S] [-preset skewed|minority]
-//	sesgen -colstore inst.sescol -users 1000000 [-k K] [-T N] [-E N]
-//	       [-seed S]
 //
 // With -instance, an instance is built from the dataset (generated
 // fresh unless -dataset points at an existing file) using the paper's
 // Section IV-A parameters.
-//
-// With -colstore, a Meetup-shaped instance (power-law event audiences,
-// skewed interest values) is streamed directly into a columnar binary
-// file (see ses/internal/colstore), bypassing the EBSN pipeline and
-// its per-user intermediate state; -users 1000000 completes in seconds
-// with a few megabytes of working memory. The other modes cannot be
-// combined with it.
 //
 // -preset reshapes the instance's interest to stress a non-default
 // objective: "skewed" concentrates interest in a head of users so the
@@ -37,7 +28,6 @@ import (
 
 	"ses/internal/dataset"
 	"ses/internal/ebsn"
-	"ses/internal/scalegen"
 )
 
 func main() {
@@ -60,24 +50,12 @@ func run(args []string, out io.Writer) error {
 	intervals := fs.Int("T", 0, "instance: time intervals (0 = paper default 3k/2)")
 	cand := fs.Int("E", 0, "instance: candidate events (0 = paper default 2k)")
 	preset := fs.String("preset", "", "instance: scenario preset reshaping interest (skewed, minority)")
-	colPath := fs.String("colstore", "", "stream a Meetup-shaped instance into this columnar file")
 	seed := fs.Uint64("seed", 1, "master seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *colPath != "" {
-		if *outPath != "" || *instPath != "" || *dsPath != "" || *preset != "" {
-			return fmt.Errorf("-colstore generates directly and cannot be combined with -out/-instance/-dataset/-preset")
-		}
-		st, err := scalegen.Generate(*colPath, scalegen.Config{
-			Users: *users, K: *k, Intervals: *intervals, Events: *cand, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote columnar instance to %s (|U|=%d, |T|=%d, |E|=%d, |C|=%d, nnz=%d+%d)\n",
-			*colPath, st.Users, st.Intervals, st.Events, st.Competing, st.CandNNZ, st.CompNNZ)
-		return nil
+	if *outPath == "" && *instPath == "" {
+		return fmt.Errorf("nothing to do: pass -out and/or -instance")
 	}
 	if *preset != "" && *instPath == "" {
 		return fmt.Errorf("-preset only applies to -instance output")
@@ -108,8 +86,9 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// Zero dimensions take ebsn's defaults, so report what was built.
 		fmt.Fprintf(out, "generated dataset: %d users, %d events, %d tags, %d groups\n",
-			*users, *events, *tags, *groups)
+			ds.Config.NumUsers, ds.Config.NumEvents, ds.Config.NumTags, ds.Config.NumGroups)
 	}
 
 	if *outPath != "" {
@@ -128,9 +107,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *instPath != "" {
-		inst, err := dataset.BuildInstance(ds, dataset.PaperParams{
+		// Zero parameters take the paper's defaults; report those.
+		params := dataset.PaperParams{
 			K: *k, Intervals: *intervals, CandidateEvents: *cand, Seed: *seed,
-		})
+		}.Normalize()
+		inst, err := dataset.BuildInstance(ds, params)
 		if err != nil {
 			return err
 		}
@@ -152,11 +133,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "wrote instance to %s (k=%d, |T|=%d, |E|=%d, |C|=%d)\n",
-			*instPath, *k, inst.NumIntervals, inst.NumEvents(), len(inst.Competing))
-	}
-
-	if *outPath == "" && *instPath == "" {
-		return fmt.Errorf("nothing to do: pass -out and/or -instance")
+			*instPath, params.K, inst.NumIntervals, inst.NumEvents(), len(inst.Competing))
 	}
 	return nil
 }

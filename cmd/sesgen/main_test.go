@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"ses/internal/colstore"
 	"ses/internal/dataset"
 )
 
@@ -72,48 +71,39 @@ func TestRunLoadsExistingDataset(t *testing.T) {
 }
 
 func TestRunNothingToDo(t *testing.T) {
-	if err := run(nil, &bytes.Buffer{}); err == nil {
+	var out bytes.Buffer
+	if err := run(nil, &out); err == nil {
 		t.Fatal("no flags should be an error")
+	}
+	if out.Len() > 0 {
+		t.Fatalf("printed %q before refusing: nothing should have been generated", out.String())
+	}
+}
+
+// TestRunReportsWhatItBuilt checks that zero dimensions, which take
+// ebsn's and the paper's defaults, are reported as those defaults.
+func TestRunReportsWhatItBuilt(t *testing.T) {
+	dir := t.TempDir()
+	dsPath := filepath.Join(dir, "ds.json")
+	var out bytes.Buffer
+	if err := run([]string{"-out", dsPath, "-users", "200", "-events", "300", "-tags", "0", "-groups", "0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "generated dataset: 200 users, 300 events, 5000 tags, 1200 groups"; !strings.Contains(out.String(), want) {
+		t.Fatalf("output %q lacks %q", out.String(), want)
+	}
+	out.Reset()
+	instPath := filepath.Join(dir, "inst.json")
+	if err := run([]string{"-dataset", dsPath, "-instance", instPath, "-k", "0", "-T", "6", "-E", "8"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "(k=100, |T|=6, |E|=8,"; !strings.Contains(out.String(), want) {
+		t.Fatalf("output %q lacks %q", out.String(), want)
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-nonsense"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown flag accepted")
-	}
-}
-
-func TestRunColstore(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "inst.sescol")
-	var out bytes.Buffer
-	if err := run([]string{"-colstore", path, "-users", "5000", "-k", "6", "-seed", "9"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "wrote columnar instance") {
-		t.Fatalf("output: %s", out.String())
-	}
-	st, err := colstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	inst := st.Instance()
-	if err := inst.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if inst.NumUsers != 5000 || inst.NumEvents() != 12 {
-		t.Fatalf("instance shape |U|=%d |E|=%d, want 5000/12", inst.NumUsers, inst.NumEvents())
-	}
-}
-
-func TestRunColstoreExclusive(t *testing.T) {
-	dir := t.TempDir()
-	err := run([]string{
-		"-colstore", filepath.Join(dir, "x.sescol"),
-		"-instance", filepath.Join(dir, "inst.json"),
-	}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("-colstore combined with -instance should be an error")
 	}
 }

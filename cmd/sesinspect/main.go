@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -45,6 +46,12 @@ func run(args []string, out io.Writer) error {
 	sample := fs.Int("sample", 200, "events to sample for the interest statistics")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *sample < 1 {
+		return fmt.Errorf("-sample %d: need at least one event", *sample)
+	}
+	if !(*perDay > 0) || math.IsInf(*perDay, 1) {
+		return fmt.Errorf("-events-per-day %g: need a finite positive rate", *perDay)
 	}
 
 	var ds *ebsn.Dataset

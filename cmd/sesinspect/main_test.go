@@ -27,10 +27,23 @@ func TestRunReportsAllSections(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-bogus"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown flag accepted")
-	}
-	if err := run([]string{"-dataset", "/nope.json"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("missing dataset file accepted")
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-dataset", "/nope.json"},
+		{"-sample", "-1"},
+		{"-sample", "0"},
+		{"-events-per-day", "0"},
+		{"-events-per-day", "-5"},
+		{"-events-per-day", "NaN"},
+		{"-events-per-day", "+Inf"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%q accepted", args)
+		}
+		// Refused before a dataset was loaded or generated.
+		if out.Len() > 0 {
+			t.Errorf("%q printed %q before refusing", args, out.String())
+		}
 	}
 }

@@ -142,16 +142,10 @@
 // pin set replays nothing. The recorded steps live in memory only, so
 // the first resolve after a restore or recovery selects in full.
 //
-// Million-user instances run on the same engines. A columnar
-// instance file (WriteColumnarInstance / OpenColumnarInstance,
-// ses/internal/colstore: struct-of-arrays CSR sections, memory-mapped
-// zero-copy rows) opens in milliseconds without copying its interest
-// matrices onto the heap, and Sparse folds straight over the mapping;
-// sesgen -colstore streams power-law instances at any scale. A score
-// costs O(users interested in the event), so a cold solve grows with
-// |U|, while a warm resolve rescores only what heap mode and the
-// replayed prefix leave to select (README, "Scaling to millions of
-// users", has the measured latencies).
+// A score costs O(users interested in the event), so a cold solve
+// grows with |U|, while a warm resolve rescores only what heap mode
+// and the replayed prefix leave to select (README, "Scaling to
+// millions of users", has latencies measured up to a million users).
 //
 // From this facade, pass WithWorkers(n) or WithObjective(obj) to New
 // or NewScheduler; sessolve and sesbench expose the same knobs as

@@ -19,8 +19,8 @@
 // for signed values, plain for counts and the σ seed), floats as the
 // 8 little-endian bytes of their IEEE bits, strings as a length and
 // their bytes, lists as a count and their elements, and the instance
-// behind a presence byte. Each interest matrix is the CSR triplet
-// ses/internal/colstore lays out: the row and entry counts, rows+1
+// behind a presence byte. Each interest matrix is a CSR
+// (compressed sparse row) triplet: the row and entry counts, rows+1
 // int64 row offsets, then every id as an int32 and every value as a
 // float64, all fixed little-endian; the σ table uses the same offsets
 // over float64 values. The decoder checks every count against the

@@ -376,11 +376,19 @@ func (l *Log) Replay(fn func(Record) error) (ReplayReport, error) {
 	segs := l.segs
 	rep := ReplayReport{CheckpointSeq: l.ckptSeq}
 	l.mu.Unlock()
+	if len(segs) == 0 {
+		return rep, nil // a store opens one log per shard, most of them empty
+	}
 
+	// Buffer the walk: replay reads two small frames per record, and
+	// recovery is the path a rebooting daemon blocks on. Every segment
+	// goes through this one reader and payload buffer, so the reader
+	// is allocated once however many segments a replay reads.
+	br := bufio.NewReaderSize(nil, 64<<10)
 	buf := make([]byte, 0, 4096)
 	for _, s := range segs {
 		rep.Segments++
-		trunc, err := replaySegment(s, &rep, &buf, fn)
+		trunc, err := replaySegment(s, &rep, br, &buf, fn)
 		if err != nil {
 			return rep, err
 		}
@@ -394,15 +402,14 @@ func (l *Log) Replay(fn func(Record) error) (ReplayReport, error) {
 // replaySegment walks one segment file. It returns a non-nil
 // Truncation when the segment ended early, and a non-nil error only
 // for I/O failures or a callback error.
-func replaySegment(s segFile, rep *ReplayReport, buf *[]byte, fn func(Record) error) (*Truncation, error) {
+func replaySegment(s segFile, rep *ReplayReport, br *bufio.Reader, buf *[]byte, fn func(Record) error) (*Truncation, error) {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening segment %s: %w", s.path, err)
 	}
 	defer f.Close()
-	// Buffer the walk: replay reads two small frames per record, and
-	// recovery is the path a rebooting daemon blocks on.
-	r := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
+	br.Reset(f)
+	r := &countingReader{r: br}
 
 	head := make([]byte, len(segMagic)+1)
 	if _, err := io.ReadFull(r, head); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,50 @@ func TestSegmentRotationBySize(t *testing.T) {
 	_, got, _ := replayAll(t, dir)
 	if len(got) != n {
 		t.Fatalf("replayed %d records, want %d", len(got), n)
+	}
+}
+
+// TestReplayAllocatesOnce checks that a replay allocates its read
+// buffer at most once: a 16-segment log replays in under 256 KiB of
+// allocations, its 4 KiB payload buffer included, and a log with no
+// segment, which every empty shard of a store has, in under 16 KiB.
+func TestReplayAllocatesOnce(t *testing.T) {
+	for _, c := range []struct {
+		records int
+		limit   uint64
+	}{{16, 256 << 10}, {0, 16 << 10}} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Sync: SyncNone, SegmentMaxBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte("x"), 100) // one record per segment
+		for i := 0; i < c.records; i++ {
+			if err := l.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := l.Replay(func(Record) error { return nil })
+		runtime.ReadMemStats(&after)
+		l.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Segments != c.records || rep.Records != c.records {
+			t.Fatalf("replayed %d records from %d segments, want %d from %d", rep.Records, rep.Segments, c.records, c.records)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= c.limit {
+			t.Fatalf("replaying %d segments allocated %d bytes, want under %d", rep.Segments, got, c.limit)
+		}
 	}
 }
 
