@@ -77,6 +77,10 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	// Every statistic below divides by users or events.
+	if len(ds.UserTags) == 0 || len(ds.EventTags) == 0 {
+		return fmt.Errorf("dataset has %d users and %d events: need at least one of each", len(ds.UserTags), len(ds.EventTags))
+	}
 	fmt.Fprintf(out, "dataset: %d users, %d pool events, %d groups\n\n",
 		len(ds.UserTags), len(ds.EventTags), len(ds.GroupTags))
 

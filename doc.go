@@ -68,14 +68,15 @@
 // parallelizes), Apply/Unapply (incremental schedule maintenance),
 // and the utility accessors. Three implementations exist: Sparse, the
 // production engine, keeps per-interval scheduled mass in sorted
-// accumulators maintained by incremental merge, making the hot paths
-// allocation-free merge-joins, and scores a large batch (rows holding
-// at least |U| entries, e.g. all events at one interval) through a
-// dense per-user view of the interval, so its memory stays bounded by
-// the entries it reads; Dense is the paper-faithful
-// O(|U|)-per-score baseline; Ref wraps the definitional Reference*
-// oracle functions. Property tests force all of them to
-// agree to floating-point accuracy.
+// accumulators maintained by incremental merge, and scores through one
+// shared dense per-user view of one interval, kept until that
+// interval's mass changes, with σ read through per-user halves of its
+// hash; a score whose row is too short to pay for moving the view
+// merge-joins instead, and an instance with fewer interest entries
+// than users never builds the view, so memory stays bounded by the
+// entries; Dense is the paper-faithful O(|U|)-per-score baseline; Ref
+// wraps the definitional Reference* oracle functions. Property tests
+// force all of them to agree to floating-point accuracy.
 //
 // What a schedule is worth is a separate, pluggable axis: every
 // engine evaluates an Objective — an interval-decomposable fold over

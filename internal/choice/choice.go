@@ -28,10 +28,11 @@
 //     sparse interest row of the event. Competing interest mass is
 //     pre-aggregated per interval into sorted vectors (a k-way merge
 //     of the sorted competing rows); scheduled mass is maintained
-//     incrementally in sorted accumulators so the hot paths (Score,
-//     IntervalUtility) are allocation-free merge-joins. A large
-//     ScoreBatch reads the interval through a dense per-user view
-//     instead (see Engine.ScoreBatch).
+//     incrementally in sorted accumulators so IntervalUtility and
+//     EventAttendance are allocation-free merge-joins. Score and
+//     ScoreBatch read one interval at a time through a dense per-user
+//     view the engine keeps until that interval's mass changes, and
+//     merge-join where moving the view would not pay (see Sparse).
 //
 // All implementations agree to floating-point accuracy; property tests
 // enforce it.
@@ -43,10 +44,12 @@ import "ses/internal/core"
 // schedule. Engines own their schedule; solvers drive them through
 // Score/Apply.
 //
-// Engines are not safe for concurrent mutation. Score and ScoreBatch
-// do not mutate the engine, but callers that want to score in parallel
-// should give each goroutine its own Fork (forks are cheap: they share
-// all immutable per-instance state).
+// Engines are not safe for concurrent use. Score and ScoreBatch leave
+// the schedule and every result unchanged, but they may write engine
+// scratch (Sparse moves its dense view), so one engine serves one
+// goroutine at a time: callers that score in parallel give each
+// goroutine its own Fork (forks are cheap: they share all immutable
+// per-instance state).
 type Engine interface {
 	// Instance returns the problem instance.
 	Instance() *core.Instance
@@ -70,12 +73,12 @@ type Engine interface {
 	// ScoreBatch computes Score(events[i], t) into out[i] for every
 	// listed event. It is equivalent (bit for bit) to calling Score in
 	// a loop but lets engines hoist per-interval state, and it is the
-	// unit of work the solver layer fans out across workers. Sparse
-	// hoists the interval into a dense per-user view under a linear
-	// objective when the listed rows hold at least NumUsers entries in
-	// total, so the view's 16 B per user never exceed 16 B per entry
-	// read; smaller batches loop Score. out must have at least
-	// len(events) elements.
+	// unit of work the solver layer fans out across workers, one Fork
+	// per worker. Like Score it may write engine scratch: Sparse reads
+	// the batch through its dense per-user view of t under a linear
+	// objective when the view holds t or the listed rows pay for
+	// moving it there, and loops Score otherwise. out must have at
+	// least len(events) elements.
 	ScoreBatch(events []int, t int, out []float64)
 	// Apply adds assignment (e, t), returning the schedule's validity
 	// error if the assignment is not valid.

@@ -101,10 +101,10 @@ func TestSparseAndDenseAgreeExactly(t *testing.T) {
 func TestScoreBatchMatchesScore(t *testing.T) {
 	// ScoreBatch must be bit-identical to a Score loop — the solver
 	// layer's parallel scoring relies on it. The two configs put
-	// Sparse's all-events batch on both sides of its dense-view
-	// threshold (rows holding at least NumUsers entries in total), and
-	// every engine is checked at three schedule sizes, so intervals
-	// carry scheduled mass, under Omega and under nonlinear Fairness.
+	// Sparse on both sides of its dense-view threshold (candidate rows
+	// holding at least NumUsers entries in total), and every engine is
+	// checked at three schedule sizes, so intervals carry scheduled
+	// mass, under Omega and under nonlinear Fairness.
 	fair, err := NewFairness(0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 			for i := range events {
 				events[i] = i
 			}
-			sides[entriesAtLeast(inst.CandInterest, events, inst.NumUsers)] = true
+			sides[NewSparse(inst).viewOK] = true
 			out := make([]float64, len(events))
 			for _, obj := range []Objective{Omega, fair} {
 				for name, eng := range newEngines(inst) {

@@ -2,10 +2,11 @@ package choice
 
 import (
 	"math"
-	"sort"
 
+	"ses/internal/activity"
 	"ses/internal/core"
 	"ses/internal/interest"
+	"ses/internal/randx"
 )
 
 // residualEps bounds, relative to the *high-water mark* of the
@@ -26,6 +27,21 @@ import (
 // arbitrate partial removals.
 const residualEps = 64 * 2.220446049250313e-16 // 64 ulps ≈ 1.4e-14
 
+// viewPays is the rule for moving the dense view: a Score or
+// ScoreBatch at an interval the view does not hold scatters that
+// interval into it only when the rows it reads hold at least 1/viewPays
+// as many entries as the interval's competing and scheduled mass.
+// Otherwise it merge-joins, which costs two galloping seeks per entry
+// but writes nothing. Measured on edit-warm's step stream replayed in
+// process (2000 users, k=50, a memory store under the pipeline, two
+// goroutines, 10,000 writes, three alternating rounds on a 2-CPU
+// host), the write p90 read 0.93–1.13 ms before the view, 0.93–1.05
+// at a factor of 4, 0.71–0.92 at 8, 0.70–0.79 at 16 and 0.66–0.75
+// when every call moved the view; moving it for every call also
+// raised add_event's p50 from 0.15–0.21 to 0.22–0.29 ms, because each
+// initial score of its one-user row scattered a fresh interval.
+const viewPays = 16
+
 // Sparse is the production engine. It exploits the sparsity of tag-
 // derived interest: the score of assigning event e to interval t
 // involves only users with µ(u,e) > 0, because everyone else's Luce
@@ -39,19 +55,24 @@ const residualEps = 64 * 2.220446049250313e-16 // 64 ulps ≈ 1.4e-14
 // incrementally in per-interval *sorted accumulators*: Apply/Unapply
 // merge the event's (sorted) interest row into the interval's
 // accumulator through a pair of reusable scratch buffers, so the id
-// list never has to be rebuilt or re-sorted. Score, EventAttendance
-// and IntervalUtility are then allocation-free merge-joins over
-// sorted vectors with deterministic summation order.
+// list never has to be rebuilt or re-sorted. EventAttendance and
+// IntervalUtility are allocation-free merge-joins over sorted vectors
+// with deterministic summation order.
 //
-// ScoreBatch hoists the interval instead: under a linear objective, a
-// batch whose rows hold at least NumUsers entries in total scatters
-// C(t,·) and P(t,·) into a dense per-user view (two float64 arrays the
-// engine owns and allocates once; forks get their own), reads every
-// row by direct index and zeroes only what it scattered. The view
-// costs 16 B per user, which the threshold bounds by 16 B per entry
-// the batch reads, so a document claiming 2^31 users with a few
-// entries scores serially. Initial scoring (all events at one
-// interval) takes the dense path on instances as dense as the paper's.
+// Under a linear objective, Score and ScoreBatch read one interval
+// through a dense per-user view instead: C(t,·) and P(t,·) scattered
+// into two float64 arrays indexed by user id, so each row entry is two
+// direct loads instead of two seeks. The view stays scattered across
+// calls until the viewed interval's mass changes (Apply, Unapply,
+// Patch, Reset); a call at another interval moves it there when its
+// rows are long enough to pay for the scatter (viewPays), and
+// merge-joins otherwise. When σ is activity.UniformHash, the engine
+// also keeps each user's half of the σ hash (randx.HashKey), so σ(u,t)
+// costs one mix instead of three. Both cost 24 B per user, so they
+// exist only when the instance's candidate rows hold at least NumUsers
+// entries: a document claiming 2^31 users with a few entries merge-
+// joins and calls the σ model. Every path sums the same terms in the
+// same order, so scores are bit-identical whichever one runs.
 type Sparse struct {
 	objectiveHolder
 	inst  *core.Instance
@@ -66,11 +87,18 @@ type Sparse struct {
 	// steady state allocates nothing.
 	scratchIDs  []int32
 	scratchVals []float64
-	// denseC and denseP are ScoreBatch's dense view of one interval's
-	// competing and scheduled mass, indexed by user id and all zero
-	// between calls. They are allocated by the first batch that takes
-	// the dense path and never shared with a fork.
+	// viewOK reports that the instance's candidate rows hold at least
+	// NumUsers entries, so the engine may keep the view and σ keys.
+	viewOK bool
+	// denseC and denseP are the dense view of interval viewT's
+	// competing and scheduled mass, indexed by user id; both are all
+	// zero when viewT is -1. They are allocated by the first call that
+	// takes the view and never shared with a fork.
 	denseC, denseP []float64
+	viewT          int
+	// sigmaKeys[u] is randx.HashKey(seed, u) when σ is UniformHash and
+	// viewOK, else nil. It is immutable, so forks share it.
+	sigmaKeys []uint64
 }
 
 // massVector is a sorted sparse vector of per-user mass. Competing
@@ -83,11 +111,8 @@ type massVector struct {
 }
 
 func (v massVector) at(id int32) float64 {
-	i := sort.Search(len(v.ids), func(i int) bool { return v.ids[i] >= id })
-	if i < len(v.ids) && v.ids[i] == id {
-		return v.vals[i]
-	}
-	return 0
+	lo := 0
+	return v.atFrom(&lo, id)
 }
 
 // seek returns the smallest index i >= lo with v.ids[i] >= id, using
@@ -109,7 +134,16 @@ func (v massVector) seek(lo int, id int32) int {
 	if hi > n {
 		hi = n
 	}
-	return lo + sort.Search(hi-lo, func(i int) bool { return v.ids[lo+i] >= id })
+	// v.ids[lo] < id, and hi is n or v.ids[hi] >= id: bisect (lo, hi).
+	for lo++; lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		if v.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // atFrom is the monotone variant of at: it resumes from *lo and stores
@@ -234,13 +268,92 @@ func (m *massMerger) aggregateInterval(inst *core.Instance, cis []int) massVecto
 // NewSparse builds the engine for inst with an empty schedule.
 // The instance should be validated beforehand.
 func NewSparse(inst *core.Instance) *Sparse {
-	return &Sparse{
+	e := &Sparse{
 		objectiveHolder: omegaHolder(),
 		inst:            inst,
 		sched:           core.NewSchedule(inst),
 		comp:            aggregateCompeting(inst),
 		pmass:           make([]massVector, inst.NumIntervals),
 		hwm:             make([]float64, inst.NumIntervals),
+		viewT:           -1,
+	}
+	e.fitView()
+	return e
+}
+
+// fitView decides, from the instance's candidate rows, whether the
+// engine may keep the dense view and σ keys (see Sparse), and builds
+// the keys when it may. The view must be empty.
+func (e *Sparse) fitView() {
+	e.viewOK = e.inst.CandInterest.NNZ() >= e.inst.NumUsers
+	if !e.viewOK {
+		e.denseC, e.denseP, e.sigmaKeys = nil, nil, nil
+		return
+	}
+	if h, ok := e.inst.Activity.(activity.UniformHash); ok && e.sigmaKeys == nil {
+		e.sigmaKeys = make([]uint64, e.inst.NumUsers)
+		for u := range e.sigmaKeys {
+			e.sigmaKeys[u] = randx.HashKey(h.Seed, u)
+		}
+	}
+}
+
+// sigma returns σ(id, t), from the user's σ key when the engine keeps
+// them.
+func (e *Sparse) sigma(id int32, t int) float64 {
+	if e.sigmaKeys != nil {
+		return randx.KeyToUnit(e.sigmaKeys[id], t)
+	}
+	return e.inst.Activity.Prob(int(id), t)
+}
+
+// viewAt reports whether interval t can be scored through the dense
+// view, first moving the view to t when rows holding entries entries
+// pay for the scatter (see viewPays).
+func (e *Sparse) viewAt(t, entries int) bool {
+	if e.viewT == t {
+		return true
+	}
+	comp, pm := e.comp[t], e.pmass[t]
+	if !e.viewOK || entries*viewPays < len(comp.ids)+len(pm.ids) {
+		return false
+	}
+	e.dropView()
+	if e.denseC == nil {
+		e.denseC = make([]float64, e.inst.NumUsers)
+		e.denseP = make([]float64, e.inst.NumUsers)
+	}
+	for i, id := range comp.ids {
+		e.denseC[id] = comp.vals[i]
+	}
+	for i, id := range pm.ids {
+		e.denseP[id] = pm.vals[i]
+	}
+	e.viewT = t
+	return true
+}
+
+// dropView empties the view, zeroing only what it scattered. Anything
+// that changes the viewed interval's competing or scheduled mass calls
+// it first, while comp and pmass still hold what was scattered.
+func (e *Sparse) dropView() {
+	if e.viewT < 0 {
+		return
+	}
+	for _, id := range e.comp[e.viewT].ids {
+		e.denseC[id] = 0
+	}
+	for _, id := range e.pmass[e.viewT].ids {
+		e.denseP[id] = 0
+	}
+	e.viewT = -1
+}
+
+// touch drops the view if it holds interval t, whose mass is about to
+// change.
+func (e *Sparse) touch(t int) {
+	if e.viewT == t {
+		e.dropView()
 	}
 }
 
@@ -255,15 +368,20 @@ func (e *Sparse) Schedule() *core.Schedule { return e.sched }
 func (e *Sparse) CompetingMass(t int, u int) float64 { return e.comp[t].at(int32(u)) }
 
 // Score returns the assignment score of (event, t): the objective's
-// gain (Eq. 4 under Omega). For linear objectives the event's interest
-// row and both interval mass vectors are sorted by user id, so one
-// monotone merge-join pass over the row covers all lookups; nonlinear
+// gain (Eq. 4 under Omega). For linear objectives it reads the
+// interval through the dense view when the view holds t or the row
+// pays for moving it there; otherwise the event's interest row and
+// both interval mass vectors are sorted by user id, so one monotone
+// merge-join pass over the row covers all lookups. Nonlinear
 // objectives re-fold the whole interval (see scoreNonlinear).
 func (e *Sparse) Score(event, t int) float64 {
 	if !e.linear {
 		return e.scoreNonlinear(event, t)
 	}
 	row := e.inst.CandInterest.Row(event)
+	if e.viewAt(t, row.Len()) {
+		return e.scoreView(row, t)
+	}
 	comp := e.comp[t]
 	pm := e.pmass[t]
 	obj := e.obj
@@ -273,8 +391,18 @@ func (e *Sparse) Score(event, t int) float64 {
 		mu := row.Vals[i]
 		c := comp.atFrom(&ci, id)
 		p := pm.atFrom(&pi, id)
-		sigma := e.inst.Activity.Prob(int(id), t)
-		sum += obj.Gain(sigma, mu, c, p)
+		sum += obj.Gain(e.sigma(id, t), mu, c, p)
+	}
+	return sum
+}
+
+// scoreView is Score's linear sum read through the dense view, which
+// must hold t: the same terms in the same order as the merge-join.
+func (e *Sparse) scoreView(row interest.SparseVector, t int) float64 {
+	dc, dp, obj := e.denseC, e.denseP, e.obj
+	sum := 0.0
+	for i, id := range row.IDs {
+		sum += obj.Gain(e.sigma(id, t), row.Vals[i], dc[id], dp[id])
 	}
 	return sum
 }
@@ -309,66 +437,30 @@ func (e *Sparse) scoreNonlinear(event, t int) float64 {
 		if p <= 0 {
 			continue
 		}
-		sigma := e.inst.Activity.Prob(int(id), t)
-		fold.add(e.obj.Share(sigma, comp.atFrom(&ci, id), p))
+		fold.add(e.obj.Share(e.sigma(id, t), comp.atFrom(&ci, id), p))
 	}
 	return fold.value(e.obj) - before
 }
 
 // ScoreBatch computes Score for every listed event at t. Under a
-// linear objective, a batch whose rows hold at least NumUsers entries
-// in total is scored through a dense view of the interval: its
-// competing and scheduled mass are scattered into two engine-owned
-// arrays indexed by user id, each row is read by direct index instead
-// of two seeks per entry, and only the scattered entries are zeroed
-// again. Every event sums the same terms in the same order as Score,
-// so the scores are bit-identical. The threshold bounds the view's
-// memory (16 B per user) by 16 B per entry the batch reads; smaller
-// batches, and nonlinear objectives, loop Score.
+// linear objective it takes the dense view when the view holds t or
+// the batch's rows together pay for moving it there (the rule Score
+// applies to one row), and reads every row through it; otherwise it
+// loops Score, whose own rule may still move the view for a long row.
+// Every event sums the same terms in the same order as Score, so the
+// scores are bit-identical.
 func (e *Sparse) ScoreBatch(events []int, t int, out []float64) {
-	n := e.inst.NumUsers
-	if !e.linear || !entriesAtLeast(e.inst.CandInterest, events, n) {
+	entries := 0
+	for _, ev := range events {
+		entries += e.inst.CandInterest.Row(ev).Len()
+	}
+	if !e.linear || !e.viewAt(t, entries) {
 		scoreBatchSerial(e, events, t, out)
 		return
 	}
-	if len(e.denseC) < n {
-		e.denseC = make([]float64, n)
-		e.denseP = make([]float64, n)
-	}
-	dc, dp := e.denseC, e.denseP
-	comp, pm := e.comp[t], e.pmass[t]
-	for i, id := range comp.ids {
-		dc[id] = comp.vals[i]
-	}
-	for i, id := range pm.ids {
-		dp[id] = pm.vals[i]
-	}
-	obj, act := e.obj, e.inst.Activity
 	for k, ev := range events {
-		row := e.inst.CandInterest.Row(ev)
-		sum := 0.0
-		for i, id := range row.IDs {
-			sum += obj.Gain(act.Prob(int(id), t), row.Vals[i], dc[id], dp[id])
-		}
-		out[k] = sum
+		out[k] = e.scoreView(e.inst.CandInterest.Row(ev), t)
 	}
-	for _, id := range comp.ids {
-		dc[id] = 0
-	}
-	for _, id := range pm.ids {
-		dp[id] = 0
-	}
-}
-
-// entriesAtLeast reports whether the listed events' rows hold at
-// least n entries in total, stopping as soon as they do.
-func entriesAtLeast(m *interest.Matrix, events []int, n int) bool {
-	for _, ev := range events {
-		if n -= m.Row(ev).Len(); n <= 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // merge rebuilds pmass[t] as acc ± row into the scratch buffers, then
@@ -377,6 +469,7 @@ func entriesAtLeast(m *interest.Matrix, events []int, n int) bool {
 // residual is numerical noise relative to the pre-subtraction
 // accumulated mass are dropped (see residualEps).
 func (e *Sparse) merge(t int, row massVector, subtract bool) {
+	e.touch(t)
 	acc := e.pmass[t]
 	if len(acc.ids) == 0 {
 		if subtract {
@@ -498,6 +591,7 @@ func (e *Sparse) Unapply(event int) error {
 	row := e.inst.CandInterest.Row(event)
 	e.merge(t, massVector{ids: row.IDs, vals: row.Vals}, true)
 	if len(e.sched.EventsAt(t)) == 0 {
+		e.touch(t)
 		acc := e.pmass[t]
 		e.pmass[t] = massVector{ids: acc.ids[:0], vals: acc.vals[:0]}
 		e.hwm[t] = 0
@@ -507,12 +601,17 @@ func (e *Sparse) Unapply(event int) error {
 
 // Patch absorbs instance mutations (see Patcher): the schedule grows
 // to the instance's events, and each listed interval's competing mass
-// is re-summed from the instance. Interest updates need nothing, since
-// Score reads event rows from the instance. The competing vectors are
-// replaced in a copy of the per-interval table, so forks taken
-// earlier keep the mass they were forked with.
-func (e *Sparse) Patch(_, intervals map[int]bool) {
+// is re-summed from the instance. Interest updates need nothing but a
+// fresh look at whether the rows still hold enough entries for the
+// view, since Score reads event rows from the instance. The competing
+// vectors are replaced in a copy of the per-interval table, so forks
+// taken earlier keep the mass they were forked with.
+func (e *Sparse) Patch(events, intervals map[int]bool) {
+	e.dropView()
 	e.sched.Grow()
+	if len(events) > 0 {
+		e.fitView()
+	}
 	if len(intervals) == 0 {
 		return
 	}
@@ -528,6 +627,7 @@ func (e *Sparse) Patch(_, intervals map[int]bool) {
 // place, keeping their storage (and the competing-mass aggregates,
 // which depend only on the instance) for the next solve.
 func (e *Sparse) Reset() {
+	e.dropView()
 	e.sched.Reset()
 	for t := range e.pmass {
 		acc := e.pmass[t]
@@ -554,7 +654,7 @@ func (e *Sparse) EventAttendance(event int) float64 {
 		if denom <= 0 {
 			continue
 		}
-		sum += e.inst.Activity.Prob(int(id), t) * mu / denom
+		sum += e.sigma(id, t) * mu / denom
 	}
 	return sum
 }
@@ -580,8 +680,7 @@ func (e *Sparse) intervalValue(t int, obj Objective, linear bool) float64 {
 	ci := 0
 	if linear {
 		for i, id := range pm.ids {
-			sigma := e.inst.Activity.Prob(int(id), t)
-			sum += obj.Share(sigma, comp.atFrom(&ci, id), pm.vals[i])
+			sum += obj.Share(e.sigma(id, t), comp.atFrom(&ci, id), pm.vals[i])
 		}
 		return sum
 	}
@@ -591,8 +690,7 @@ func (e *Sparse) intervalValue(t int, obj Objective, linear bool) float64 {
 		if p <= 0 {
 			continue
 		}
-		sigma := e.inst.Activity.Prob(int(id), t)
-		fold.add(obj.Share(sigma, comp.atFrom(&ci, id), p))
+		fold.add(obj.Share(e.sigma(id, t), comp.atFrom(&ci, id), p))
 	}
 	return fold.value(obj)
 }
@@ -622,9 +720,10 @@ func (e *Sparse) ValueOf(obj Objective) float64 {
 }
 
 // Fork deep-copies the schedule and scheduled-mass accumulators while
-// sharing the immutable competing-mass vectors, the objective and the
-// instance. The fork gets fresh scratch buffers, so it is independent
-// of the original for both reads and writes.
+// sharing the immutable competing-mass vectors, σ keys, objective and
+// instance. The fork starts without a view and gets fresh scratch
+// buffers, so it is independent of the original for both reads and
+// writes.
 func (e *Sparse) Fork() Engine {
 	f := &Sparse{
 		objectiveHolder: e.objectiveHolder,
@@ -633,6 +732,9 @@ func (e *Sparse) Fork() Engine {
 		comp:            e.comp, // Patch replaces the table, never edits it
 		pmass:           make([]massVector, len(e.pmass)),
 		hwm:             append([]float64(nil), e.hwm...),
+		viewOK:          e.viewOK,
+		viewT:           -1,
+		sigmaKeys:       e.sigmaKeys,
 	}
 	for t, m := range e.pmass {
 		if len(m.ids) == 0 {

@@ -107,11 +107,22 @@ func splitmix64(x uint64) uint64 {
 // HashToUnit maps (seed, a, b) deterministically to [0, 1). It is the
 // stateless generator behind the σ(u,t) ~ U(0,1) activity model: no
 // |U|×|T| table has to be materialized and every engine observes the
-// same value for the same (user, interval) pair.
+// same value for the same (user, interval) pair. It is defined through
+// its two halves, so a caller that keeps HashKey(seed, a) pays one mix
+// per b instead of three.
 func HashToUnit(seed uint64, a, b int) float64 {
+	return KeyToUnit(HashKey(seed, a), b)
+}
+
+// HashKey is the (seed, a) half of HashToUnit.
+func HashKey(seed uint64, a int) uint64 {
 	h := splitmix64(seed ^ 0x6a09e667f3bcc909)
-	h = splitmix64(h ^ uint64(a)*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(b)*0xc2b2ae3d27d4eb4f)
+	return splitmix64(h ^ uint64(a)*0x9e3779b97f4a7c15)
+}
+
+// KeyToUnit is the b half of HashToUnit: it finishes a HashKey.
+func KeyToUnit(key uint64, b int) float64 {
+	h := splitmix64(key ^ uint64(b)*0xc2b2ae3d27d4eb4f)
 	// 53 high bits -> [0,1) with full double precision.
 	return float64(h>>11) / float64(1<<53)
 }

@@ -177,6 +177,41 @@ func TestHashToUnitQuickProperty(t *testing.T) {
 	}
 }
 
+// hashToUnitThreeMix is HashToUnit as one function, the form it had
+// before it was split into HashKey and KeyToUnit: σ must not move.
+func hashToUnitThreeMix(seed uint64, a, b int) float64 {
+	h := splitmix64(seed ^ 0x6a09e667f3bcc909)
+	h = splitmix64(h ^ uint64(a)*0x9e3779b97f4a7c15)
+	h = splitmix64(h ^ uint64(b)*0xc2b2ae3d27d4eb4f)
+	return float64(h>>11) / float64(1<<53)
+}
+
+func TestHashToUnitEqualsItsHalves(t *testing.T) {
+	f := func(seed uint64, a, b int32) bool {
+		want := math.Float64bits(hashToUnitThreeMix(seed, int(a), int(b)))
+		return math.Float64bits(HashToUnit(seed, int(a), int(b))) == want &&
+			math.Float64bits(KeyToUnit(HashKey(seed, int(a)), int(b))) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	// Values the three-mix form produced, so a change to both forms at
+	// once shows too.
+	for _, c := range []struct {
+		seed uint64
+		a, b int
+		bits uint64
+	}{
+		{0, 0, 0, 0x3fc28237652e1d38},
+		{99, 1999, 49, 0x3fe8a4a3b7f8fda6},
+		{0xabcdef ^ 3, 7, 2, 0x3fe42e54cfc53f36},
+	} {
+		if got := math.Float64bits(HashToUnit(c.seed, c.a, c.b)); got != c.bits {
+			t.Errorf("HashToUnit(%d, %d, %d) bits %#x, want %#x", c.seed, c.a, c.b, got, c.bits)
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	s := NewSource(8)
 	p := s.Perm(100)

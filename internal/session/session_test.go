@@ -763,8 +763,8 @@ func TestDeadlineDuringScorePatchIsAnError(t *testing.T) {
 // TestHugeUserSpaceStaysSmall: a valid document that claims 2^30 users
 // but holds a handful of interest entries is decoded, created and
 // resolved with memory bounded by its entries, not by its claim. (The
-// Sparse engine scores an interval through a dense per-user view only
-// when the batch reads at least NumUsers entries.) TotalAlloc counts
+// Sparse engine keeps its dense per-user view and σ keys only when the
+// instance's candidate rows hold at least NumUsers entries.) TotalAlloc counts
 // every byte allocated, including the scoring forks' discarded
 // scratch.
 func TestHugeUserSpaceStaysSmall(t *testing.T) {
