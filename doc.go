@@ -140,8 +140,15 @@
 // scores under submodularity) beats the score the step won with. The
 // certified steps are applied like pins, with no score and no pop
 // (Counters.Replayed), and heap mode selects only the rest; a changed
-// pin set replays nothing. The recorded steps live in memory only, so
-// the first resolve after a restore or recovery selects in full.
+// pin set replays nothing. Heap mode keeps one heap per event's
+// entries under a heap of events, so a pick retires its event's other
+// entries at once instead of popping them one by one. The utility is
+// summed from per-interval values kept from the last commit: only an
+// interval whose applied events or their order changed, that gained
+// competitors or that holds an event with a new row is refolded. The
+// recorded steps and values live in memory only, so the first resolve
+// after a restore or recovery selects in full and folds every
+// interval.
 //
 // A score costs O(users interested in the event), so a cold solve
 // grows with |U|, while a warm resolve rescores only what heap mode

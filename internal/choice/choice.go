@@ -86,7 +86,10 @@ type Engine interface {
 	// Unapply removes event e from the schedule.
 	Unapply(e int) error
 	// Utility returns the objective's total value of the current
-	// schedule (Ω(S), Eq. 3, under the default Omega objective).
+	// schedule (Ω(S), Eq. 3, under the default Omega objective). It
+	// is the sum of IntervalUtility(t) over increasing t, bit for
+	// bit: the session layer keeps each interval's value across
+	// resolves and sums the values instead of calling Utility.
 	Utility() float64
 	// ValueOf returns the total value of the current schedule under an
 	// arbitrary objective (nil = Omega), without changing the engine's
@@ -98,7 +101,11 @@ type Engine interface {
 	// reporting metric. Returns 0 for unassigned events.
 	EventAttendance(e int) float64
 	// IntervalUtility returns the objective's value of interval t
-	// (Σ ω over events scheduled at t under Omega).
+	// (Σ ω over events scheduled at t under Omega). It depends only on
+	// t's competing mass, the interest rows applied at t and the order
+	// they were applied in, σ and the objective, so two engines over
+	// the same instance that applied the same events at t in the same
+	// order return the same bits for t, whatever else they hold.
 	IntervalUtility(t int) float64
 	// Fork returns an independent copy of the engine sharing the
 	// immutable per-instance state (competing mass, interest). Applying

@@ -1,6 +1,7 @@
 package choice
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -263,6 +264,47 @@ func TestValueOfConsistency(t *testing.T) {
 			}
 			if got := eng.ValueOf(Omega); math.Abs(got-omega) > eps {
 				t.Errorf("%s %s: ValueOf(Omega) = %v, Ω %v", obj.Name(), name, got, omega)
+			}
+		}
+	}
+}
+
+// TestUtilityIsSumOfIntervalValues pins the Engine.Utility contract
+// the session's per-interval record relies on: Utility is the sum of
+// IntervalUtility(t) over increasing t, and ValueOf(Objective()) is
+// Utility, bit for bit, on every engine under every objective, at
+// several fills and after an Unapply.
+func TestUtilityIsSumOfIntervalValues(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		inst := sestest.Random(sestest.Config{Seed: seed, Competing: 4, Intervals: 5})
+		for _, obj := range testObjectives(t) {
+			for name, eng := range newEngines(inst) {
+				eng.SetObjective(obj)
+				check := func(what string) {
+					t.Helper()
+					sum := 0.0
+					for ti := 0; ti < inst.NumIntervals; ti++ {
+						sum += eng.IntervalUtility(ti)
+					}
+					u := eng.Utility()
+					if math.Float64bits(u) != math.Float64bits(sum) {
+						t.Fatalf("seed %d %s %s %s: Utility %v, interval sum %v", seed, obj.Name(), name, what, u, sum)
+					}
+					if v := eng.ValueOf(obj); math.Float64bits(v) != math.Float64bits(u) {
+						t.Fatalf("seed %d %s %s %s: ValueOf %v, Utility %v", seed, obj.Name(), name, what, v, u)
+					}
+				}
+				check("empty")
+				for _, fill := range []int{1, 4, 9} {
+					greedyFill(eng, fill)
+					check(fmt.Sprintf("fill %d", fill))
+				}
+				if a := eng.Schedule().Assignments(); len(a) > 0 {
+					if err := eng.Unapply(a[len(a)/2].Event); err != nil {
+						t.Fatal(err)
+					}
+					check("after an Unapply")
+				}
 			}
 		}
 	}

@@ -6,10 +6,12 @@ import "ses/internal/core"
 // quantity is recomputed from the Eq. 1–4 definitions on demand, with
 // no caching or incremental state beyond the schedule itself. It is
 // the slowest implementation by a wide margin and exists so solvers
-// and conformance tests can run against the oracle directly. Under the
-// default Omega objective it keeps the original per-event summation
-// order; other objectives fold the per-user interval terms through
-// ReferenceIntervalValue.
+// and conformance tests can run against the oracle directly. An
+// interval's value sums its events' ω under the default Omega
+// objective (ReferenceIntervalUtility); other objectives fold the
+// per-user interval terms through ReferenceIntervalValue. Totals sum
+// the intervals in order, as Engine.Utility requires; the per-event
+// ReferenceUtility stays the oracle they are tested against.
 type Ref struct {
 	objectiveHolder
 	inst  *core.Instance
@@ -71,20 +73,19 @@ func (e *Ref) Unapply(event int) error { return e.sched.Unassign(event) }
 
 // Utility returns the objective's total value recomputed from the
 // definitions (Ω(S), Eq. 3, under Omega).
-func (e *Ref) Utility() float64 {
-	if obj := e.Objective(); obj != Omega {
-		return ReferenceValue(e.inst, e.sched, obj)
-	}
-	return ReferenceUtility(e.inst, e.sched)
-}
+func (e *Ref) Utility() float64 { return e.ValueOf(e.Objective()) }
 
 // ValueOf returns the schedule's total value under obj (nil = Omega)
 // without changing the engine's own objective.
 func (e *Ref) ValueOf(obj Objective) float64 {
-	if obj == nil || obj == Omega {
-		return ReferenceUtility(e.inst, e.sched)
+	if obj == nil {
+		obj = Omega
 	}
-	return ReferenceValue(e.inst, e.sched, obj)
+	sum := 0.0
+	for t := 0; t < e.inst.NumIntervals; t++ {
+		sum += e.intervalValue(t, obj)
+	}
+	return sum
 }
 
 // EventAttendance returns ω (Eq. 2) of a scheduled event.
@@ -94,8 +95,11 @@ func (e *Ref) EventAttendance(event int) float64 {
 
 // IntervalUtility returns the objective's value of interval t
 // (Σ_{e∈Et} ω under Omega).
-func (e *Ref) IntervalUtility(t int) float64 {
-	if obj := e.Objective(); obj != Omega {
+func (e *Ref) IntervalUtility(t int) float64 { return e.intervalValue(t, e.Objective()) }
+
+// intervalValue is interval t's value under obj.
+func (e *Ref) intervalValue(t int, obj Objective) float64 {
+	if obj != Omega {
 		return ReferenceIntervalValue(e.inst, e.sched, t, obj)
 	}
 	return ReferenceIntervalUtility(e.inst, e.sched, t)

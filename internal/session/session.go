@@ -47,11 +47,18 @@
 // initial score bounds all its later scores, the bound heap mode
 // already relies on. A changed pin set certifies nothing. The
 // certified steps enter SelectGreedy like pins, with no score and no
-// pop, and heap mode runs only for the steps after them. When the
-// whole trail replays, no pin sits at a dirty interval and selection
-// adds nothing, the committed utility is kept instead of refolded.
-// The steps are not session state: the first Resolve after New,
-// FromState or InstallCommit selects in full.
+// pop, and heap mode runs only for the steps after them.
+//
+// The utility is summed from per-interval values, under every
+// objective. A commit keeps each interval's value and the events
+// applied there in order: the pins in event order, then the steps.
+// The next Resolve refolds an interval only when its applied events
+// or their order changed, it gained competing events, or one of its
+// events was given a new row; an interval's value depends on nothing
+// else (choice.Engine.Utility), so the sum is the engine's Utility
+// bit for bit. The steps and the values are not session state: the
+// first Resolve after New, FromState or InstallCommit selects in full
+// and folds every interval.
 package session
 
 import (
@@ -169,6 +176,14 @@ type Scheduler struct {
 	allowed   []core.Assignment
 	// certSched is certify's scratch schedule, kept across resolves.
 	certSched *core.Schedule
+	// fold is the last commit's value of each interval and the events
+	// applied there in order; it lives in memory only, like trail, and
+	// is invalid after New, FromState and InstallCommit. A resolve
+	// builds the next one in foldNext (foldUtility) and swaps the two
+	// on commit, so neither allocates in steady state. rescoreBuf is
+	// patchScores' scratch list of events to score.
+	fold, foldNext intervalFold
+	rescoreBuf     []int
 
 	cur      []core.Assignment
 	curUtil  float64
@@ -561,7 +576,7 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 
 	gctx, gsp := obs.StartSpan(ctx, obs.SpanSelect)
 	pins := s.sortedPins()
-	replay, unchanged := s.certify(mat, pins)
+	replay := s.certify(mat, pins)
 	s.fillWorklist(mat, replay)
 	eng := solver.Instrument(s.eng, "session", s.opts.Progress)
 	steps, stop, err := solver.SelectGreedy(gctx, eng, &s.list, s.k, pins, replay, s.obj.Submodular(), &cnt)
@@ -577,15 +592,7 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	}
 
 	newAssgn := s.eng.Schedule().Assignments()
-	// When the whole trail replayed onto unchanged intervals and
-	// selection added nothing, the schedule is the committed one and
-	// every scheduled interval's mass was built from the same rows in
-	// the same order, so the committed utility bits stand; refolding
-	// every interval would only recompute them.
-	util := s.curUtil
-	if !unchanged || len(steps) != len(replay) {
-		util = s.eng.Utility()
-	}
+	util := s.foldUtility(pins, steps)
 	delta := s.diff(newAssgn)
 	delta.Utility = util
 	delta.Stopped = stop
@@ -608,6 +615,8 @@ func (s *Scheduler) Resolve(ctx context.Context) (*Delta, error) {
 	}
 	s.pinsMoved = false
 	s.allowed = s.allowed[:0]
+	s.fold, s.foldNext = s.foldNext, s.fold
+	s.fold.valid = true
 	s.cur = newAssgn
 	s.curUtil = util
 	s.lastStop = stop
@@ -690,14 +699,24 @@ func (s *Scheduler) patchScores(ctx context.Context, mat []float64, cnt *solver.
 			return err
 		}
 	}
-	// Materialize the dirty-event set once: the copy loop below runs
-	// |E|·|T| times and a map lookup per entry would dominate it.
-	dirty := make([]bool, nE)
+	// Every clean interval copies the cached scores of the events the
+	// cache covers, then scores the events it cannot vouch for: those
+	// given a new row or added since the commit. Cancelled events are
+	// never selected, so their slots keep whatever they hold.
+	rescore := s.rescoreBuf[:0]
 	for e := range s.dirtyEvents {
-		if e < nE {
-			dirty[e] = true
+		if e < s.cacheEvents && !s.cancelled[e] {
+			rescore = append(rescore, e)
 		}
 	}
+	slices.Sort(rescore)
+	for e := s.cacheEvents; e < nE; e++ {
+		if !s.cancelled[e] {
+			rescore = append(rescore, e)
+		}
+	}
+	s.rescoreBuf = rescore
+	m := min(nE, s.cacheEvents)
 	for t := 0; t < nT; t++ {
 		if s.dirtyIntervals[t] {
 			continue
@@ -710,18 +729,11 @@ func (s *Scheduler) patchScores(ctx context.Context, mat []float64, cnt *solver.
 			return ctx.Err()
 		}
 		dst := mat[t*nE : (t+1)*nE]
-		src := s.cache[t*s.cacheEvents : t*s.cacheEvents+s.cacheEvents]
-		for e := 0; e < nE; e++ {
-			switch {
-			case e < s.cacheEvents && !dirty[e]:
-				dst[e] = src[e]
-			case s.cancelled[e]:
-				// Never selected; its score is irrelevant.
-			default:
-				dst[e] = s.eng.Score(e, t)
-				cnt.InitialScores++
-			}
+		copy(dst[:m], s.cache[t*s.cacheEvents:t*s.cacheEvents+m])
+		for _, e := range rescore {
+			dst[e] = s.eng.Score(e, t)
 		}
+		cnt.InitialScores += len(rescore)
 	}
 	return nil
 }
@@ -738,10 +750,7 @@ func (s *Scheduler) sortedPins() []core.Assignment {
 
 // certify returns the longest prefix of the last commit's trail that
 // from-scratch GRD is certain to pick again, given the patched initial
-// scores in mat and the pins in the order they apply. unchanged
-// reports that the whole trail is certified and no pin sits at a
-// dirty interval, so every interval the replayed schedule uses is
-// exactly as it was at the commit.
+// scores in mat and the pins in the order they apply.
 //
 // A changed pin set certifies nothing. Otherwise step i survives, on
 // a schedule holding the pins and the steps before it, when its event
@@ -755,9 +764,9 @@ func (s *Scheduler) sortedPins() []core.Assignment {
 // commit, where step i beat it. A dirty pair is judged by its fresh
 // initial score, which under a submodular objective bounds every
 // later score of the pair — the bound heap mode already relies on.
-func (s *Scheduler) certify(mat []float64, pins []core.Assignment) (replay []solver.Step, unchanged bool) {
+func (s *Scheduler) certify(mat []float64, pins []core.Assignment) []solver.Step {
 	if s.trail == nil || s.pinsMoved {
-		return nil, false
+		return nil
 	}
 	nE, nT := s.inst.NumEvents(), s.inst.NumIntervals
 	dirtyT := make([]bool, nT)
@@ -769,7 +778,6 @@ func (s *Scheduler) certify(mat []float64, pins []core.Assignment) (replay []sol
 			dirtyT[p.Interval] = true
 		}
 	}
-	unchanged = !slices.ContainsFunc(pins, func(p core.Assignment) bool { return dirtyT[p.Interval] })
 	// The dirty pairs the worklist holds, best first. A pair listed
 	// twice is harmless.
 	var dirty []solver.Step
@@ -805,7 +813,7 @@ func (s *Scheduler) certify(mat []float64, pins []core.Assignment) (replay []sol
 	sched.Reset()
 	for _, p := range pins {
 		if sched.Assign(p.Event, p.Interval) != nil {
-			return nil, false // SelectGreedy reports the infeasible pin
+			return nil // SelectGreedy reports the infeasible pin
 		}
 	}
 	// A pair invalid on this schedule stays invalid as it grows, so the
@@ -823,7 +831,81 @@ func (s *Scheduler) certify(mat []float64, pins []core.Assignment) (replay []sol
 			break
 		}
 	}
-	return s.trail[:n], unchanged && n == len(s.trail)
+	return s.trail[:n]
+}
+
+// intervalFold records a commit's schedule per interval: each
+// interval's value and the events applied there, in the order they
+// were applied.
+type intervalFold struct {
+	// vals[t] is interval t's value, eng.IntervalUtility(t).
+	vals []float64
+	// The events applied at t are events[start[t]:start[t+1]].
+	start  []int
+	events []int
+	// valid is false until a commit fills the record.
+	valid bool
+}
+
+// at lists the events applied at t, in order.
+func (f *intervalFold) at(t int) []int { return f.events[f.start[t]:f.start[t+1]] }
+
+// group records the events the pins, then the steps, applied at each
+// of nT intervals, in that order: a stable counting sort by interval.
+func (f *intervalFold) group(nT int, pins []core.Assignment, steps []solver.Step) {
+	f.start = slices.Grow(f.start[:0], nT+1)[:nT+1]
+	clear(f.start)
+	for _, p := range pins {
+		f.start[p.Interval]++
+	}
+	for _, st := range steps {
+		f.start[st.Interval]++
+	}
+	// start[t] becomes the end of t's events; filling from the back
+	// moves it to their beginning and keeps their order.
+	n := 0
+	for t := range f.start {
+		n += f.start[t]
+		f.start[t] = n
+	}
+	f.events = slices.Grow(f.events[:0], n)[:n]
+	for i := len(steps) - 1; i >= 0; i-- {
+		t := steps[i].Interval
+		f.start[t]--
+		f.events[f.start[t]] = steps[i].Event
+	}
+	for i := len(pins) - 1; i >= 0; i-- {
+		t := pins[i].Interval
+		f.start[t]--
+		f.events[f.start[t]] = pins[i].Event
+	}
+}
+
+// foldUtility returns the engine's utility of the schedule just
+// selected, the pins then the steps, and records it per interval in
+// s.foldNext. An interval keeps its committed value when the same
+// events were applied there in the same order, it gained no competing
+// events and none of those events has a new row since the commit:
+// its value depends on nothing else (choice.Engine.Utility). Every
+// other interval is refolded. The values are summed in interval
+// order, so the sum is eng.Utility() bit for bit.
+func (s *Scheduler) foldUtility(pins []core.Assignment, steps []solver.Step) float64 {
+	nT := s.inst.NumIntervals
+	prev, next := &s.fold, &s.foldNext
+	next.group(nT, pins, steps)
+	next.vals = slices.Grow(next.vals[:0], nT)[:nT]
+	sum := 0.0
+	for t := range next.vals {
+		at := next.at(t)
+		if prev.valid && !s.dirtyIntervals[t] && slices.Equal(at, prev.at(t)) &&
+			!slices.ContainsFunc(at, func(e int) bool { return s.dirtyEvents[e] }) {
+			next.vals[t] = prev.vals[t]
+		} else {
+			next.vals[t] = s.eng.IntervalUtility(t)
+		}
+		sum += next.vals[t]
+	}
+	return sum
 }
 
 // fillWorklist refills the recycled worklist from mat in GRD's

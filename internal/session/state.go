@@ -251,9 +251,11 @@ func (s *Scheduler) InstallCommit(schedule []core.Assignment, utility float64, s
 	s.curUtil = utility
 	s.lastStop = stopped
 	s.totals = totals
-	// The installed schedule was not selected here, so no trail
-	// describes it: the next resolve selects in full.
+	// The installed schedule was not selected here, so neither the
+	// trail nor the per-interval record describes it: the next resolve
+	// selects in full and folds every interval.
 	s.trail = nil
+	s.fold.valid = false
 	return nil
 }
 

@@ -80,17 +80,21 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 //     while invalid ones are removed. Entries at pinned intervals are
 //     rescored before selection starts. Pops counts scans, and
 //     ListScans the entries the scans and the updates traversed.
-//   - Heap (lazy true) is CELF lazy re-evaluation over the same list,
-//     heapified in place. Every interval carries a version, bumped on
-//     each apply (pins and replayed steps included), and every entry
-//     the version its score was computed at. A popped entry is
-//     dropped if invalid, rescored and reinserted if stale, and
-//     applied only when it is current. Under a submodular objective a
-//     stale score can only overstate the current one, so the entry
+//   - Heap (lazy true) is CELF lazy re-evaluation over the same list.
+//     Every interval carries a version, bumped on each apply (pins
+//     and replayed steps included), and every entry the version its
+//     score was computed at. The list is grouped in place into one
+//     max-heap per event's entries under a heap of events, keyed by
+//     each event's best entry, so the top is the best entry overall.
+//     A top entry is dropped if invalid, rescored and sifted back if
+//     stale, and applied only when it is current, which retires its
+//     event's other entries in one step. Under a submodular objective
+//     a stale score can only overstate the current one, so the entry
 //     applied is the scan's argmax and both modes select the same
 //     schedule; under attendance or fairness heap mode is only
-//     greedy-flavored. Pops counts every pop — each invalid entry
-//     dropped one by one, each stale re-pop — and ListScans stays 0.
+//     greedy-flavored. Pops counts every top looked at — each invalid
+//     entry dropped, each stale rescore, each pick — and ListScans
+//     stays 0.
 //
 // In both modes ScoreUpdates counts the rescores.
 //
@@ -116,68 +120,89 @@ func (g *GRD) Solve(ctx context.Context, inst *core.Instance, k int) (*Result, e
 // best-so-far applied to eng; cancellation returns ctx.Err().
 func SelectGreedy(ctx context.Context, eng choice.Engine, wl *Worklist, k int, pins []core.Assignment, replay []Step,
 	lazy bool, cnt *Counters) (steps []Step, stop string, err error) {
-	sched := eng.Schedule()
-	var versions []int32
-	if lazy {
-		versions = make([]int32, eng.Instance().NumIntervals)
-	}
-	apply := func(event, t int) error {
-		if err := eng.Apply(event, t); err != nil {
-			return err
+	g := greedy{eng: eng, cnt: cnt}
+	if stop, err = g.start(ctx, pins, replay, lazy); err == nil && stop == "" {
+		if lazy {
+			// The pins and replayed steps bumped their intervals'
+			// versions, so the entries there are stale until rescored.
+			stop, err = selectHeap(ctx, &g, wl, k)
+		} else {
+			stop, err = selectScan(ctx, &g, wl, k)
 		}
-		if versions != nil {
-			versions[t]++
-		}
-		return nil
-	}
-
-	var pinned []bool
-	if len(pins)+len(replay) > 0 {
-		pinned = make([]bool, eng.Instance().NumIntervals)
-	}
-	for _, p := range pins {
-		if err := sched.Validity(p.Event, p.Interval); err != nil {
-			return nil, "", fmt.Errorf("solver: pinned assignment (%d,%d) is infeasible: %w", p.Event, p.Interval, err)
-		}
-		if err := apply(p.Event, p.Interval); err != nil {
-			return nil, "", err
-		}
-		pinned[p.Interval] = true
-	}
-	steps = make([]Step, 0, len(replay))
-	for _, st := range replay {
-		// Replaying is selection too: a deadline stops it as it stops a
-		// pop, with the steps replayed so far as the best-so-far.
-		if stop, err = ctxCheck(ctx, true); err != nil || stop != "" {
-			break
-		}
-		if err := apply(st.Event, st.Interval); err != nil {
-			return nil, "", fmt.Errorf("solver: replayed step (%d,%d): %w", st.Event, st.Interval, err)
-		}
-		pinned[st.Interval] = true
-		steps = append(steps, st)
-		cnt.Replayed++
-	}
-	take := func(a assignment) error {
-		if err := apply(a.event, a.interval); err != nil {
-			return err
-		}
-		steps = append(steps, Step{Event: a.event, Interval: a.interval, Score: a.score})
-		return nil
-	}
-	switch {
-	case err != nil || stop != "":
-	case lazy:
-		// The pins and replayed steps bumped their intervals' versions,
-		// so the entries there are stale until rescored.
-		stop, err = selectHeap(ctx, eng, wl, k, versions, take, cnt)
-	default:
-		stop, err = selectScan(ctx, eng, wl, k, pinned, take, cnt)
 	}
 	if err != nil {
 		return nil, "", err
 	}
-	return steps, stop, nil
+	return g.steps, stop, nil
+}
+
+// greedy is one SelectGreedy run: the engine it applies to, the steps
+// applied after the pins and the work counters. versions are heap
+// mode's interval versions (nil in scan mode), and pinned marks the
+// intervals pins and replayed steps went to (nil when there are none).
+type greedy struct {
+	eng      choice.Engine
+	versions []int32
+	pinned   []bool
+	steps    []Step
+	cnt      *Counters
+}
+
+// start applies the pins, then the replayed steps. A deadline during
+// the replay returns StoppedDeadline with the steps replayed so far.
+func (g *greedy) start(ctx context.Context, pins []core.Assignment, replay []Step, lazy bool) (string, error) {
+	nT := g.eng.Instance().NumIntervals
+	if lazy {
+		g.versions = make([]int32, nT)
+	}
+	if len(pins)+len(replay) > 0 {
+		g.pinned = make([]bool, nT)
+	}
+	sched := g.eng.Schedule()
+	for _, p := range pins {
+		if err := sched.Validity(p.Event, p.Interval); err != nil {
+			return "", fmt.Errorf("solver: pinned assignment (%d,%d) is infeasible: %w", p.Event, p.Interval, err)
+		}
+		if err := g.apply(p.Event, p.Interval); err != nil {
+			return "", err
+		}
+		g.pinned[p.Interval] = true
+	}
+	g.steps = make([]Step, 0, len(replay))
+	for _, st := range replay {
+		// Replaying is selection too: a deadline stops it as it stops a
+		// pop, with the steps replayed so far as the best-so-far.
+		if stop, err := ctxCheck(ctx, true); err != nil || stop != "" {
+			return stop, err
+		}
+		if err := g.apply(st.Event, st.Interval); err != nil {
+			return "", fmt.Errorf("solver: replayed step (%d,%d): %w", st.Event, st.Interval, err)
+		}
+		g.pinned[st.Interval] = true
+		g.steps = append(g.steps, st)
+		g.cnt.Replayed++
+	}
+	return "", nil
+}
+
+// apply applies (event, t) and, in heap mode, bumps t's version.
+func (g *greedy) apply(event, t int) error {
+	if err := g.eng.Apply(event, t); err != nil {
+		return err
+	}
+	if g.versions != nil {
+		g.versions[t]++
+	}
+	return nil
+}
+
+// take applies a selected assignment as the next step.
+func (g *greedy) take(a assignment) error {
+	if err := g.apply(a.event, a.interval); err != nil {
+		return err
+	}
+	g.steps = append(g.steps, Step{Event: a.event, Interval: a.interval, Score: a.score})
+	return nil
 }
 
 // Step is one greedy step after the pins: the assignment applied and
@@ -195,14 +220,13 @@ func (a Step) Beats(b Step) bool {
 		assignment{event: b.Event, interval: b.Interval, score: b.Score})
 }
 
-// selectScan is SelectGreedy's scan mode: the paper's list. pinned
-// marks the intervals pins and replayed steps were applied to, if any.
-func selectScan(ctx context.Context, eng choice.Engine, wl *Worklist, k int,
-	pinned []bool, take func(assignment) error, cnt *Counters) (string, error) {
+// selectScan is SelectGreedy's scan mode: the paper's list.
+func selectScan(ctx context.Context, g *greedy, wl *Worklist, k int) (string, error) {
+	eng, cnt := g.eng, g.cnt
 	sched := eng.Schedule()
-	if pinned != nil {
+	if g.pinned != nil {
 		for i := range wl.list {
-			if a := &wl.list[i]; pinned[a.interval] && sched.IsValid(a.event, a.interval) {
+			if a := &wl.list[i]; g.pinned[a.interval] && sched.IsValid(a.event, a.interval) {
 				rescore(eng, a, cnt)
 			}
 		}
@@ -221,7 +245,7 @@ func selectScan(ctx context.Context, eng choice.Engine, wl *Worklist, k int,
 		}
 		// Line 8: insert into the schedule. Validity was checked
 		// above; failure means a bug.
-		if err := take(top); err != nil {
+		if err := g.take(top); err != nil {
 			return "", err
 		}
 
@@ -248,30 +272,47 @@ func selectScan(ctx context.Context, eng choice.Engine, wl *Worklist, k int,
 	return "", nil
 }
 
-// selectHeap is SelectGreedy's heap mode: CELF over the same list.
-// A pop that goes back in replaces the top and sifts down, which
-// leaves the heap as a pop followed by a push would.
-func selectHeap(ctx context.Context, eng choice.Engine, wl *Worklist, k int,
-	versions []int32, take func(assignment) error, cnt *Counters) (string, error) {
+// selectHeap is SelectGreedy's heap mode: CELF over the same list,
+// grouped into one heap per run of an event's entries under a heap of
+// runs (Worklist.groupRuns). The top run's top is the list's best
+// entry, so the loop sees the entries a flat heap over the list would
+// pop, in the same order, and acts on each the same way. An invalid
+// top leaves its run, and a stale one is rescored and sifted within
+// it. A current one is taken and retires its whole run: its event is
+// scheduled, so the run's other entries could only be dropped as
+// invalid, which has no effect but a pop.
+func selectHeap(ctx context.Context, g *greedy, wl *Worklist, k int) (string, error) {
+	eng, versions, cnt := g.eng, g.versions, g.cnt
 	sched := eng.Schedule()
-	wl.heapify()
-	for sched.Size() < k && len(wl.list) > 0 {
+	wl.groupRuns()
+	l := wl.list
+	for sched.Size() < k && len(wl.heap) > 0 {
 		if stop, err := ctxCheck(ctx, true); err != nil || stop != "" {
 			return stop, err
 		}
 		cnt.Pops++
-		top := &wl.list[0]
+		r := &wl.runs[wl.heap[0]]
+		top := &l[r.lo]
 		switch {
 		case !sched.IsValid(top.event, top.interval):
-			wl.popHeap()
+			r.hi--
+			if r.hi == r.lo {
+				wl.dropRun()
+				continue
+			}
+			*top = l[r.hi]
+			siftDown(l[r.lo:r.hi], 0)
+			wl.siftRun(0)
 		case top.version != versions[top.interval]:
 			rescore(eng, top, cnt)
 			top.version = versions[top.interval]
-			wl.down(0)
+			siftDown(l[r.lo:r.hi], 0)
+			wl.siftRun(0)
 		default:
-			if err := take(wl.popHeap()); err != nil {
+			if err := g.take(*top); err != nil {
 				return "", err
 			}
+			wl.dropRun()
 		}
 	}
 	return "", nil

@@ -71,9 +71,10 @@ type Counters struct {
 	// benchmark still reads it and the session goldens print it.
 	BoundUpdates int
 	// Pops counts popTopAssgn calls. In scan mode that is one linear
-	// scan each, invalid pops included; in heap mode it is every heap
-	// pop: each invalid entry dropped one by one, each stale re-pop
-	// and each applied entry.
+	// scan each, invalid pops included; in heap mode it is every top
+	// entry looked at: each invalid entry dropped, each stale rescore
+	// and each applied entry. A pick retires its event's other
+	// entries without popping them.
 	Pops int
 	// ListScans counts assignment-list elements traversed by scan
 	// mode's popTopAssgn and same-interval update; heap mode scans no

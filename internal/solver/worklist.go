@@ -127,7 +127,17 @@ func scoreMatrix(ctx context.Context, eng choice.Engine, workers int, counters *
 // Add, to select from its cached scores.
 type Worklist struct {
 	list []assignment
+	// runs and heap are heap mode's index over list (groupRuns), kept
+	// across selections so a refilled list allocates nothing: the live
+	// part of each run of one event's entries, and a max-heap of run
+	// indices ordered by each run's top entry.
+	runs []run
+	heap []int
 }
+
+// run is the live part list[lo:hi] of one run: a max-heap under
+// better, its top at lo.
+type run struct{ lo, hi int }
 
 // Reset empties w for refilling with up to n entries. The storage is
 // kept across calls and grows with 25% headroom, so a caller whose
@@ -141,7 +151,8 @@ func (w *Worklist) Reset(n int) {
 }
 
 // Add appends assignment (event, t) with its initial score. Callers
-// add in (event, interval) order, which fixes tie-breaking.
+// add in (event, interval) order, which fixes tie-breaking and gives
+// heap mode one run per event.
 func (w *Worklist) Add(event, t int, score float64) {
 	w.list = append(w.list, assignment{event: event, interval: t, score: score})
 }
@@ -195,45 +206,87 @@ func (w *Worklist) popTop(counters *Counters) assignment {
 	return top
 }
 
-// heapify orders the list as a binary max-heap under better, in place.
-func (w *Worklist) heapify() {
-	for i := len(w.list)/2 - 1; i >= 0; i-- {
-		w.down(i)
+// groupRuns readies the list for heap mode: it splits the list into
+// runs, the maximal stretches of entries of one event, orders each
+// run as a max-heap under better in place, and orders the run heap by
+// each run's top. A list filled in (event, interval) order has one run
+// per event; any other order only makes more, shorter runs.
+func (w *Worklist) groupRuns() {
+	l := w.list
+	w.runs, w.heap = w.runs[:0], w.heap[:0]
+	for lo := 0; lo < len(l); {
+		hi := lo + 1
+		for hi < len(l) && l[hi].event == l[lo].event {
+			hi++
+		}
+		heapify(l[lo:hi])
+		w.heap = append(w.heap, len(w.runs))
+		w.runs = append(w.runs, run{lo: lo, hi: hi})
+		lo = hi
+	}
+	for i := len(w.heap)/2 - 1; i >= 0; i-- {
+		w.siftRun(i)
 	}
 }
 
-// down sifts entry i toward the leaves until neither child is better.
-func (w *Worklist) down(i int) {
-	l := w.list
-	x := l[i]
+// dropRun removes the top run from the run heap.
+func (w *Worklist) dropRun() {
+	last := len(w.heap) - 1
+	w.heap[0] = w.heap[last]
+	w.heap = w.heap[:last]
+	if last > 0 {
+		w.siftRun(0)
+	}
+}
+
+// siftRun sifts run heap entry i toward the leaves until neither
+// child's top is better than its own.
+func (w *Worklist) siftRun(i int) {
+	h, l, runs := w.heap, w.list, w.runs
+	x := h[i]
 	for {
 		c := 2*i + 1
-		if c >= len(l) {
+		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(l) && better(l[r], l[c]) {
+		if r := c + 1; r < len(h) && better(l[runs[h[r]].lo], l[runs[h[c]].lo]) {
 			c = r
 		}
-		if !better(l[c], x) {
+		if !better(l[runs[h[c]].lo], l[runs[x].lo]) {
 			break
 		}
-		l[i] = l[c]
+		h[i] = h[c]
 		i = c
 	}
-	l[i] = x
+	h[i] = x
 }
 
-// popHeap removes and returns the top of a heapified list.
-func (w *Worklist) popHeap() assignment {
-	l := w.list
-	top := l[0]
-	last := len(l) - 1
-	w.list = l[:last]
-	if last > 0 {
-		l[0] = l[last]
-		w.down(0)
+// heapify orders h as a binary max-heap under better, in place.
+func heapify(h []assignment) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	return top
+}
+
+// siftDown sifts entry i of heap h toward the leaves until neither
+// child is better.
+func siftDown(h []assignment, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && better(h[r], h[c]) {
+			c = r
+		}
+		if !better(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // better orders assignments by score with deterministic tie-breaking.

@@ -123,11 +123,21 @@ func recoverCopy(t *testing.T, src string) *Durable {
 	return d
 }
 
-// checkFixtureState compares s with testdata/gob_era.expected.json:
-// every field through the file's bytes, and each utility bit for bit.
-func checkFixtureState(t *testing.T, what string, s *Store) {
+// The states the fixture's history recovers to. gobEraState is what
+// the build that wrote testdata/gob_era recorded. thisBuildState is
+// what this build records through the same history: heap-mode
+// selection pops fewer entries, so the resolves' counters.pops differ
+// and nothing else does (TestFixtureStatesDifferOnlyInPops).
+const (
+	gobEraState    = "testdata/gob_era.expected.json"
+	thisBuildState = "testdata/this_build.expected.json"
+)
+
+// checkFixtureState compares s with the expected state file: every
+// field through the file's bytes, and each utility bit for bit.
+func checkFixtureState(t *testing.T, what string, s *Store, file string) {
 	t.Helper()
-	raw, err := os.ReadFile("testdata/gob_era.expected.json")
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func checkFixtureState(t *testing.T, what string, s *Store) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(append(b, '\n'), raw) {
-		t.Fatalf("%s: state differs from testdata/gob_era.expected.json:\n%s", what, b)
+		t.Fatalf("%s: state differs from %s:\n%s", what, file, b)
 	}
 	var want fixtureState
 	if err := json.Unmarshal(raw, &want); err != nil {
@@ -155,13 +165,14 @@ func checkFixtureState(t *testing.T, what string, s *Store) {
 // last build with gob snapshots wrote through buildFixtureLog (create,
 // batch, staged batch, resolve, restore and adopt-epoch records, and
 // one checkpoint of two sessions), left as a crash leaves it. It
-// recovers to the state that build recorded, and so does the
-// directory this build writes through the same history. After a
-// checkpoint in the current layout, both recover once more to that
-// same state.
+// recovers to the state that build recorded, counters included. The
+// live store this build drives through the same history, and the
+// directory it writes, recover to the state this build records. After
+// a checkpoint in the current layout, each directory recovers once
+// more to its own state.
 func TestGobEraDataDirRecovers(t *testing.T) {
 	gobEra := recoverCopy(t, "testdata/gob_era")
-	checkFixtureState(t, "gob-era directory", gobEra.Store)
+	checkFixtureState(t, "gob-era directory", gobEra.Store, gobEraState)
 
 	fresh := t.TempDir()
 	d, err := OpenDurable(fresh, fixtureOptions)
@@ -169,20 +180,58 @@ func TestGobEraDataDirRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildFixtureLog(t, d)
-	checkFixtureState(t, "live store", d.Store)
-	checkFixtureState(t, "this build's directory", recoverCopy(t, fresh).Store)
+	checkFixtureState(t, "live store", d.Store, thisBuildState)
+	checkFixtureState(t, "this build's directory", recoverCopy(t, fresh).Store, thisBuildState)
 
-	for _, dd := range []*Durable{gobEra, d} {
-		if err := dd.Close(); err != nil {
+	for _, c := range []struct {
+		d    *Durable
+		file string
+	}{{gobEra, gobEraState}, {d, thisBuildState}} {
+		if err := c.d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := OpenDurable(dd.Dir(), fixtureOptions)
+		again, err := OpenDurable(c.d.Dir(), fixtureOptions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFixtureState(t, "after a checkpoint", again.Store)
+		checkFixtureState(t, "after a checkpoint", again.Store, c.file)
 		if err := again.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFixtureStatesDifferOnlyInPops: the two expected states describe
+// one history, so they may differ only in the work counter the
+// selection loop changed, counters.pops.
+func TestFixtureStatesDifferOnlyInPops(t *testing.T) {
+	read := func(file string) fixtureState {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st fixtureState
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	old, cur := read(gobEraState), read(thisBuildState)
+	if len(old.Entries) != len(cur.Entries) {
+		t.Fatalf("%d entries against %d", len(old.Entries), len(cur.Entries))
+	}
+	for i := range cur.Entries {
+		cur.Entries[i].Snapshot.Counters.Pops = old.Entries[i].Snapshot.Counters.Pops
+	}
+	a, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s and %s differ beyond counters.pops:\n%s\n%s", gobEraState, thisBuildState, a, b)
 	}
 }
