@@ -18,7 +18,6 @@ import (
 
 	"ses"
 	"ses/internal/choice"
-	"ses/internal/solver"
 )
 
 var (
@@ -124,43 +123,6 @@ func BenchmarkAblationLazyGreedy(b *testing.B) {
 	b.Run("grd-lazy-heap", func(b *testing.B) { runSolver(b, inst, mustSolver(b, "grdlazy"), k) })
 }
 
-// BenchmarkAblationEngine compares the sparse production engine with
-// the paper-faithful dense O(|U|)-per-score engine, via GRD on a small
-// instance (the dense engine's cost is dominated by |U| = 8000).
-func BenchmarkAblationEngine(b *testing.B) {
-	const k = 20
-	ds := benchDataset(b)
-	inst, err := ses.BuildInstance(ds, ses.PaperParams{
-		K: k, Intervals: 30, CandidateEvents: 40, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sparse", func(b *testing.B) {
-		s := solver.NewGRD(solver.Config{})
-		runSolverInternal(b, inst, s, k)
-	})
-	b.Run("dense", func(b *testing.B) {
-		s := solver.NewGRD(solver.Config{Engine: solver.DenseEngine})
-		runSolverInternal(b, inst, s, k)
-	})
-}
-
-func runSolverInternal(b *testing.B, inst *ses.Instance, s solver.Solver, k int) {
-	b.Helper()
-	b.ResetTimer()
-	var res *solver.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = s.Solve(context.Background(), inst, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(res.Utility, "utility")
-}
-
 // BenchmarkAblationTOPVariants quantifies how much of TOP's weakness
 // comes from discarding invalid top-k picks (paper TOP) versus from
 // stale scores alone (TOPFill walks the list until k valid picks).
@@ -187,18 +149,11 @@ func BenchmarkAblationRefinement(b *testing.B) {
 }
 
 // BenchmarkScoreComputation isolates one Eq. 4 evaluation — the unit
-// the paper's complexity analysis counts — on both engines.
+// the paper's complexity analysis counts — on the sparse engine.
 func BenchmarkScoreComputation(b *testing.B) {
 	inst := benchInstance(b, 100, 150)
 	b.Run("sparse", func(b *testing.B) {
 		eng := choice.NewSparse(inst)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = eng.Score(i%inst.NumEvents(), i%inst.NumIntervals)
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		eng := choice.NewDense(inst)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = eng.Score(i%inst.NumEvents(), i%inst.NumIntervals)

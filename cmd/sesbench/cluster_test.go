@@ -98,7 +98,7 @@ func TestClusterQuickVerifyFlagGuards(t *testing.T) {
 	if err := run(context.Background(), []string{"-fig", "wal", "-quick"}, &out); err == nil {
 		t.Error("-quick with -fig wal accepted")
 	}
-	if err := run(context.Background(), []string{"-fig", "engines", "-verify", "-json", "../../BENCH_engine.json"}, &out); err != nil {
-		t.Errorf("-verify with -fig engines: %v", err)
+	if err := run(context.Background(), []string{"-fig", "objectives", "-verify", "-json", "../../BENCH_objective.json"}, &out); err != nil {
+		t.Errorf("-verify with -fig objectives: %v", err)
 	}
 }

@@ -80,7 +80,6 @@ type figure struct {
 
 // figures is the -fig table of JSON figures, in usage order.
 var figures = []figure{
-	{name: "engines", artifact: "BENCH_engine.json", dataset: true, run: harness(benchEngines, checkEngines)},
 	{name: "objectives", artifact: "BENCH_objective.json", dataset: true, run: harness(benchObjectives, checkObjectives)},
 	{name: "resolve", artifact: "BENCH_resolve.json", dataset: true, run: harness(benchResolve, checkResolve)},
 	{name: "wal", artifact: "BENCH_wal.json", run: harness(benchWAL, checkWAL)},

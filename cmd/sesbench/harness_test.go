@@ -23,7 +23,7 @@ func TestCommittedArtifactsVerify(t *testing.T) {
 }
 
 // TestVerifyRejectsBrokenArtifacts covers the checks of the figures
-// whose tests only measure: engines, objectives, resolve and wal.
+// whose tests only measure: objectives, resolve and wal.
 func TestVerifyRejectsBrokenArtifacts(t *testing.T) {
 	rows := func(labels ...string) string {
 		var rs []string
@@ -45,12 +45,10 @@ func TestVerifyRejectsBrokenArtifacts(t *testing.T) {
 		name, fig, doc string
 		ok             bool
 	}{
-		{"engines ok", "engines", rows("sparse", "dense"), true},
-		{"engines invalid json", "engines", `{`, false},
-		{"engines missing dense", "engines", rows("sparse"), false},
-		{"engines zero ns/op", "engines", strings.Replace(rows("sparse", "dense"), `"ns_per_op":10`, `"ns_per_op":0`, 1), false},
 		{"objectives ok", "objectives", rows("omega", "attendance:0.5", "fairness:0.5"), true},
+		{"objectives invalid json", "objectives", `{`, false},
 		{"objectives missing fairness", "objectives", rows("omega", "attendance:0.5"), false},
+		{"objectives zero ns/op", "objectives", strings.Replace(rows("omega", "attendance:0.5", "fairness:0.5"), `"ns_per_op":10`, `"ns_per_op":0`, 1), false},
 		{"resolve ok", "resolve", scenario(true, 75, 7500), true},
 		{"resolve no scenarios", "resolve", `{"scenarios":[]}`, false},
 		{"resolve diverged", "resolve", scenario(false, 75, 7500), false},

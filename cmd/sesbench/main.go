@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sesbench [-fig all|1a|1b|1c|1d|sens|engines|objectives|resolve|wal|scaling|cluster|obs]
+//	sesbench [-fig all|1a|1b|1c|1d|sens|objectives|resolve|wal|scaling|cluster|obs]
 //	         [-scale full|medium|small]
 //	         [-reps N] [-seed S] [-algos paper|extended] [-csv dir] [-v]
 //	         [-workers W] [-par P] [-json file] [-quick] [-verify]
@@ -14,11 +14,9 @@
 //
 // The JSON figures, each with its default -json artifact:
 //
-//   - engines (BENCH_engine.json): Score, Unapply+Apply and
-//     IntervalUtility on the sorted-accumulator Sparse engine and the
-//     paper-faithful Dense engine.
-//   - objectives (BENCH_objective.json): the same hot paths on the
-//     Sparse engine under each registered objective.
+//   - objectives (BENCH_objective.json): Score, Unapply+Apply and
+//     IntervalUtility on the Sparse engine under each registered
+//     objective.
 //   - resolve (BENCH_resolve.json): after single mutations, an
 //     incremental ses.Scheduler.Resolve against a from-scratch
 //     re-solve; utilities must match and the incremental run must

@@ -55,23 +55,23 @@ func TestRunCSVOutput(t *testing.T) {
 	}
 }
 
-func TestRunEnginesFig(t *testing.T) {
+func TestRunObjectivesFig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("microbenchmarks are seconds-long")
 	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_engine.json")
+	jsonPath := filepath.Join(dir, "BENCH_objective.json")
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-fig", "engines", "-scale", "small", "-json", jsonPath}, &out); err != nil {
+	if err := run(context.Background(), []string{"-fig", "objectives", "-scale", "small", "-json", jsonPath}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Score/sparse", "Score/dense", "IntervalUtility/sparse", "ns_per_op", "allocs_per_op"} {
+	for _, want := range []string{"Score/omega", "Score/fairness:0.5", "IntervalUtility/omega", `"engine": "sparse"`, "ns_per_op", "allocs_per_op"} {
 		if !strings.Contains(string(data), want) {
-			t.Errorf("BENCH_engine.json missing %q", want)
+			t.Errorf("BENCH_objective.json missing %q", want)
 		}
 	}
 	if !strings.Contains(out.String(), "wrote "+jsonPath) {
@@ -241,7 +241,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-fig", "1a", "-json", "x.json"},
 		{"-fig", "sens", "-verify"},
 		{"-fig", "resolve", "-quick"},
-		{"-fig", "engines", "-json", filepath.Join("no-such-dir", "x.json")},
+		{"-fig", "engines"},
+		{"-fig", "objectives", "-json", filepath.Join("no-such-dir", "x.json")},
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {

@@ -35,8 +35,8 @@ import (
 	"time"
 
 	"ses"
+	"ses/internal/choice"
 	"ses/internal/dataset"
-	"ses/internal/solver"
 	"ses/internal/tablefmt"
 )
 
@@ -136,7 +136,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rows = append(rows, row{
 			a: a.Event, t: a.Interval,
 			name:  inst.Events[a.Event].Name,
-			omega: attendanceOf(res, a.Event),
+			omega: choice.ReferenceEventAttendance(inst, res.Schedule, a.Event),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].omega > rows[j].omega })
@@ -155,27 +155,4 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "... and %d more assignments\n", rest)
 	}
 	return nil
-}
-
-// attendanceOf recomputes ω for one scheduled event from the result's
-// schedule (cheap relative to the solve).
-func attendanceOf(res *solver.Result, event int) float64 {
-	inst := res.Schedule.Instance()
-	t := res.Schedule.IntervalOf(event)
-	sum := 0.0
-	row := inst.CandInterest.Row(event)
-	for i, id := range row.IDs {
-		den := 0.0
-		for _, c := range inst.CompetingAt(t) {
-			den += inst.CompInterest.Mu(int(id), c)
-		}
-		for _, p := range res.Schedule.EventsAt(t) {
-			den += inst.CandInterest.Mu(int(id), p)
-		}
-		if den <= 0 {
-			continue
-		}
-		sum += inst.Activity.Prob(int(id), t) * row.Vals[i] / den
-	}
-	return sum
 }

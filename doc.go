@@ -46,8 +46,8 @@
 //     layer behind the sesd daemon. ApplyBatch groups mutations into
 //     one incremental resolve, Snapshot/Restore move whole sessions
 //     between processes, and Meta reads are lock-free.
-//   - Functional options shared by all three: WithWorkers, WithEngine,
-//     WithSeed, WithProgress.
+//   - Functional options shared by all three: WithWorkers,
+//     WithObjective, WithSeed, WithProgress.
 //   - the problem model (Instance, Event, CompetingEvent, Schedule)
 //     and utility evaluation (Utility, EventAttendance,
 //     AttendanceProb)
@@ -66,7 +66,7 @@
 // marginal gain of one assignment), ScoreBatch (Score over a list of
 // events at one interval — the unit of work the solver layer
 // parallelizes), Apply/Unapply (incremental schedule maintenance),
-// and the utility accessors. Three implementations exist: Sparse, the
+// and the utility accessors. Two implementations exist: Sparse, the
 // production engine, keeps per-interval scheduled mass in sorted
 // accumulators maintained by incremental merge, and scores through one
 // shared dense per-user view of one interval, kept until that
@@ -74,9 +74,8 @@
 // hash; a score whose row is too short to pay for moving the view
 // merge-joins instead, and an instance with fewer interest entries
 // than users never builds the view, so memory stays bounded by the
-// entries; Dense is the paper-faithful O(|U|)-per-score baseline; Ref
-// wraps the definitional Reference* oracle functions. Property tests
-// force all of them to agree to floating-point accuracy.
+// entries; Ref wraps the definitional Reference* oracle functions.
+// Property tests force the two to agree to floating-point accuracy.
 //
 // What a schedule is worth is a separate, pluggable axis: every
 // engine evaluates an Objective — an interval-decomposable fold over
@@ -120,10 +119,10 @@
 // sensitivity points concurrently.
 //
 // The session layer (ses/internal/session, exposed as Scheduler)
-// sits on top of both: it keeps the instance, a warm engine (engines
-// implement Reset for in-place reuse, and Sparse also Patch, which
-// absorbs added events, new interest rows and new competitors in
-// place) and the initial-score matrix of the last solve. Mutations
+// sits on top of both: it keeps the instance, a warm engine (built
+// once, then Reset for in-place reuse and Patched to absorb added
+// events, new interest rows and new competitors in place) and the
+// initial-score matrix of the last solve. Mutations
 // invalidate a precise slice of that matrix — one event row for
 // AddEvent/UpdateInterest, one interval column for AddCompeting,
 // nothing for CancelEvent/Pin/Forbid — and Resolve patches the slice

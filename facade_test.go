@@ -170,33 +170,6 @@ func TestEveryRegisteredSolverThroughTheFacade(t *testing.T) {
 	}
 }
 
-func TestFacadeEngineOption(t *testing.T) {
-	ds := smallDataset(t)
-	inst, err := ses.BuildInstance(ds, ses.PaperParams{K: 5, Intervals: 6, CandidateEvents: 10, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := ses.New("grd", ses.WithEngine(ses.SparseEngine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := ses.New("grd", ses.WithEngine(ses.DenseEngine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := sparse.Solve(context.Background(), inst, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := dense.Solve(context.Background(), inst, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Utility-b.Utility) > 1e-9 {
-		t.Errorf("sparse %v vs dense %v", a.Utility, b.Utility)
-	}
-}
-
 func TestFacadeSchedulerLifecycle(t *testing.T) {
 	inst := festivalInstance()
 	var seen []ses.Progress

@@ -7,9 +7,8 @@ import (
 	"ses/internal/sestest"
 )
 
-// Benchmarks comparing the sorted-accumulator Sparse engine against
-// the dense baseline on the three operations solvers pay for. Run with -benchmem: the headline
-// of the accumulator rewrite is that Score and IntervalUtility are
+// Benchmarks of the Sparse engine on the three operations solvers pay
+// for. Run with -benchmem: Score and IntervalUtility are
 // allocation-free and Apply/Unapply stop allocating once the scratch
 // buffers have grown.
 
@@ -33,7 +32,6 @@ func loadBench(b *testing.B, eng Engine, k int) {
 func benchEngines(inst *core.Instance) map[string]Engine {
 	return map[string]Engine{
 		"sparse": NewSparse(inst),
-		"dense":  NewDense(inst),
 	}
 }
 

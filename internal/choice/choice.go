@@ -12,16 +12,13 @@
 // objective-independent; the objective only changes how those masses
 // fold into scores and values. See Objective.
 //
-// Four implementations are provided:
+// One engine serves and one oracle checks it:
 //
 //   - The Reference* functions compute Eq. 1–4 directly from the
-//     definitions with no caching. They are the oracle the engines are
+//     definitions with no caching. They are the oracle the engine is
 //     tested against, and they are deliberately simple. Ref wraps them
-//     in the Engine interface so solvers can run against the oracle.
-//   - Dense is the paper-faithful engine: assignment scores are
-//     computed with a loop over all |U| users exactly as Algorithm 1's
-//     complexity analysis assumes. It is the baseline for the
-//     sparse-vs-dense ablation benchmark.
+//     in the Engine interface so solvers and sessions can run against
+//     the oracle.
 //   - Sparse is the production engine: it exploits that a user with
 //     µ(u,e) = 0 contributes nothing to the score of assigning e (their
 //     Luce denominator does not change), so scores only iterate the
@@ -34,8 +31,8 @@
 //     view the engine keeps until that interval's mass changes, and
 //     merge-join where moving the view would not pay (see Sparse).
 //
-// All implementations agree to floating-point accuracy; property tests
-// enforce it.
+// Sparse and the oracle agree to floating-point accuracy; property
+// tests enforce it.
 package choice
 
 import "ses/internal/core"
@@ -112,40 +109,29 @@ type Engine interface {
 	// assignments to the fork does not affect the original. Parallel
 	// initial scoring gives each worker its own fork.
 	Fork() Engine
-}
-
-// Reuser is implemented by engines that can return to an empty
-// schedule in place, keeping their allocated storage (schedule
-// backing arrays, mass accumulators, scratch buffers) warm across
-// solves. Reset assumes the instance's events, competing events and
-// interest matrices are the ones the engine was built against (or
-// last patched to, see Patcher); callers that mutated any of those
-// must patch or rebuild the engine first. The session layer
-// (ses.Scheduler) resets between re-solves; after structural
-// mutations it patches an engine that is a Patcher and rebuilds any
-// other.
-type Reuser interface {
+	// Reset returns the engine to an empty schedule in place, keeping
+	// its allocated storage (schedule backing arrays, mass
+	// accumulators, scratch buffers) warm across solves. It assumes
+	// the instance's events, competing events and interest matrices
+	// are the ones the engine was built against or last patched to.
+	// The session layer (ses.Scheduler) resets before every re-solve.
 	Reset()
-}
-
-// Patcher is implemented by engines that can absorb instance
-// mutations in place instead of being rebuilt. The instance the
-// engine was built over has grown or changed under it: events is the
-// set of events appended or given a new interest row, intervals the
-// set of intervals that gained competing events. Patch brings every
-// structure derived from those parts up to date from the instance
-// itself, so patching twice with the same (or a larger) set is the
-// same as patching once. It leaves the schedule to the caller, who
-// Resets before solving again.
-type Patcher interface {
+	// Patch absorbs instance mutations in place. The instance the
+	// engine was built over has grown or changed under it: events is
+	// the set of events appended or given a new interest row,
+	// intervals the set of intervals that gained competing events.
+	// Patch brings every structure derived from those parts up to
+	// date from the instance itself, so patching twice with the same
+	// (or a larger) set is the same as patching once. It leaves the
+	// schedule to the caller, who Resets before solving again.
 	Patch(events, intervals map[int]bool)
 }
 
 // FillRoundRobin applies valid assignments in a fixed deterministic
 // pattern — events in order, intervals round-robin, skipping invalid
 // pairs — until max events are scheduled or the events are exhausted.
-// It exists so tests, benchmarks and the sesbench engine-ablation
-// harness load engines with the exact same non-trivial schedule.
+// It exists so tests, benchmarks and sesbench's microbenchmarks load
+// engines with the exact same non-trivial schedule.
 func FillRoundRobin(e Engine, max int) error {
 	inst := e.Instance()
 	t := 0
@@ -173,7 +159,7 @@ func scoreBatchSerial(e Engine, events []int, t int, out []float64) {
 
 // luceGain is the per-user term of Eq. 4: the change in
 // σ · P/(C+P) when mass mu joins scheduled mass p against competing
-// mass c. Shared by both engines so they agree bit-for-bit.
+// mass c. Sparse and Ref share it so they agree bit-for-bit.
 func luceGain(sigma, mu, c, p float64) float64 {
 	if mu == 0 || sigma == 0 {
 		return 0

@@ -14,7 +14,6 @@ const eps = 1e-9
 func newEngines(inst *core.Instance) map[string]Engine {
 	return map[string]Engine{
 		"sparse": NewSparse(inst),
-		"dense":  NewDense(inst),
 		"ref":    NewRef(inst),
 	}
 }
@@ -68,32 +67,6 @@ func TestEnginesMatchReferenceOnRandomInstances(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestSparseAndDenseAgreeExactly(t *testing.T) {
-	for seed := uint64(20); seed < 26; seed++ {
-		inst := sestest.Random(sestest.Config{Seed: seed, Competing: 8, Users: 40, Events: 15})
-		sp, de := NewSparse(inst), NewDense(inst)
-		greedyFill(sp, 8)
-		greedyFill(de, 8)
-		if sp.Schedule().Size() != de.Schedule().Size() {
-			t.Fatalf("seed %d: fill diverged", seed)
-		}
-		for ev := 0; ev < inst.NumEvents(); ev++ {
-			for ti := 0; ti < inst.NumIntervals; ti++ {
-				if sp.Schedule().Contains(ev) {
-					continue
-				}
-				a, b := sp.Score(ev, ti), de.Score(ev, ti)
-				if math.Abs(a-b) > 1e-12 {
-					t.Errorf("seed %d: Score(e%d,t%d) sparse %v vs dense %v", seed, ev, ti, a, b)
-				}
-			}
-		}
-		if a, b := sp.Utility(), de.Utility(); math.Abs(a-b) > 1e-9 {
-			t.Errorf("seed %d: Utility sparse %v vs dense %v", seed, a, b)
 		}
 	}
 }

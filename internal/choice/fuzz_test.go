@@ -9,20 +9,20 @@ import (
 
 // FuzzEngineOps is the generative differential test: a random
 // Apply/Unapply/Score/ScoreBatch/IntervalUtility/Utility/Fork/Reset
-// sequence decoded from the fuzz bytes drives Sparse and Dense in
-// lockstep with the Ref oracle, for every registered objective. Every
+// sequence decoded from the fuzz bytes drives Sparse in lockstep
+// with the Ref oracle, for every registered objective. Every
 // observable quantity must stay within 1e-9 of the oracle and every
 // mutation must succeed or fail identically — the generative
 // extension of the fixed-case epsilon tests.
 //
 // Caveat on the attendance objective: its Share has a hard threshold
 // at P/(C+P) = θ, so if a user's ratio ever landed within a few ulps
-// of θ, the incremental engines (whose P carries accumulation-order
+// of θ, the incremental engine (whose P carries accumulation-order
 // rounding) and the from-definitions oracle could disagree by a full
 // σ·θ. The fixed seed-42 instance draws continuous random masses, so
 // no reachable subset sum sits on the boundary; if this fuzz ever
 // reports an attendance-only mismatch of ≈ σ·θ, check for a ratio at
-// the threshold before suspecting the engines.
+// the threshold before suspecting the engine.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 4, 0, 0, 3, 1, 0})
 	f.Add([]byte{0, 3, 1, 0, 3, 2, 1, 3, 0, 5, 3, 0, 2, 4, 1, 6, 0, 1})
@@ -41,7 +41,6 @@ func FuzzEngineOps(f *testing.F) {
 			oracle.SetObjective(obj)
 			engines := map[string]Engine{
 				"sparse": NewSparse(inst),
-				"dense":  NewDense(inst),
 			}
 			for _, eng := range engines {
 				eng.SetObjective(obj)
@@ -117,10 +116,10 @@ func FuzzEngineOps(f *testing.F) {
 					for name, eng := range engines {
 						engines[name] = eng.Fork()
 					}
-				case 8: // Reset (all engines implement Reuser)
-					oracle.(Reuser).Reset()
+				case 8: // Reset
+					oracle.Reset()
 					for _, eng := range engines {
-						eng.(Reuser).Reset()
+						eng.Reset()
 					}
 				}
 			}

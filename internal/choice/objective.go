@@ -238,8 +238,8 @@ func (f *objFold) value(obj Objective) float64 {
 }
 
 // objectiveHolder carries an engine's objective and the cached
-// linearity flag; all four engines embed it so Objective/SetObjective
-// (and fork inheritance) behave identically everywhere.
+// linearity flag; Sparse and Ref embed it so Objective/SetObjective
+// (and fork inheritance) behave identically in both.
 type objectiveHolder struct {
 	obj    Objective
 	linear bool

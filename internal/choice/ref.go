@@ -5,8 +5,8 @@ import "ses/internal/core"
 // Ref wraps the Reference* functions in the Engine interface: every
 // quantity is recomputed from the Eq. 1–4 definitions on demand, with
 // no caching or incremental state beyond the schedule itself. It is
-// the slowest implementation by a wide margin and exists so solvers
-// and conformance tests can run against the oracle directly. An
+// far slower than Sparse and exists so solvers, sessions and
+// conformance tests can run against the oracle directly. An
 // interval's value sums its events' ω under the default Omega
 // objective (ReferenceIntervalUtility); other objectives fold the
 // per-user interval terms through ReferenceIntervalValue. Totals sum
@@ -107,6 +107,10 @@ func (e *Ref) intervalValue(t int, obj Objective) float64 {
 
 // Reset empties the schedule; the oracle has no other state.
 func (e *Ref) Reset() { e.sched.Reset() }
+
+// Patch grows the schedule to the instance's events; the oracle reads
+// everything else from the instance.
+func (e *Ref) Patch(_, _ map[int]bool) { e.sched.Grow() }
 
 // Fork clones the schedule; the oracle has no other state.
 func (e *Ref) Fork() Engine {

@@ -599,7 +599,7 @@ func (e *Sparse) Unapply(event int) error {
 	return nil
 }
 
-// Patch absorbs instance mutations (see Patcher): the schedule grows
+// Patch absorbs instance mutations (see Engine): the schedule grows
 // to the instance's events, and each listed interval's competing mass
 // is re-summed from the instance. Interest updates need nothing but a
 // fresh look at whether the rows still hold enough entries for the
@@ -748,8 +748,4 @@ func (e *Sparse) Fork() Engine {
 	return f
 }
 
-var (
-	_ Engine  = (*Sparse)(nil)
-	_ Reuser  = (*Sparse)(nil)
-	_ Patcher = (*Sparse)(nil)
-)
+var _ Engine = (*Sparse)(nil)

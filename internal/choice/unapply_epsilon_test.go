@@ -300,10 +300,9 @@ func TestHWMDecaysWhenAccumulatorEmpties(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ref has no noise cutoff (and no hwm), so it is exempt: run the
-	// incremental engines only.
+	// incremental engine only.
 	engines := map[string]Engine{
 		"sparse": NewSparse(inst),
-		"dense":  NewDense(inst),
 	}
 	for name, eng := range engines {
 		// Heavy phase: stack four unit masses plus the tiny holdout,

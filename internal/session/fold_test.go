@@ -10,9 +10,9 @@ import (
 )
 
 // foldCounter is a Sparse engine that records every interval
-// IntervalUtility is asked for. It hides choice.Reuser and
-// choice.Patcher, so the session builds a new one for every resolve;
-// they all record into one list.
+// IntervalUtility is asked for. It promotes every other method, Reset
+// and Patch included, so the session keeps it warm as it keeps the
+// bare engine.
 type foldCounter struct {
 	choice.Engine
 	folded *[]int
@@ -38,10 +38,16 @@ func byInterval(picks []core.Assignment, nT int) [][]int {
 // order changed since the commit, the interval gained competing
 // events, or one of its events has a new row; every other interval
 // keeps its committed value. The utility stays that of a session
-// resolved from scratch, bit for bit (resolveAgainstScratch).
+// resolved from scratch, bit for bit (resolveAgainstScratch), and the
+// session builds its engine once: every later resolve folds on the
+// engine it patched and reset.
 func TestResolveFoldsOnlyChangedIntervals(t *testing.T) {
 	var folded []int
-	count := func(inst *core.Instance) choice.Engine { return foldCounter{choice.NewSparse(inst), &folded} }
+	builds := 0
+	count := func(inst *core.Instance) choice.Engine {
+		builds++
+		return foldCounter{choice.NewSparse(inst), &folded}
+	}
 	var rec picker
 	s := replaySession(t, testInstance(21), 6, count, &rec)
 	nT := s.inst.NumIntervals
@@ -129,5 +135,8 @@ func TestResolveFoldsOnlyChangedIntervals(t *testing.T) {
 	}
 	if got, _ = resolve("resolve after InstallCommit"); !slices.Equal(got, all) {
 		t.Fatalf("the first resolve after InstallCommit folded %v, want every interval", got)
+	}
+	if builds != 1 {
+		t.Fatalf("the session built %d engines over its resolves, want 1", builds)
 	}
 }

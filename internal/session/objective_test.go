@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"ses/internal/choice"
@@ -205,5 +206,56 @@ func TestRestoredSessionResolvesIncrementallyForEveryObjective(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertIncrementalEquivalence(t, restored, inst.NumIntervals)
+	}
+}
+
+// TestPinsFillingKSelectNothing: once the pins fill k, a resolve
+// selects nothing in scan mode too, so under the objectives that run
+// it (attendance, fairness) it rescores nothing and pops nothing. Its
+// schedule and utility bits are those of a session resolved from
+// scratch.
+func TestPinsFillingKSelectNothing(t *testing.T) {
+	for _, spec := range []string{"attendance:0.5", "fairness:0.5"} {
+		obj, err := choice.ParseObjective(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obj.Submodular() {
+			t.Fatalf("%s runs heap mode; this test is about scan mode", spec)
+		}
+		s, err := New(testInstance(11), 2, Options{Workers: 1, Objective: obj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resolve(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.cur) != 2 {
+			t.Fatalf("%s: the first resolve scheduled %v, want 2 events", spec, s.cur)
+		}
+		for _, a := range s.Schedule() {
+			if err := s.Pin(a.Event, a.Interval); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh := freshClone(t, s)
+		fd, err := fresh.Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.Resolve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Counters.ScoreUpdates != 0 || d.Counters.Pops != 0 {
+			t.Errorf("%s: a resolve whose pins fill k did %d score updates and %d pops, want none",
+				spec, d.Counters.ScoreUpdates, d.Counters.Pops)
+		}
+		if !sameAssignments(s.Schedule(), fresh.Schedule()) {
+			t.Errorf("%s: schedule %v, from scratch %v", spec, s.Schedule(), fresh.Schedule())
+		}
+		if math.Float64bits(d.Utility) != math.Float64bits(fd.Utility) {
+			t.Errorf("%s: utility %v, from scratch %v", spec, d.Utility, fd.Utility)
+		}
 	}
 }

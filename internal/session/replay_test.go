@@ -7,21 +7,22 @@ import (
 	"strings"
 	"testing"
 
+	"ses/internal/choice"
 	"ses/internal/core"
 	"ses/internal/randx"
 	"ses/internal/sestest"
 	"ses/internal/solver"
 )
 
-// replayEngines are the engines the replay differential runs: the
-// production engine (patched in place after structural mutations) and
-// the dense one (reset in place, rebuilt after structural mutations).
+// replayEngines are the engines the replay differential runs, each
+// patched in place after structural mutations: the production engine
+// and the Ref oracle.
 var replayEngines = []struct {
 	name string
 	f    solver.EngineFactory
 }{
 	{"sparse", solver.DefaultEngine},
-	{"dense", solver.DenseEngine},
+	{"ref", func(in *core.Instance) choice.Engine { return choice.NewRef(in) }},
 }
 
 // picker records the assignments a session applies, in order, through

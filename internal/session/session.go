@@ -31,10 +31,9 @@
 // invalidated slice. The equivalence is enforced by tests, not just
 // argued.
 //
-// The warm engine follows the same record of what changed: a
-// choice.Patcher engine (Sparse, the default) is patched in place
-// after AddEvent, UpdateInterest and AddCompeting, and any other
-// engine is rebuilt.
+// The warm engine follows the same record of what changed: the
+// session builds it once and patches it in place after AddEvent,
+// UpdateInterest and AddCompeting.
 //
 // Under a submodular objective Resolve also skips the part of the
 // selection the mutations cannot have changed. A heap-mode commit
@@ -81,8 +80,10 @@ type Options struct {
 	// Workers is the scoring fan-out width (0 = GOMAXPROCS, 1 =
 	// serial); results are identical for any value.
 	Workers int
-	// Engine builds the choice engine (nil = the sparse production
-	// engine).
+	// Engine builds the session's choice engine, once (nil = the
+	// sparse production engine). No production caller sets it: it is
+	// the seam tests use to run the Ref oracle or an engine wrapped to
+	// count its calls.
 	Engine solver.EngineFactory
 	// Objective selects what the session maximizes (nil = choice.Omega,
 	// the paper's expected attendance). Unlike the other options it is
@@ -242,14 +243,6 @@ func copyMatrix(m *interest.Matrix) *interest.Matrix {
 		cp.SetRow(e, m.Row(e))
 	}
 	return cp
-}
-
-// engineFactory resolves the engine option.
-func (s *Scheduler) engineFactory() solver.EngineFactory {
-	if s.opts.Engine != nil {
-		return s.opts.Engine
-	}
-	return solver.DefaultEngine
 }
 
 // K returns the current schedule-size target.
@@ -654,26 +647,25 @@ func (s *Scheduler) Summary() Summary {
 	}
 }
 
-// ensureEngine readies the warm engine for a solve: it is reset in
-// place when it is a choice.Reuser and, after structural mutations,
-// also a choice.Patcher, which is patched from the dirty sets first.
-// Any other engine is rebuilt, bound to the session's objective. The
-// dirty sets are cleared only on commit, so a Resolve that fails
-// after patching patches again on retry; Patch is idempotent.
+// ensureEngine readies the warm engine for a solve: the first call
+// builds it, bound to the session's objective; every later one
+// patches it from the dirty sets when they are not empty and resets
+// it. The dirty sets are cleared only on commit, so a Resolve that
+// fails after patching patches again on retry; Patch is idempotent.
 func (s *Scheduler) ensureEngine() {
-	if r, ok := s.eng.(choice.Reuser); ok {
-		if len(s.dirtyEvents) == 0 && len(s.dirtyIntervals) == 0 {
-			r.Reset()
-			return
+	if s.eng == nil {
+		build := s.opts.Engine
+		if build == nil {
+			build = solver.DefaultEngine
 		}
-		if p, ok := s.eng.(choice.Patcher); ok {
-			p.Patch(s.dirtyEvents, s.dirtyIntervals)
-			r.Reset()
-			return
-		}
+		s.eng = build(s.inst)
+		s.eng.SetObjective(s.obj)
+		return
 	}
-	s.eng = s.engineFactory()(s.inst)
-	s.eng.SetObjective(s.obj)
+	if len(s.dirtyEvents) > 0 || len(s.dirtyIntervals) > 0 {
+		s.eng.Patch(s.dirtyEvents, s.dirtyIntervals)
+	}
+	s.eng.Reset()
 }
 
 // patchScores fills mat with the initial (empty-schedule) score of
@@ -910,13 +902,13 @@ func (s *Scheduler) foldUtility(pins []core.Assignment, steps []solver.Step) flo
 
 // fillWorklist refills the recycled worklist from mat in GRD's
 // canonical (event, interval) order, minus cancelled events, pinned
-// events, replayed events and forbidden pairs. Heap mode selects
-// nothing once the pins and the replayed steps reach k, so then the
+// events, replayed events and forbidden pairs. Neither mode selects
+// anything once the pins and the replayed steps reach k, so then the
 // list stays empty.
 func (s *Scheduler) fillWorklist(mat []float64, replay []solver.Step) {
 	nE, nT := s.inst.NumEvents(), s.inst.NumIntervals
 	s.list.Reset(nE * nT)
-	if s.obj.Submodular() && len(s.pins)+len(replay) >= s.k {
+	if len(s.pins)+len(replay) >= s.k {
 		return
 	}
 	replayed := make([]bool, nE)

@@ -483,31 +483,6 @@ func TestResolveDeadlineCommitsBestSoFar(t *testing.T) {
 	}
 }
 
-func TestResolveWithRefEngineRebuildsEachTime(t *testing.T) {
-	// Ref implements Reuser too; force the rebuild path with a custom
-	// factory that hides it behind a non-Reuser wrapper.
-	inst := testInstance(11)
-	s, err := New(inst, 5, Options{Workers: 1, Engine: func(in *core.Instance) choice.Engine {
-		return noReuse{choice.NewRef(in)}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	first := s.eng
-	if _, err := s.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if s.eng == first {
-		t.Fatal("non-Reuser engine was not rebuilt")
-	}
-}
-
-// noReuse hides the wrapped engine's Reset.
-type noReuse struct{ choice.Engine }
-
 func TestMutationValidation(t *testing.T) {
 	inst := testInstance(12)
 	s, err := New(inst, 5, Options{})
@@ -691,8 +666,8 @@ func TestProgressDoesNotChangeCounters(t *testing.T) {
 		if warm.Counters != wantWarm {
 			t.Errorf("warm session resolve with progress=%v: counters %+v, want %+v", progress != nil, warm.Counters, wantWarm)
 		}
-		if _, ok := s.eng.(choice.Patcher); !ok {
-			t.Errorf("session with progress=%v keeps a %T, not a patchable engine", progress != nil, s.eng)
+		if _, ok := s.eng.(*choice.Sparse); !ok {
+			t.Errorf("session with progress=%v keeps a %T, not the bare *choice.Sparse", progress != nil, s.eng)
 		}
 	}
 }

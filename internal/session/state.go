@@ -22,9 +22,9 @@ import (
 // rejects non-canonical input so that snapshot → restore → snapshot
 // round-trips byte-identically.
 //
-// Process-local configuration (engine factory, worker count, progress
-// callback) is deliberately not part of the state: the restoring
-// process supplies its own Options.
+// Process-local configuration (worker count, progress callback, and
+// the engine factory tests set) is deliberately not part of the
+// state: the restoring process supplies its own Options.
 type State struct {
 	// K is the schedule-size target.
 	K int

@@ -11,8 +11,9 @@ import (
 // constructor accepts.
 type Config struct {
 	// Engine builds the choice engine a solver evaluates Eq. 1–4
-	// with. nil selects the default sparse engine; inject DenseEngine
-	// (or choice.NewRef via a custom factory) for ablations.
+	// with. nil selects DefaultEngine, the sparse engine, and no
+	// production caller sets it: it is the seam tests use to run the
+	// Ref oracle or an engine wrapped to count its calls.
 	Engine EngineFactory
 	// Objective selects what the solver maximizes: nil (the default)
 	// is choice.Omega, the paper's expected attendance — solvers then

@@ -14,13 +14,13 @@ import (
 )
 
 // kernelEngines are the engines the heap ≡ scan harness runs: the
-// production engine and the paper-faithful dense one.
+// production engine and the Ref oracle.
 var kernelEngines = []struct {
 	name string
 	f    EngineFactory
 }{
 	{"sparse", DefaultEngine},
-	{"dense", DenseEngine},
+	{"ref", refEngine},
 }
 
 // kernelRun is what one SelectGreedy run did: every applied

@@ -27,13 +27,15 @@ func solversWith(t *testing.T, cfg Config) []Solver {
 	return out
 }
 
-// engineFactories are the four engines the differential harness
-// crosses with every solver and objective.
+// engineFactories are the engine and the oracle the differential
+// harness crosses with every solver and objective.
 var engineFactories = map[string]EngineFactory{
-	"sparse": func(in *core.Instance) choice.Engine { return choice.NewSparse(in) },
-	"dense":  func(in *core.Instance) choice.Engine { return choice.NewDense(in) },
-	"ref":    func(in *core.Instance) choice.Engine { return choice.NewRef(in) },
+	"sparse": DefaultEngine,
+	"ref":    refEngine,
 }
+
+// refEngine builds the Ref oracle.
+func refEngine(in *core.Instance) choice.Engine { return choice.NewRef(in) }
 
 // TestOmegaObjectiveIsByteIdenticalToDefault is the refactor anchor:
 // with Objective nil (the default) and with choice.Omega selected

@@ -56,24 +56,6 @@ func TestSerialAndParallelAgreeForAllSolvers(t *testing.T) {
 	}
 }
 
-// TestDenseEngineParallelScoring exercises the parallel path with the
-// dense engine too: forks share the (immutable) µ rows and competing
-// mass, which -race would flag if any of it were still mutated.
-func TestDenseEngineParallelScoring(t *testing.T) {
-	inst := sestest.Random(sestest.Config{Seed: 9, Users: 30, Events: 12, Intervals: 6, Competing: 5})
-	a, err := NewGRD(Config{Engine: DenseEngine, Workers: 1}).Solve(context.Background(), inst, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewGRD(Config{Engine: DenseEngine, Workers: 8}).Solve(context.Background(), inst, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Utility != b.Utility {
-		t.Fatalf("dense engine: serial %v vs parallel %v", a.Utility, b.Utility)
-	}
-}
-
 // TestWorkersDefaultAndNegative pins the Config.workers resolution:
 // 0 is GOMAXPROCS (at least 1), negatives are serial.
 func TestWorkersDefaultAndNegative(t *testing.T) {

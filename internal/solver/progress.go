@@ -28,8 +28,6 @@ type Progress struct {
 // solver's main engine emits a Progress notification. Forks are
 // returned unwrapped: forked engines belong to scoring workers, and
 // reporting from them would interleave callbacks across goroutines.
-// The decorator embeds only choice.Engine, so it hides the optional
-// choice.Reuser and choice.Patcher; wrap per solve, not for keeps.
 type progressEngine struct {
 	choice.Engine
 	solver string

@@ -43,15 +43,12 @@ import (
 )
 
 // EngineFactory builds the choice engine a solver evaluates Eq. 1–4
-// with. The default is the sparse engine; the dense paper-faithful
-// engine can be injected for ablations.
+// with. Production always runs DefaultEngine; tests pass factories
+// that build the Ref oracle or wrap an engine to count its calls.
 type EngineFactory func(*core.Instance) choice.Engine
 
 // DefaultEngine builds the sparse engine.
 func DefaultEngine(inst *core.Instance) choice.Engine { return choice.NewSparse(inst) }
-
-// DenseEngine builds the dense (paper-faithful O(|U|) score) engine.
-func DenseEngine(inst *core.Instance) choice.Engine { return choice.NewDense(inst) }
 
 // Counters records the work a solver performed; the experiment
 // harness reports them next to wall-clock times (Fig. 1b/1d) so the

@@ -174,29 +174,6 @@ func TestGRDAndLazyAgree(t *testing.T) {
 	}
 }
 
-func TestGRDSparseAndDenseEnginesAgree(t *testing.T) {
-	for seed := uint64(30); seed < 34; seed++ {
-		inst := sestest.Random(sestest.Config{Seed: seed, Competing: 6})
-		a, err := NewGRD(Config{}).Solve(context.Background(), inst, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewGRD(Config{Engine: DenseEngine}).Solve(context.Background(), inst, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		as, bs := a.Schedule.Assignments(), b.Schedule.Assignments()
-		if len(as) != len(bs) {
-			t.Fatalf("seed %d: sizes differ", seed)
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				t.Fatalf("seed %d: engines chose different schedules", seed)
-			}
-		}
-	}
-}
-
 func TestGRDMatchesNaiveGreedyReference(t *testing.T) {
 	// Reference greedy: at each step evaluate every valid assignment
 	// with ReferenceScore and take the max. GRD must match it.
@@ -463,7 +440,7 @@ func TestExactBudgetExceeded(t *testing.T) {
 
 func TestForkIndependence(t *testing.T) {
 	inst := sestest.Random(sestest.Config{Seed: 60, Competing: 4})
-	for _, factory := range []EngineFactory{DefaultEngine, DenseEngine} {
+	for _, factory := range []EngineFactory{DefaultEngine, refEngine} {
 		eng := factory(inst)
 		if err := eng.Apply(0, 0); err != nil {
 			t.Fatal(err)

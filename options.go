@@ -4,21 +4,21 @@ import (
 	"time"
 
 	"ses/internal/choice"
+	"ses/internal/session"
 	"ses/internal/solver"
 	"ses/internal/wal"
 )
 
 // Option configures solver construction (New) and Scheduler sessions
 // (NewScheduler). The same options apply to both surfaces: a session
-// is just a solver with retained state, so the knobs — engine choice,
-// scoring parallelism, randomization seed, progress streaming — are
+// is just a solver with retained state, so the knobs — scoring
+// parallelism, objective, randomization seed, progress streaming — are
 // shared.
 type Option func(*config)
 
 // config is the resolved option set.
 type config struct {
 	workers   int
-	engine    EngineFactory
 	objective Objective
 	seed      uint64
 	progress  func(Progress)
@@ -40,7 +40,13 @@ type config struct {
 // solverConfig converts the resolved options to the internal solver
 // configuration.
 func (c config) solverConfig() SolverConfig {
-	return SolverConfig{Engine: c.engine, Objective: c.objective, Workers: c.workers, Progress: c.progress}
+	return SolverConfig{Objective: c.objective, Workers: c.workers, Progress: c.progress}
+}
+
+// sessionOptions converts the resolved options to the options of every
+// session the facade starts, restores or stores.
+func (c config) sessionOptions() session.Options {
+	return session.Options{Workers: c.workers, Objective: c.objective, Progress: c.progress}
 }
 
 // resolve applies opts over the defaults.
@@ -56,10 +62,6 @@ func resolve(opts []Option) config {
 // (0, the default, uses all cores; 1 runs serially). Schedules,
 // utilities and counters are byte-identical for any value.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithEngine injects a choice-engine factory — SparseEngine (the
-// default) or DenseEngine for ablations.
-func WithEngine(f EngineFactory) Option { return func(c *config) { c.engine = f } }
 
 // WithObjective selects what solvers and sessions maximize: Omega
 // (the default — the paper's expected attendance Ω), an
@@ -149,20 +151,8 @@ func WithResolveWorkers(n int) Option { return func(c *config) { c.resolveWorker
 // = unbounded). See NewPipeline.
 func WithResolveQueue(n int) Option { return func(c *config) { c.resolveQueue = n } }
 
-// EngineFactory builds the choice engine a solver evaluates the
-// paper's Eq. 1–4 with; pass one to WithEngine.
-type EngineFactory = solver.EngineFactory
-
 // Progress is one streaming notification emitted through WithProgress.
 type Progress = solver.Progress
-
-// SparseEngine is the default production engine factory: sorted
-// scheduled-mass accumulators, allocation-free scoring hot paths.
-var SparseEngine EngineFactory = solver.DefaultEngine
-
-// DenseEngine is the paper-faithful O(|U|)-per-score engine factory,
-// retained for ablations.
-var DenseEngine EngineFactory = solver.DenseEngine
 
 // Objective defines what a schedule is worth: an interval-decomposable
 // fold over per-user attendance terms. Select one with WithObjective;

@@ -34,13 +34,8 @@ type Move = session.Move
 
 // NewScheduler starts a scheduling session over a private copy of
 // inst, targeting schedules of up to k events. The same functional
-// options as New apply (workers, engine, objective, progress).
+// options as New apply (workers, objective, progress).
 func NewScheduler(inst *Instance, k int, opts ...Option) (*Scheduler, error) {
 	c := resolve(opts)
-	return session.New(inst, k, session.Options{
-		Workers:   c.workers,
-		Engine:    c.engine,
-		Objective: c.objective,
-		Progress:  c.progress,
-	})
+	return session.New(inst, k, c.sessionOptions())
 }

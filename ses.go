@@ -41,10 +41,11 @@ type (
 	// Counters records the work a solver or session performed.
 	Counters = solver.Counters
 	// SolverConfig carries the cross-cutting solver options: the
-	// choice-engine factory, the number of goroutines used for
-	// initial scoring (Workers; 0 = GOMAXPROCS, 1 = serial) and the
-	// progress callback. Results are byte-identical regardless of
-	// Workers. Most callers should use New with functional options
+	// objective, the number of goroutines used for initial scoring
+	// (Workers; 0 = GOMAXPROCS, 1 = serial) and the progress
+	// callback. Results are byte-identical regardless of Workers. Its
+	// Engine field is left nil outside tests (nil is the sparse
+	// engine). Most callers should use New with functional options
 	// instead of building one directly.
 	SolverConfig = solver.Config
 )

@@ -63,16 +63,11 @@ var (
 )
 
 // NewStore returns an empty session store. The options (workers,
-// engine, objective, progress) configure every session the store creates
-// or restores.
+// objective, progress) configure every session the store creates or
+// restores.
 func NewStore(opts ...Option) *Store {
 	c := resolve(opts)
-	st := store.New(session.Options{
-		Workers:   c.workers,
-		Engine:    c.engine,
-		Objective: c.objective,
-		Progress:  c.progress,
-	})
+	st := store.New(c.sessionOptions())
 	if sink := c.sinkFor(); sink != nil {
 		st.SetSink(sink)
 	}
@@ -102,20 +97,15 @@ var ErrStoreClosed = store.ErrStoreClosed
 // OpenStore opens (creating or recovering) a durable session store.
 // WithDurability is required; WithSyncPolicy, WithSyncInterval and
 // WithCheckpointEvery tune the log, and the session options (workers,
-// engine, objective, progress) apply to every session exactly
-// like NewStore's.
+// objective, progress) apply to every session exactly like
+// NewStore's.
 func OpenStore(opts ...Option) (*DurableStore, error) {
 	c := resolve(opts)
 	if c.durableDir == "" {
 		return nil, errors.New("ses: OpenStore requires WithDurability(dir); use NewStore for a memory-only store")
 	}
 	return store.OpenDurable(c.durableDir, store.DurableOptions{
-		Session: session.Options{
-			Workers:   c.workers,
-			Engine:    c.engine,
-			Objective: c.objective,
-			Progress:  c.progress,
-		},
+		Session:         c.sessionOptions(),
 		Sync:            c.syncPolicy,
 		SyncInterval:    c.syncInterval,
 		CheckpointEvery: c.checkpointEvery,
@@ -224,10 +214,5 @@ func DecodeSnapshotBinary(r io.Reader) (*Snapshot, error) { return snap.DecodeBi
 // as NewScheduler apply.
 func RestoreScheduler(st *SessionState, opts ...Option) (*Scheduler, error) {
 	c := resolve(opts)
-	return session.FromState(st, session.Options{
-		Workers:   c.workers,
-		Engine:    c.engine,
-		Objective: c.objective,
-		Progress:  c.progress,
-	})
+	return session.FromState(st, c.sessionOptions())
 }
